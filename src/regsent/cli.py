@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data validation
-failure, 3 numerical failure. Every failure prints a single machine-parsable
-line on stderr: `regsent: error[<kind>]: <reason>`.
+failure, 3 numerical failure, 4 any other exception (`error[internal]`). Every
+failure prints a single machine-parsable line on stderr: `regsent: error[<kind>]: <reason>`.
 """
 
 from __future__ import annotations
@@ -122,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"regsent: error[numeric]: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # last resort: keep the one-line contract for unexpected failures
+        print(f"regsent: error[internal]: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Error taxonomy shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
-NumericalError -> 3.
+NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
 """
 
 from __future__ import annotations

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from . import regional, stats
 from .corpus import (
@@ -57,9 +59,9 @@ from .sentiment import (
 
 __all__ = [
     "ClassifierSettings",
-    "CleaningSettings",
     "PipelineConfig",
     "RegressionSettings",
+    "ThresholdSettings",
     "load_config",
     "run_pipeline",
     "stage_aggregate",
@@ -74,70 +76,70 @@ __all__ = [
     "stage_train",
 ]
 
-_PATH_KEYS = (
-    "posts",
-    "gazetteer",
-    "dictionary",
-    "lemmas",
-    "stop_words",
-    "conjunctions",
-    "emoji_polarity",
-    "training_data",
-    "region_table",
-    "external_predictions",
-)
+
+@dataclass(frozen=True)
+class _PathSettings:
+    """Input files, relative to the config file's directory unless absolute."""
+
+    posts: str | None = None
+    gazetteer: str | None = None
+    dictionary: str | None = None
+    lemmas: str | None = None
+    stop_words: str | None = None
+    conjunctions: str | None = None
+    emoji_polarity: str | None = None
+    training_data: str | None = None
+    region_table: str | None = None
+    external_predictions: str | None = None
+
+
+@dataclass(frozen=True)
+class ThresholdSettings:
+    min_region_posts: int = field(default=100, metadata={"min": 0})
+    emoji_min_share: float = field(default=0.01, metadata={"min": 0.0, "max": 1.0})
 
 
 @dataclass(frozen=True)
 class ClassifierSettings:
-    kind: str = "naive_bayes"
+    kind: str = field(default="naive_bayes", metadata={"choices": ("naive_bayes", "logistic")})
     binary: bool = True
-    smoothing: float = 1.0
-    learning_rate: float = 0.1
-    epochs: int = 300
-    l2: float = 1e-4
+    smoothing: float = field(default=1.0, metadata={"gt": 0.0})
+    learning_rate: float = field(default=0.1, metadata={"gt": 0.0})
+    epochs: int = field(default=300, metadata={"min": 1})
+    l2: float = field(default=1e-4, metadata={"min": 0.0})
     pseudo_label: bool = False
-    pseudo_fraction: float = 1.0
-    min_confidence: float | None = None
-    test_fraction: float = 0.2
-
-
-@dataclass(frozen=True)
-class CleaningSettings:
-    """Per-step toggles of the normalization chain (all on by default)."""
-
-    min_words: int = 3
-    remove_links: bool = True
-    remove_mentions: bool = True
-    remove_hashtags: bool = True
-    filter_emojis: bool = True
-    strip_nonword: bool = True
-    reject_short: bool = True
-    reject_misspelled: bool = True
-    lemmatize: bool = True
-    remove_stop_words: bool = True
+    pseudo_fraction: float = field(default=1.0, metadata={"min": 0.0, "max": 1.0})
+    min_confidence: float | None = field(default=None, metadata={"min": 0.0, "max": 1.0})
+    test_fraction: float = field(default=0.2, metadata={"gt": 0.0, "lt": 1.0})
 
 
 @dataclass(frozen=True)
 class RegressionSettings:
     standardize: bool = True
     features: tuple[str, ...] | None = None  # None -> every table feature column
-    direction: str = "both"
-    start: str = "full"
+    direction: str = field(default="both", metadata={"choices": ("backward", "forward", "both")})
+    start: str = field(default="full", metadata={"choices": ("full", "empty")})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The config schema; each section of the JSON document is a frozen dataclass.
+
+    A field's annotation is its key's type, its default the key's default, and its
+    metadata its `choices`, closed `min`/`max` or open `gt`/`lt` bounds. `load_config`
+    fills in `base_dir` and the resolved `paths`.
+    """
+
     base_dir: Path
     paths: Mapping[str, Path | None]
     language: str = "pl"
     event_date: date = date(2019, 10, 13)
-    posts_format: str = "jsonl"
-    min_region_posts: int = 100
-    emoji_min_share: float = 0.01
-    alpha: float = 0.05
-    event_day: str = "before"  # which period posts dated on the event join
-    cleaning: CleaningSettings = field(default_factory=CleaningSettings)
+    posts_format: str = field(default="jsonl", metadata={"choices": ("jsonl", "csv")})
+    thresholds: ThresholdSettings = field(default_factory=ThresholdSettings)
+    alpha: float = field(default=0.05, metadata={"gt": 0.0, "lt": 1.0})
+    # which period posts dated on the event join
+    event_day: str = field(default="before", metadata={"choices": ("before", "after")})
+    cleaning: CleanConfig = field(default_factory=CleanConfig)
     classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
     regression: RegressionSettings = field(default_factory=RegressionSettings)
     seed: int = 0
@@ -152,17 +154,68 @@ class PipelineConfig:
         return out
 
 
-def _build_settings(cls, raw: Mapping[str, Any], where: str):
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown {where} settings: {sorted(unknown)}")
-    if "features" in raw and raw["features"] is not None:
-        raw = dict(raw, features=tuple(raw["features"]))
+# Field types a document value can have; fields of other types (cleaning
+# resources, resolved paths) are not config keys.
+_EXPECTED = {bool: "true or false", int: "an integer within float range", float: "a finite number",
+             str: "a string", date: "an ISO date string", tuple: "a list of strings"}
+_BOUNDS = {"min": (">=", operator.ge), "max": ("<=", operator.le), "gt": (">", operator.gt), "lt": ("<", operator.lt)}
+
+
+def _kind(hint) -> Any:
+    """Base type of a field annotation; `X | None` gives `X`."""
+    hint = get_args(hint)[0] if type(None) in get_args(hint) else hint
+    return get_origin(hint) or hint
+
+
+def _convert(kind, value: Any) -> Any:
+    """`value` as `kind`; TypeError or ValueError when it is not one."""
+    if kind is int or kind is float:
+        # bools are not numbers; the bound rejects NaN, infinities and ints past float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max or value != kind(value):
+            raise ValueError(value)
+        return kind(value)
+    if kind is date:
+        return date.fromisoformat(value)
+    if kind is tuple and type(value) is list and all(type(item) is str for item in value):
+        return tuple(value)
+    if type(value) is not kind:
+        raise TypeError(value)
+    return value
+
+
+def _read(hint, meta: Mapping[str, Any], value: Any, key: str) -> Any:
+    """`value` of the dotted config `key`, checked against its field."""
+    optional, kind = type(None) in get_args(hint), _kind(hint)
+    if value is None and optional:
+        return None
+    if is_dataclass(kind):
+        return _build(kind, value, key + ".")
     try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where} settings: {exc}") from exc
+        value = _convert(kind, value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {_EXPECTED[kind]}{' or null' if optional else ''}, got {value!r}") from None
+    if "choices" in meta and value not in meta["choices"]:
+        raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
+    limits = [(symbol, test, meta[name]) for name, (symbol, test) in _BOUNDS.items() if name in meta]
+    if not all(test(value, limit) for _, test, limit in limits):
+        wanted = " and ".join(f"{symbol} {limit}" for symbol, _, limit in limits)
+        raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    return value
+
+
+def _build(cls, raw: Any, prefix: str, **given: Any):
+    """`cls` from the document object `raw`; `given` supplies fields that are not keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {prefix.rstrip('.')} must be a JSON object, got {raw!r}")
+    hints = get_type_hints(cls)
+    keys = {
+        f.name: f.metadata for f in fields(cls)
+        if (kind := _kind(hints[f.name])) in _EXPECTED or is_dataclass(kind)
+    }
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(repr(prefix + key) for key in unknown))
+    return cls(**given, **{key: _read(hints[key], keys[key], value, prefix + key) for key, value in raw.items()})
 
 
 def _apply_override(doc: dict, dotted: str, value: str) -> None:
@@ -174,18 +227,21 @@ def _apply_override(doc: dict, dotted: str, value: str) -> None:
             raise ConfigError(f"cannot override {dotted!r}: {key!r} is not a table")
     try:
         node[keys[-1]] = json.loads(value)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON (or an integer past the digit limit): keep the text
         node[keys[-1]] = value
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | None = None) -> PipelineConfig:
-    """Parse and validate the JSON config; `overrides` are `key.path=value`."""
+    """Parse and validate the JSON config; `overrides` are `key.path=value`.
+
+    The only validation point: each bad key or value is a ConfigError naming it.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -196,62 +252,21 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
         _apply_override(doc, key.strip(), value.strip())
     if seed is not None:
         doc["seed"] = seed
-
-    base_dir = path.parent
-    raw_paths = doc.get("paths", {})
-    unknown = set(raw_paths) - set(_PATH_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown path keys: {sorted(unknown)}")
-    paths: dict[str, Path | None] = {key: None for key in _PATH_KEYS}
+    paths: dict[str, Path | None] = {}
     missing: list[str] = []
-    for key, value in raw_paths.items():
+    for key, value in vars(_build(_PathSettings, doc.pop("paths", {}), "paths.")).items():
+        paths[key] = None
         if value is None:
             continue
-        resolved = (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
-        if not resolved.exists():
-            missing.append(f"{key} -> {resolved}")
-        paths[key] = resolved
+        try:
+            paths[key] = Path(value) if Path(value).is_absolute() else (path.parent / value).resolve()
+            if not paths[key].exists():
+                missing.append(f"paths.{key} -> {str(paths[key])!r}")
+        except (OSError, RuntimeError, ValueError) as exc:  # e.g. a NUL byte or a symlink loop
+            raise ConfigError(f"paths.{key} is not a usable path: {exc}") from exc
     if missing:
         raise ConfigError("configured files do not exist: " + "; ".join(missing))
-
-    thresholds = doc.get("thresholds", {})
-    try:
-        event_date = date.fromisoformat(doc.get("event_date", "2019-10-13"))
-    except ValueError as exc:
-        raise ConfigError(f"bad event_date: {exc}") from exc
-    if doc.get("event_day", "before") not in ("before", "after"):
-        raise ConfigError("event_day must be 'before' or 'after'")
-    try:
-        cfg = PipelineConfig(
-            base_dir=base_dir,
-            paths=paths,
-            language=str(doc.get("language", "pl")),
-            event_date=event_date,
-            posts_format=str(doc.get("posts_format", "jsonl")),
-            min_region_posts=int(thresholds.get("min_region_posts", 100)),
-            emoji_min_share=float(thresholds.get("emoji_min_share", 0.01)),
-            alpha=float(doc.get("alpha", 0.05)),
-            event_day=str(doc.get("event_day", "before")),
-            cleaning=_build_settings(CleaningSettings, doc.get("cleaning", {}), "cleaning"),
-            classifier=_build_settings(ClassifierSettings, doc.get("classifier", {}), "classifier"),
-            regression=_build_settings(RegressionSettings, doc.get("regression", {}), "regression"),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    if cfg.posts_format not in ("jsonl", "csv"):
-        raise ConfigError(f"posts_format must be jsonl or csv, got {cfg.posts_format!r}")
-    if cfg.classifier.kind not in ("naive_bayes", "logistic"):
-        raise ConfigError(f"classifier.kind must be naive_bayes or logistic, got {cfg.classifier.kind!r}")
-    if not (0.0 < cfg.classifier.test_fraction < 1.0):
-        raise ConfigError("classifier.test_fraction must be in (0, 1)")
-    if not (0.0 <= cfg.classifier.pseudo_fraction <= 1.0):
-        raise ConfigError("classifier.pseudo_fraction must be in [0, 1]")
-    if cfg.regression.direction not in ("backward", "forward", "both"):
-        raise ConfigError(f"regression.direction must be backward, forward, or both, got {cfg.regression.direction!r}")
-    if cfg.regression.start not in ("full", "empty"):
-        raise ConfigError(f"regression.start must be full or empty, got {cfg.regression.start!r}")
-    return cfg
+    return _build(PipelineConfig, doc, "", base_dir=path.parent, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +340,15 @@ def _read_region_sentiment(out_dir: Path) -> list[RegionSentiment]:
 
 
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
+    """The configured cleaning toggles plus the loaded resources."""
     paths = cfg.require_paths("dictionary", "lemmas", "stop_words", "conjunctions")
-    toggles = cfg.cleaning
-    return CleanConfig(
+    return replace(
+        cfg.cleaning,
         dictionary=load_word_list(paths["dictionary"]),
         lemma_map=load_lemma_map(paths["lemmas"]),
         stop_words=load_word_list(paths["stop_words"]),
         conjunctions=load_word_list(paths["conjunctions"]),
         emoji_whitelist=whitelist,
-        min_words=toggles.min_words,
-        remove_links=toggles.remove_links,
-        remove_mentions=toggles.remove_mentions,
-        remove_hashtags=toggles.remove_hashtags,
-        filter_emojis=toggles.filter_emojis,
-        strip_nonword=toggles.strip_nonword,
-        reject_short=toggles.reject_short,
-        reject_misspelled=toggles.reject_misspelled,
-        lemmatize=toggles.lemmatize,
-        remove_stop_words=toggles.remove_stop_words,
     )
 
 
@@ -404,7 +410,7 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
     rows = _read_located(out_dir)
     posts = _located_as_posts(rows)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
-    whitelist = select_emoji_whitelist(posts, polarity, cfg.emoji_min_share)
+    whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
     (out_dir / "emoji_whitelist.txt").write_text(
         "".join(f"{e}\n" for e in sorted(whitelist)), encoding="utf-8"
     )
@@ -608,7 +614,7 @@ def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
             positive=label is SentimentLabel.POSITIVE,
         ))
     regions, no_region = aggregate(
-        observations, cfg.event_date, cfg.min_region_posts, event_day=cfg.event_day
+        observations, cfg.event_date, cfg.thresholds.min_region_posts, event_day=cfg.event_day
     )
     with (out_dir / "region_sentiment.csv").open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -627,7 +633,7 @@ def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
         "without_region": no_region,
         "regions": len(regions),
         "included_regions": sum(r.included for r in regions),
-        "threshold": cfg.min_region_posts,
+        "threshold": cfg.thresholds.min_region_posts,
     }
     _write_json(out_dir / "aggregate_report.json", report)
     return report

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .corpus import RawPost
 from .errors import DataValidationError
@@ -23,11 +23,9 @@ __all__ = [
     "CleanPost",
     "FrequencyReport",
     "FrequencyRow",
-    "clean",
     "clean_text",
     "emoji_report",
     "hashtag_report",
-    "identity_transform",
     "lemmatize_and_stop",
     "load_emoji_polarity",
     "load_lemma_map",
@@ -37,8 +35,6 @@ __all__ = [
     "spell_gate",
     "write_frequency_csv",
 ]
-
-TextTransform = Callable[[str], str]
 
 URL_RE = re.compile(r"https?://\S+|\bwww\.\S+", re.IGNORECASE)
 MENTION_RE = re.compile(r"@\w+")
@@ -62,19 +58,15 @@ def _is_emoji(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
 
 
-def identity_transform(text: str) -> str:
-    """Default text transform; the adapter slot for e.g. machine translation."""
-    return text
-
-
 @dataclass(frozen=True)
 class CleanConfig:
     """Normalization settings: resources plus per-step toggles.
 
-    For clean() to be idempotent on its own rendered output the resources must
-    be coherent: conjunctions should cover the stop words, and the lemma map
-    should be idempotent with values inside the dictionary and outside the
-    stop set (the bundled fixtures satisfy this).
+    The toggles are the config's `cleaning` section; the resources are not
+    config keys. For clean_text() to be idempotent on its own rendered output
+    the resources must be coherent: conjunctions should cover the stop words,
+    and the lemma map should be idempotent with values inside the dictionary
+    and outside the stop set (the bundled fixtures satisfy this).
     """
 
     dictionary: frozenset[str] = frozenset()
@@ -82,7 +74,7 @@ class CleanConfig:
     stop_words: frozenset[str] = frozenset()
     conjunctions: frozenset[str] = frozenset()
     emoji_whitelist: frozenset[str] = frozenset()
-    min_words: int = 3  # reject posts with <= min_words non-conjunction tokens
+    min_words: int = field(default=3, metadata={"min": 0})  # reject posts with <= min_words non-conjunction tokens
     remove_links: bool = True
     remove_mentions: bool = True
     remove_hashtags: bool = True
@@ -92,10 +84,6 @@ class CleanConfig:
     reject_misspelled: bool = True
     lemmatize: bool = True
     remove_stop_words: bool = True
-    transform: TextTransform = identity_transform
-
-    def with_whitelist(self, whitelist: Iterable[str]) -> "CleanConfig":
-        return replace(self, emoji_whitelist=frozenset(whitelist))
 
 
 @dataclass(frozen=True)
@@ -148,13 +136,9 @@ def _reject(post_id: str, kept: list[str], removed: dict[str, int], reason: str)
     )
 
 
-def clean(post: RawPost, config: CleanConfig) -> CleanPost:
-    return clean_text(post.id, post.text, config)
-
-
 def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
     removed = {"links": 0, "mentions": 0, "hashtags": 0, "nonword": 0, "emojis_dropped": 0}
-    text = unicodedata.normalize("NFC", config.transform(raw_text))
+    text = unicodedata.normalize("NFC", raw_text)
 
     if config.remove_links:
         text, removed["links"] = URL_RE.subn(" ", text)

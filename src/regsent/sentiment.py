@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -299,17 +300,13 @@ def train_test_split(
     """Seeded shuffle split; deterministic for a given (data, seed)."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
-    import random
-
     indices = list(range(len(data)))
     random.Random(seed).shuffle(indices)
     n_test = max(1, int(round(len(data) * test_fraction)))
-    test_idx = set(indices[:n_test])
     train_split = [data[i] for i in indices[n_test:]]
     test_split = [data[i] for i in indices[:n_test]]
     if not train_split:
         raise ValueError("split leaves no training data")
-    assert len(test_idx) == n_test
     return train_split, test_split
 
 

@@ -4,13 +4,20 @@ regression subcommands on the replication fixture."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
+from regsent import cli
+from regsent.errors import ConfigError
 from regsent.fixtures import TABLE_BETAS, write_corpus_fixture, write_replication_fixture
+from regsent.pipeline import PipelineConfig, load_config
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +51,16 @@ class TestErrorContract:
         result = run_cli(["transmogrify"])
         assert result.returncode == 1
         assert result.stderr.startswith("regsent: error[usage]:")
+
+    def test_unexpected_exception_exits_four_with_one_line(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        def broken_stage(cfg, out_dir):
+            raise RuntimeError("stage blew up\nsecond line")
+
+        monkeypatch.setitem(cli._STAGES, "ingest", broken_stage)
+        code = cli.main(["ingest", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "regsent: error[internal]: RuntimeError: stage blew up second line\n"
 
     def test_bad_external_label_exits_two(self, fixture_dir, pipeline_out, tmp_path):
         out = tmp_path / "out"
@@ -221,6 +238,78 @@ class TestConfigValidation:
         ])
         assert result.returncode == 1
         assert "unknown" in result.stderr
+
+    @pytest.mark.parametrize("override", [
+        'thresholds="x"',
+        'alpha="nan"',
+        "alpha=2",
+        "cleaning.min_words=-1",
+        'cleaning.lemmatize="no"',
+        'classifier.binary="no"',
+        'classifier.epochs="many"',
+        "classifier.epochs=1e400",
+        "classifier.smoothing=0",
+        'classifier.min_confidence="hi"',
+        'regression.features="urbanization"',
+        "seed=1.5",
+        "paths.posts=3",
+        "thresholds.min_region_posts=1e400",
+    ])
+    def test_invalid_value_is_one_line_naming_key(self, fixture_dir, tmp_path, capsys, override):
+        code = cli.main([
+            "ingest", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "o"),
+            "--set", override,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("regsent: error[config]:") and err.count("\n") == 1
+        assert override.partition("=")[0] in err
+        assert not (tmp_path / "o").exists()
+
+    def test_symlink_loop_path_is_config_error(self, fixture_dir, tmp_path, capsys):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        code = cli.main([
+            "ingest", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "o"),
+            "--set", f"paths.posts={os.path.relpath(tmp_path / 'a', fixture_dir)}",  # relative: resolved
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("regsent: error[config]: paths.posts") and err.count("\n") == 1
+
+
+def _schema_keys(cls, prefix=""):
+    """Every schema field as a dotted key, including fields that are not config keys (these must fail too)."""
+    for f in dataclasses.fields(cls):
+        yield prefix + f.name
+        if dataclasses.is_dataclass(f.default_factory):
+            yield from _schema_keys(f.default_factory, f"{prefix}{f.name}.")
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["logistic", "both", "empty", "csv", "after", "2020-02-29", "posts.jsonl", ""]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestConfigProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), value=_JSON_VALUES)
+    def test_any_value_loads_or_is_one_config_error(self, fixture_dir, data, value):
+        config = fixture_dir / "config.json"
+        keys = sorted(_schema_keys(PipelineConfig)) + [f"paths.{name}" for name in load_config(config).paths]
+        key = data.draw(st.sampled_from(keys))
+        try:
+            load_config(config, [f"{key}={json.dumps(value)}"])
+        except ConfigError as exc:
+            assert "\n" not in str(exc) and key in str(exc)
 
 
 class TestCleaningToggles:

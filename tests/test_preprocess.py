@@ -21,7 +21,6 @@ from conftest import coherent_clean_config, fuzz_post_text
 from regsent.corpus import RawPost
 from regsent.preprocess import (
     CleanConfig,
-    clean,
     clean_text,
     emoji_report,
     hashtag_report,
@@ -111,11 +110,6 @@ class TestCleanHandTrace:
             if reason is not None:
                 assert cp.tokens == ()
                 assert not cp.accepted
-
-    def test_clean_wraps_clean_text(self):
-        post = RawPost(id="z9", text="good day sun park",
-                       timestamp=datetime(2019, 10, 1, tzinfo=timezone.utc))
-        assert clean(post, TRACE_CONFIG) == clean_text("z9", "good day sun park", TRACE_CONFIG)
 
 
 class TestCleanProperties:
@@ -280,20 +274,3 @@ class TestLemmatizeAndStop:
         stops = frozenset({"the"})
         assert lemmatize_and_stop(tokens, lemma_map, stops, lemmatize=False) == ["walked"]
         assert lemmatize_and_stop(tokens, lemma_map, stops, remove_stops=False) == ["walk", "the"]
-
-
-class TestTextTransformAdapter:
-    def test_transform_runs_before_every_step(self):
-        # the adapter slot rewrites text ahead of the chain (identity default)
-        def swap_dialect(text: str) -> str:
-            return text.replace("superb", "good")
-
-        config = CleanConfig(
-            dictionary=frozenset({"good", "day", "sun", "park"}),
-            transform=swap_dialect,
-        )
-        cp = clean_text("t", "superb day sun park", config)
-        assert cp.tokens == ("good", "day", "sun", "park")
-        default = clean_text("t", "superb day sun park", CleanConfig(
-            dictionary=frozenset({"good", "day", "sun", "park"})))
-        assert default.rejected_reason == "misspelled"
