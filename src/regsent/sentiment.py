@@ -3,8 +3,15 @@
 Two trainable kinds share one model container: a multinomial naive Bayes
 (Laplace-smoothed) and a softmax logistic classifier trained by full-batch
 gradient descent on cross-entropy with L2. Both are deterministic given the
-training data (vocabulary is sorted, initialization is zero). Third-party
-model outputs can be imported from CSV instead of training locally.
+training data (vocabulary is sorted, initialization is zero). Logistic
+training stops with NumericalError naming `classifier.learning_rate` as soon
+as the loss or the weights stop being finite. Third-party model outputs can
+be imported from CSV instead of training locally.
+
+Training encodes its documents once into sparse (CSR) token counts
+(`encode` -> `TokenCounts`), and `predict` reads only the weight columns of
+a document's known tokens, so both cost time and memory in proportion to the
+number of tokens, never documents x vocabulary.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -19,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, NumericalError
 
 __all__ = [
     "EvalReport",
@@ -27,6 +35,8 @@ __all__ = [
     "Prediction",
     "SentimentLabel",
     "SentimentModel",
+    "TokenCounts",
+    "encode",
     "encode_binary",
     "evaluate",
     "import_external_predictions",
@@ -139,20 +149,65 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def _count_matrix(data: Sequence[LabeledExample], vocabulary: Mapping[str, int]) -> np.ndarray:
-    X = np.zeros((len(data), len(vocabulary)))
-    for i, example in enumerate(data):
-        for token in example.tokens:
-            j = vocabulary.get(token)
-            if j is not None:
-                X[i, j] += 1.0
-    return X
+class TokenCounts:
+    """Sparse n x V token-count matrix in CSR form.
+
+    Row i holds `counts[indptr[i]:indptr[i + 1]]` at the columns
+    `indices[indptr[i]:indptr[i + 1]]`, ascending and without repeats. Only
+    the two products the classifiers need are defined, `X @ dense` and
+    `dense @ X`; numpy ufuncs defer to them (`__array_ufunc__ = None`).
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray, n_words: int):
+        self.indptr, self.indices, self.counts = indptr, indices, counts
+        self.shape = (len(indptr) - 1, n_words)
+        self._rows = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """(n, V) @ (V, K) -> (n, K)."""
+        other = np.asarray(other)
+        if other.shape[0] != self.shape[1]:
+            raise ValueError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
+        return np.stack([self._sum(self._rows, col[self.indices], self.shape[0]) for col in other.T], axis=1)
+
+    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
+        """(K, n) @ (n, V) -> (K, V)."""
+        other = np.asarray(other)
+        if other.shape[1] != self.shape[0]:
+            raise ValueError(f"matmul shape mismatch: {other.shape} @ {self.shape}")
+        return np.stack([self._sum(self.indices, row[self._rows], self.shape[1]) for row in other])
+
+    def _sum(self, bins: np.ndarray, gathered: np.ndarray, length: int) -> np.ndarray:
+        """Sum of gathered * counts per bin, one pass over the entries."""
+        gathered *= self.counts
+        return np.bincount(bins, weights=gathered, minlength=length)
+
+
+def encode(docs: Iterable[Iterable[str]], vocabulary: Mapping[str, int]) -> TokenCounts:
+    """Token counts of each document over the vocabulary; unknown tokens are dropped."""
+    columns, lengths = array("q"), array("q")
+    for doc in docs:
+        known = [j for j in map(vocabulary.get, doc) if j is not None]
+        columns.extend(known)
+        lengths.append(len(known))
+    n, n_words = len(lengths), len(vocabulary)
+    base = max(n_words, 1)
+    # one row-major key per known token; np.unique sorts them and counts repeats
+    keys = np.repeat(np.arange(0, n * base, base, dtype=np.int64), np.asarray(lengths))
+    keys += np.asarray(columns)
+    del columns  # freed before np.unique copies the keys
+    keys, counts = np.unique(keys, return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * base)
+    keys %= base
+    return TokenCounts(indptr, keys, counts, n_words)
 
 
 def logistic_loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    X: np.ndarray,
+    X: np.ndarray | TokenCounts,
     y_idx: np.ndarray,
     l2: float,
     sample_weight: np.ndarray | None = None,
@@ -160,7 +215,8 @@ def logistic_loss_and_grad(
     """Mean weighted cross-entropy with L2 on weights (bias unpenalized).
 
     Returns (loss, grad_weights, grad_bias); kept separate from the training
-    loop so the gradient can be checked against finite differences.
+    loop so the gradient can be checked against finite differences. `X` is a
+    dense n x V count matrix or the same counts as `TokenCounts`.
     """
     n = X.shape[0]
     w = np.ones(n) if sample_weight is None else sample_weight
@@ -216,17 +272,16 @@ def train(
     class_index = {label: i for i, label in enumerate(model_classes)}
     y_idx = np.array([class_index[ex.label] for ex in data])
     sample_weight = np.array([ex.weight for ex in data])
-    X = _count_matrix(data, vocabulary)
+    X = encode((ex.tokens for ex in data), vocabulary)
     K, V = len(model_classes), len(vocabulary)
 
     if kind == "naive_bayes":
         if smoothing <= 0:
             raise ValueError("smoothing must be positive")
-        counts = np.zeros((K, V))
-        doc_weight = np.zeros(K)
-        for i in range(len(data)):
-            counts[y_idx[i]] += sample_weight[i] * X[i]
-            doc_weight[y_idx[i]] += sample_weight[i]
+        class_weight = np.zeros((K, len(data)))
+        class_weight[y_idx, np.arange(len(data))] = sample_weight
+        counts = class_weight @ X
+        doc_weight = np.bincount(y_idx, weights=sample_weight, minlength=K)
         class_log_prior = np.log(doc_weight / doc_weight.sum())
         feature_log_prob = np.log((counts + smoothing) / (counts.sum(axis=1, keepdims=True) + smoothing * V))
         return SentimentModel(
@@ -240,10 +295,16 @@ def train(
 
     weights = np.zeros((K, V))
     bias = np.zeros(K)
-    for _ in range(epochs):
-        _, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2, sample_weight)
-        weights -= learning_rate * grad_w
-        bias -= learning_rate * grad_b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, epochs + 1):
+            loss, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2, sample_weight)
+            weights -= learning_rate * grad_w
+            bias -= learning_rate * grad_b
+            if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):
+                raise NumericalError(
+                    f"logistic training diverged at epoch {epoch} (loss or weights not finite); "
+                    f"lower classifier.learning_rate (now {learning_rate!r})"
+                )
     return SentimentModel(
         kind=kind,
         classes=model_classes,
@@ -258,22 +319,17 @@ def train(
 def predict(model: SentimentModel, tokens: Iterable[str]) -> Prediction:
     """Class scores (normalized to sum 1) and the argmax label.
 
-    Out-of-vocabulary tokens are ignored; if nothing remains the prediction
-    falls back to the prior/bias argmax and is flagged. Score ties resolve to
-    the earlier class in model.classes.
+    Only the weight columns of the document's known tokens are read, so the
+    cost grows with the document, not with the vocabulary. Out-of-vocabulary
+    tokens are ignored; if nothing remains the prediction falls back to the
+    prior/bias argmax and is flagged. Score ties resolve to the earlier class
+    in model.classes.
     """
-    x = np.zeros(len(model.vocabulary))
-    known = 0
-    for token in tokens:
-        j = model.vocabulary.get(token)
-        if j is not None:
-            x[j] += 1.0
-            known += 1
-    fallback = known == 0
-    logits = model.class_log_prior + (model.feature_weights @ x)
+    columns = [j for j in map(model.vocabulary.get, tokens) if j is not None]
+    logits = model.class_log_prior + model.feature_weights.take(columns, axis=1).sum(axis=1)
     scores = _softmax(logits)
     label = model.classes[int(np.argmax(scores))]
-    return Prediction(label=label, scores=scores, fallback=fallback)
+    return Prediction(label=label, scores=scores, fallback=not columns)
 
 
 def evaluate(model: SentimentModel, data: Sequence[LabeledExample]) -> EvalReport:
@@ -399,6 +455,7 @@ def match_predictions(
 # ---------------------------------------------------------------------------
 
 _FORMAT_VERSION = 1
+_MODEL_KEYS = ("kind", "classes", "vocabulary", "class_log_prior", "feature_weights", "smoothing")
 
 
 def save_model(model: SentimentModel, path: str | Path) -> None:
@@ -416,22 +473,53 @@ def save_model(model: SentimentModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SentimentModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("format_version")
+    """Read a saved model, rejecting any document `save_model` could not have written."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataValidationError(f"model file is not valid JSON: {exc}") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != _FORMAT_VERSION:
         raise DataValidationError(f"unsupported model format version {version!r}")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise DataValidationError(f"model file lacks {', '.join(missing)}")
+    if doc["kind"] not in ("naive_bayes", "logistic"):
+        raise DataValidationError(f"unknown model kind {doc['kind']!r}")
+    if not isinstance(doc["classes"], list) or not all(isinstance(c, str) for c in doc["classes"]):
+        raise DataValidationError("model classes must be a list of label names")
     classes = tuple(SentimentLabel.parse(c) for c in doc["classes"])
+    if len(set(classes)) != len(classes) or len(classes) < 2:
+        raise DataValidationError("model classes must be at least two distinct labels")
+    if not isinstance(doc["vocabulary"], dict):
+        raise DataValidationError("model vocabulary must be an object of word -> column")
+    columns = list(doc["vocabulary"].values())
+    if any(type(j) is not int for j in columns) or sorted(columns) != list(range(len(columns))):
+        raise DataValidationError("model vocabulary indices are not a permutation of 0..V-1")
+    if type(doc["smoothing"]) not in (int, float):
+        raise DataValidationError("model smoothing must be a number")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataValidationError("model metadata must be an object")
+    try:
+        class_log_prior = np.array(doc["class_log_prior"], dtype=float)
+        feature_weights = np.array(doc["feature_weights"], dtype=float)
+        smoothing = float(doc["smoothing"])
+    except (TypeError, ValueError, OverflowError):
+        raise DataValidationError("model parameters are not numeric or exceed double range") from None
+    if class_log_prior.shape != (len(classes),) or feature_weights.shape != (len(classes), len(columns)):
+        raise DataValidationError("model parameter shapes do not match the classes and vocabulary")
+    if not np.isfinite(class_log_prior).all():
+        raise DataValidationError("model class log-priors are not finite")
     model = SentimentModel(
         kind=doc["kind"],
         classes=classes,
-        vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
-        class_log_prior=np.array(doc["class_log_prior"], dtype=float),
-        feature_weights=np.array(doc["feature_weights"], dtype=float).reshape(len(classes), -1),
-        smoothing=float(doc["smoothing"]),
-        metadata=dict(doc.get("metadata", {})),
+        vocabulary=doc["vocabulary"],
+        class_log_prior=class_log_prior,
+        feature_weights=feature_weights,
+        smoothing=smoothing,
+        metadata=metadata,
     )
-    if model.feature_weights.shape != (len(classes), len(model.vocabulary)):
-        raise DataValidationError("model parameter shapes do not match the vocabulary")
     if model.kind == "naive_bayes":
         row_sums = np.exp(model.feature_weights).sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-8):

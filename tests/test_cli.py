@@ -101,6 +101,31 @@ class TestErrorContract:
         assert result.stderr.startswith("regsent: error[numeric]:")
         assert "col_b" in result.stderr
 
+    def test_diverging_logistic_training_exits_three_at_train(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli([
+            "pipeline", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+            "--set", "classifier.kind=logistic", "--set", "classifier.learning_rate=1e6",
+        ])
+        assert result.returncode == 3
+        assert result.stderr.startswith("regsent: error[numeric]:")
+        assert result.stderr.count("\n") == 1
+        assert "classifier.learning_rate" in result.stderr
+        assert (out / "emoji_whitelist.txt").exists()  # the stages before train ran
+        assert not (out / "model.json").exists()
+
+    def test_malformed_model_exits_two_at_classify(self, fixture_dir, pipeline_out, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "clean.jsonl").write_bytes((pipeline_out / "clean.jsonl").read_bytes())
+        model = json.loads((pipeline_out / "model.json").read_text(encoding="utf-8"))
+        model["vocabulary"][next(iter(model["vocabulary"]))] = len(model["vocabulary"])
+        (out / "model.json").write_text(json.dumps(model), encoding="utf-8")
+        result = run_cli(["classify", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stderr.startswith("regsent: error[data]:")
+        assert result.stderr.count("\n") == 1
+
     def test_missing_intermediate_reported(self, fixture_dir, tmp_path):
         result = run_cli(["clean", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "empty")])
         assert result.returncode == 1

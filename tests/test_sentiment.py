@@ -4,20 +4,23 @@ interfaces."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generative_corpus
-from regsent.errors import DataValidationError
+from regsent.errors import DataValidationError, NumericalError
 from regsent.sentiment import (
     LabeledExample,
     SentimentLabel,
     SentimentModel,
+    encode,
     encode_binary,
     evaluate,
     import_external_predictions,
@@ -149,6 +152,163 @@ class TestLogistic:
                 LabeledExample(tokens=("up", "up"), label=POS, weight=3.0)]
         model = train(data, "logistic", epochs=50)
         assert predict(model, ["up"]).label is POS
+
+    def test_divergence_raises_naming_learning_rate(self, recwarn):
+        data = generative_corpus(60, seed=35)
+        with pytest.raises(NumericalError, match=r"classifier\.learning_rate"):
+            train(data, "logistic", learning_rate=1e6)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# The dense bag-of-words path the sparse core replaced, kept here as the
+# reference the CSR encoding and the sparse prediction must reproduce.
+
+def _dense_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def _dense_counts(docs, vocabulary):
+    X = np.zeros((len(docs), len(vocabulary)))
+    for i, tokens in enumerate(docs):
+        for token in tokens:
+            j = vocabulary.get(token)
+            if j is not None:
+                X[i, j] += 1.0
+    return X
+
+
+def _dense_predict(model, tokens):
+    x = np.zeros(len(model.vocabulary))
+    known = 0
+    for token in tokens:
+        j = model.vocabulary.get(token)
+        if j is not None:
+            x[j] += 1.0
+            known += 1
+    scores = _dense_softmax(model.class_log_prior + (model.feature_weights @ x))
+    return model.classes[int(np.argmax(scores))], scores, known == 0
+
+
+_KNOWN_WORDS = [f"w{i}" for i in range(12)]
+_WORDS = _KNOWN_WORDS + ["unk0", "unk1", "unk2"]
+_DOCS = st.lists(st.lists(st.sampled_from(_WORDS), max_size=8), min_size=1, max_size=25)
+
+
+@st.composite
+def _random_model(draw):
+    words = draw(st.lists(st.sampled_from(_KNOWN_WORDS), min_size=1, max_size=len(_KNOWN_WORDS), unique=True))
+    columns = draw(st.permutations(range(len(words))))
+    classes = (NEG, NEU, POS) if draw(st.booleans()) else (NEG, POS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SentimentModel(
+        kind="logistic", classes=classes, vocabulary=dict(zip(words, columns)),
+        class_log_prior=rng.normal(0, 1, len(classes)),
+        feature_weights=rng.normal(0, 2, (len(classes), len(words))), smoothing=0.0,
+    )
+
+
+class TestSparseEquivalence:
+    """CSR encoding and sparse prediction against the dense reference above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=_random_model(), docs=_DOCS)
+    def test_predict_matches_dense_reference(self, model, docs):
+        for tokens in docs:
+            pred = predict(model, iter(tokens))
+            label, scores, fallback = _dense_predict(model, tokens)
+            assert pred.label is label
+            assert pred.fallback == fallback
+            assert np.abs(pred.scores - scores).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=_random_model(), docs=_DOCS, data=st.data())
+    def test_loss_and_grad_on_csr_equal_dense(self, model, docs, data):
+        X = encode(docs, model.vocabulary)
+        dense = _dense_counts(docs, model.vocabulary)
+        assert X.shape == dense.shape
+        K = model.n_classes
+        y = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=len(docs), max_size=len(docs))))
+        w = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=len(docs), max_size=len(docs))))
+        sparse_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, X, y, 0.01, w)
+        dense_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, dense, y, 0.01, w)
+        assert abs(sparse_out[0] - dense_out[0]) <= 1e-12
+        assert np.abs(sparse_out[1] - dense_out[1]).max() <= 1e-12
+        assert np.abs(sparse_out[2] - dense_out[2]).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=_DOCS, labels=st.data())
+    def test_naive_bayes_equals_dense_counts_exactly(self, docs, labels):
+        docs = [d for d in docs if d] or [["w0"]]
+        data = [ex(d, labels.draw(st.sampled_from([NEG, POS]))) for d in docs]
+        data += [ex(["w1"], NEG), ex(["w2"], POS)]
+        model = train(data, "naive_bayes", smoothing=0.5)
+        X = _dense_counts([e.tokens for e in data], model.vocabulary)
+        counts = np.zeros(model.feature_weights.shape)
+        for row, e in zip(X, data):
+            counts[model.classes.index(e.label)] += row
+        V = len(model.vocabulary)
+        expected = np.log((counts + 0.5) / (counts.sum(axis=1, keepdims=True) + 0.5 * V))
+        assert np.array_equal(model.feature_weights, expected)
+
+    def test_gradient_on_csr_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        vocabulary = {w: i for i, w in enumerate(_KNOWN_WORDS[:7])}
+        for _ in range(20):
+            n, k = int(rng.integers(5, 15)), int(rng.integers(2, 4))
+            docs = [list(rng.choice(_WORDS, size=int(rng.integers(0, 6)))) for _ in range(n)]
+            X = encode(docs, vocabulary)
+            y = rng.integers(0, k, size=n)
+            w = rng.normal(0, 0.5, size=(k, len(vocabulary)))
+            b = rng.normal(0, 0.5, size=k)
+            _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, 0.01)
+            eps = 1e-6
+            num_w = np.zeros_like(w)
+            for idx in np.ndindex(*w.shape):
+                up, down = w.copy(), w.copy()
+                up[idx] += eps
+                down[idx] -= eps
+                num_w[idx] = (logistic_loss_and_grad(up, b, X, y, 0.01)[0]
+                              - logistic_loss_and_grad(down, b, X, y, 0.01)[0]) / (2 * eps)
+            num_b = np.zeros_like(b)
+            for i in range(k):
+                up, down = b.copy(), b.copy()
+                up[i] += eps
+                down[i] -= eps
+                num_b[i] = (logistic_loss_and_grad(w, up, X, y, 0.01)[0]
+                            - logistic_loss_and_grad(w, down, X, y, 0.01)[0]) / (2 * eps)
+            assert np.linalg.norm(grad_w - num_w) / max(1.0, float(np.linalg.norm(num_w))) < 1e-5
+            assert np.linalg.norm(grad_b - num_b) / max(1.0, float(np.linalg.norm(num_b))) < 1e-5
+
+    def test_csr_layout(self):
+        X = encode([["b", "a", "b", "zzz"], [], ["zzz"], ["a"]], {"a": 0, "b": 1})
+        assert X.shape == (4, 2)
+        assert X.indptr.tolist() == [0, 2, 2, 2, 3]
+        assert X.indices.tolist() == [0, 1, 0]
+        assert X.counts.tolist() == [1.0, 2.0, 1.0]
+
+
+class TestMemoryBound:
+    def test_training_memory_scales_with_tokens(self):
+        # 20 000 docs over a 50 000-word vocabulary: a dense count matrix
+        # would take 20 000 x 50 000 x 8 B, about 7.5 GiB
+        n_docs, n_words = 20_000, 50_000
+        words = [f"w{j}" for j in range(n_words)]
+        rng = random.Random(3)
+        data = []
+        for i in range(n_docs):
+            tokens = [words[(i * 10 + j) % n_words] for j in range(10)] + [rng.choice(words) for _ in range(2)]
+            data.append(ex(tokens, POS if i % 2 else NEG))
+        tracemalloc.start()
+        try:
+            nb = train(data, "naive_bayes")
+            logistic = train(data, "logistic", epochs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(nb.vocabulary) == len(logistic.vocabulary) == n_words
+        assert peak <= 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestPredict:
@@ -333,3 +493,66 @@ class TestPersistence:
         path.write_text('{"format_version": 99}', encoding="utf-8")
         with pytest.raises(DataValidationError, match="version"):
             load_model(path)
+
+
+def _saved_model(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(train(generative_corpus(60, seed=36), "naive_bayes"), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def _vocab_index(value):
+    def probe(doc):
+        doc["vocabulary"][next(iter(doc["vocabulary"]))] = value
+    return probe
+
+
+def _duplicate_column(doc):
+    first, second = list(doc["vocabulary"])[:2]
+    doc["vocabulary"][second] = doc["vocabulary"][first]
+
+
+def _set(key, value):
+    def probe(doc):
+        doc[key] = value
+    return probe
+
+
+def _nan_prior(doc):
+    doc["class_log_prior"][0] = float("nan")
+
+
+def test_load_model_rejects_invalid_json(tmp_path):
+    path = tmp_path / "model.json"
+    for text in ('{"format_version": 1', "[]"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataValidationError):
+            load_model(path)
+
+
+@pytest.mark.parametrize("probe, message", [
+    pytest.param(_vocab_index(-1), "permutation", id="vocabulary-index-minus-one"),
+    pytest.param(_duplicate_column, "permutation", id="vocabulary-duplicate-column"),
+    pytest.param(_vocab_index(10**6), "permutation", id="vocabulary-index-beyond-V"),
+    pytest.param(_vocab_index(1.5), "permutation", id="vocabulary-index-not-integer"),
+    pytest.param(_set("kind", "svm"), "kind", id="kind-svm"),
+    pytest.param(_set("classes", ["negative", "negative"]), "distinct", id="classes-repeated"),
+    pytest.param(_set("classes", ["negative"]), "distinct", id="classes-single"),
+    pytest.param(_nan_prior, "not finite", id="class-log-prior-nan"),
+    pytest.param(_set("class_log_prior", [0.0, 0.0, 0.0]), "shapes", id="class-log-prior-shape"),
+    pytest.param(_set("feature_weights", "x"), "numeric|shapes", id="feature-weights-not-an-array"),
+    pytest.param(lambda doc: doc.pop("kind"), "lacks kind", id="missing-key"),
+    pytest.param(_set("vocabulary", ["a", "b"]), "vocabulary must be an object", id="vocabulary-not-an-object"),
+    pytest.param(_set("classes", "negative"), "list of label names", id="classes-not-a-list"),
+    pytest.param(_set("classes", [0, "positive"]), "list of label names", id="classes-entry-not-a-string"),
+    pytest.param(_set("smoothing", "x"), "smoothing", id="smoothing-string"),
+    pytest.param(_set("smoothing", True), "smoothing", id="smoothing-bool"),
+    pytest.param(_set("smoothing", 10**400), "double range", id="smoothing-beyond-double"),
+    pytest.param(_set("metadata", []), "metadata", id="metadata-not-an-object"),
+])
+def test_load_model_rejects_malformed(tmp_path, probe, message):
+    path, doc = _saved_model(tmp_path)
+    probe(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataValidationError, match=message):
+        load_model(path)
