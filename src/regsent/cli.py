@@ -1,5 +1,9 @@
 """Command line entry points.
 
+Stage subcommand `<name>` runs `pipeline.stage_<name>` on `--out`. Only `ingest`
+creates that directory; a later stage exits 1 naming an intermediate it needs
+that is missing there, and 2 naming the artifact and line of a malformed one.
+
 Exit codes: 0 success, 1 usage or configuration problem, 2 data validation
 failure, 3 numerical failure, 4 any other exception (`error[internal]`). Every
 failure prints a single machine-parsable line on stderr: `regsent: error[<kind>]: <reason>`.
@@ -11,23 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, pipeline
 from .errors import ConfigError, DataValidationError, NumericalError
 from .fixtures import write_corpus_fixture
-from .pipeline import (
-    load_config,
-    run_pipeline,
-    stage_aggregate,
-    stage_classify,
-    stage_clean,
-    stage_import_predictions,
-    stage_ingest,
-    stage_regress,
-    stage_report,
-    stage_shift_test,
-    stage_stepwise,
-    stage_train,
-)
+from .pipeline import load_config
 
 
 class _UsageError(Exception):
@@ -37,19 +28,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes ours
         raise _UsageError(message)
-
-
-_STAGES = {
-    "ingest": stage_ingest,
-    "clean": stage_clean,
-    "train": stage_train,
-    "classify": stage_classify,
-    "import-predictions": stage_import_predictions,
-    "aggregate": stage_aggregate,
-    "shift-test": stage_shift_test,
-    "regress": stage_regress,
-    "stepwise": stage_stepwise,
-}
 
 
 def build_parser() -> _Parser:
@@ -96,13 +74,14 @@ def _run(args: argparse.Namespace) -> None:
     cfg = load_config(args.config, overrides=args.overrides, seed=args.seed)
     out_dir = Path(args.out)
     if args.command == "pipeline":
-        run_pipeline(cfg, out_dir)
+        pipeline.run_pipeline(cfg, out_dir)
         print(out_dir / "summary.md")
         return
+    stage = getattr(pipeline, "stage_" + args.command.replace("-", "_"))
     if args.command == "report":
-        stage_report(cfg, out_dir, args.kind)
-        return
-    _STAGES[args.command](cfg, out_dir)
+        stage(cfg, out_dir, args.kind)
+    else:
+        stage(cfg, out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:

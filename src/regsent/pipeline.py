@@ -4,7 +4,9 @@ Every stage reads its inputs from configured paths or from artifacts earlier
 stages left in the output directory, and writes deterministic artifacts
 (plain CSV/JSONL, stable ordering, repr floats). `run_pipeline` is literally
 the stages composed in order, so a pipeline run and the equivalent sequence
-of subcommands produce identical bytes.
+of subcommands produce identical bytes. Only `stage_ingest` creates the output
+directory; a missing intermediate is a ConfigError, a malformed one a
+DataValidationError naming its line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
 from pathlib import Path
-from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from . import regional, stats
 from .corpus import (
@@ -270,11 +272,23 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
 
 
 # ---------------------------------------------------------------------------
-# Artifact helpers
+# Artifact helpers: every artifact is UTF-8, every CSV has "\n" line endings
 # ---------------------------------------------------------------------------
+
+_PREDICTIONS_HEADER = ("id", "label", "fallback", "p_positive")
+# what a conversion raises on a record that lacks a field or holds a bad value
+_MALFORMED = (AttributeError, csv.Error, KeyError, TypeError, ValueError)
+
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _require_artifact(out_dir: Path, name: str) -> Path:
@@ -284,59 +298,67 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
     return path
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _malformed(name: str, line: int, exc: Exception) -> DataValidationError:
+    if isinstance(exc, UnicodeDecodeError):  # raised while reading ahead, so no line to name
+        return DataValidationError(f"{name} is not UTF-8: {exc}")
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return DataValidationError(f"{name} line {line}: {reason}")
+
+
+def _read_jsonl(out_dir: Path, name: str, convert: Callable[[Any], Any]) -> list:
+    """`convert` of each record of the JSON-lines intermediate `name`."""
     rows = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    with _require_artifact(out_dir, name).open(encoding="utf-8") as handle:
+        line = 0
+        try:
+            for line, text in enumerate(handle, 1):
+                text = text.strip()
+                if text:
+                    rows.append(convert(json.loads(text)))
+        except _MALFORMED as exc:
+            raise _malformed(name, line, exc) from None
     return rows
 
 
-def _read_located(out_dir: Path) -> list[dict]:
-    return _read_jsonl(_require_artifact(out_dir, "located.jsonl"))
+def _read_csv(out_dir: Path, name: str, convert: Callable[[dict[str, str]], Any] = dict) -> list:
+    """`convert` of each row, keyed by the header, of the CSV intermediate `name`."""
+    with _require_artifact(out_dir, name).open(encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            return [convert(row) for row in reader]
+        except _MALFORMED as exc:
+            raise _malformed(name, reader.line_num, exc) from None
 
 
-def _located_as_posts(rows: Sequence[dict]) -> list[RawPost]:
-    return [
-        RawPost(
-            id=row["id"],
-            text=row["text"],
-            timestamp=datetime.fromisoformat(row["timestamp"]),
-            place_name=row.get("place") or None,
-            language=row.get("lang") or None,
-        )
-        for row in rows
-    ]
+def _read_whitelist(out_dir: Path) -> frozenset[str]:
+    return frozenset(_require_artifact(out_dir, "emoji_whitelist.txt").read_text(encoding="utf-8").split())
 
 
-def _read_clean(out_dir: Path) -> list[dict]:
-    return _read_jsonl(_require_artifact(out_dir, "clean.jsonl"))
+def _located_post(row: dict) -> RawPost:
+    return RawPost(
+        id=row["id"],
+        text=row["text"],
+        timestamp=datetime.fromisoformat(row["timestamp"]),
+        place_name=row.get("place") or None,
+        language=row.get("lang") or None,
+    )
 
 
-def _read_predictions(out_dir: Path) -> list[dict]:
-    path = _require_artifact(out_dir, "predictions.csv")
-    with path.open(encoding="utf-8", newline="") as handle:
-        return list(csv.DictReader(handle))
+def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
+    """(id, tokens) of each cleaned post that was accepted and kept tokens."""
+    rows = _read_jsonl(out_dir, "clean.jsonl", operator.itemgetter("id", "tokens", "rejected"))
+    return [(post_id, tokens) for post_id, tokens, rejected in rows if rejected is None and tokens]
 
 
-def _read_region_sentiment(out_dir: Path) -> list[RegionSentiment]:
-    path = _require_artifact(out_dir, "region_sentiment.csv")
-    regions = []
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            regions.append(
-                RegionSentiment(
-                    region_id=row["region_id"],
-                    n_pos_before=int(row["n_pos_before"]),
-                    n_neg_before=int(row["n_neg_before"]),
-                    n_pos_after=int(row["n_pos_after"]),
-                    n_neg_after=int(row["n_neg_after"]),
-                    included=row["included"] == "True",
-                )
-            )
-    return regions
+def _region_sentiment(row: dict[str, str]) -> RegionSentiment:
+    return RegionSentiment(
+        region_id=row["region_id"],
+        n_pos_before=int(row["n_pos_before"]),
+        n_neg_before=int(row["n_neg_before"]),
+        n_pos_after=int(row["n_pos_after"]),
+        n_neg_after=int(row["n_neg_after"]),
+        included=row["included"] == "True",
+    )
 
 
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
@@ -358,7 +380,7 @@ def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConf
 
 def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Load posts, keep located ones in the configured language, resolve regions."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out
     paths = cfg.require_paths("posts", "gazetteer")
     posts, skipped = load_posts(paths["posts"], cfg.posts_format)
     located = filter_located(posts, cfg.language)
@@ -386,11 +408,10 @@ def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
     if cfg.paths.get("region_table"):
         populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
     counts = region_counts(resolved_ids, populations)
-    with (out_dir / "region_counts.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region_id", "count", "per_capita"])
-        for region_id, rc in counts.items():
-            writer.writerow([region_id, rc.count, "" if rc.per_capita is None else repr(rc.per_capita)])
+    _write_csv(out_dir / "region_counts.csv", ("region_id", "count", "per_capita"), (
+        (region_id, rc.count, "" if rc.per_capita is None else repr(rc.per_capita))
+        for region_id, rc in counts.items()
+    ))
 
     report = {
         "loaded": len(posts),
@@ -406,14 +427,10 @@ def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Select the emoji whitelist, then run the normalization chain."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _read_located(out_dir)
-    posts = _located_as_posts(rows)
+    posts = _read_jsonl(out_dir, "located.jsonl", _located_post)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
-    (out_dir / "emoji_whitelist.txt").write_text(
-        "".join(f"{e}\n" for e in sorted(whitelist)), encoding="utf-8"
-    )
+    (out_dir / "emoji_whitelist.txt").write_text("".join(f"{e}\n" for e in sorted(whitelist)), encoding="utf-8")
     settings = _clean_settings(cfg, whitelist)
     accepted = rejected_short = rejected_misspelled = 0
     with (out_dir / "clean.jsonl").open("w", encoding="utf-8", newline="") as handle:
@@ -445,27 +462,20 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str) -> dict:
     """Corpus frequency diagnostics over the located posts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    posts = _located_as_posts(_read_located(out_dir))
+    posts = _read_jsonl(out_dir, "located.jsonl", _located_post)
     if kind == "hashtags":
         report = hashtag_report(posts)
-        write_frequency_csv(report, out_dir / "hashtags.csv")
     elif kind == "emojis":
         report = emoji_report(posts)
-        write_frequency_csv(report, out_dir / "emojis.csv")
     else:
         raise ConfigError(f"unknown report kind {kind!r} (expected hashtags or emojis)")
+    write_frequency_csv(report, out_dir / f"{kind}.csv")
     return {"kind": kind, "total": report.total, "distinct": len(report.rows)}
 
 
 def _training_examples(cfg: PipelineConfig, out_dir: Path) -> tuple[list[LabeledExample], list[tuple[str, ...]]]:
     """Cleaned training examples plus the neutral pool (binary mode)."""
-    whitelist = frozenset(
-        line.strip()
-        for line in _require_artifact(out_dir, "emoji_whitelist.txt").read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    )
-    settings = _clean_settings(cfg, whitelist)
+    settings = _clean_settings(cfg, _read_whitelist(out_dir))
     rows = load_labeled_csv(cfg.require_paths("training_data")["training_data"])
     labeled: list[LabeledExample] = []
     neutral_pool: list[tuple[str, ...]] = []
@@ -496,7 +506,6 @@ def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
 
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Train the classifier (optionally with pseudo-labeling) and evaluate it."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     cs = cfg.classifier
     labeled, neutral_pool = _training_examples(cfg, out_dir)
     if not labeled:
@@ -524,19 +533,15 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
         evals.append(("final", "heldout", evaluate(final_model, heldout)))
     save_model(final_model, out_dir / "model.json")
 
-    with (out_dir / "eval.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "dataset", "accuracy", "n"])
-        for model_name, dataset, report in evals:
-            writer.writerow([model_name, dataset, repr(report.accuracy), int(report.confusion.sum())])
-    with (out_dir / "confusions.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "dataset", "true_label", "predicted_label", "count"])
-        for model_name, dataset, report in evals:
-            for i, true_label in enumerate(report.classes):
-                for j, pred_label in enumerate(report.classes):
-                    writer.writerow([model_name, dataset, true_label.value, pred_label.value,
-                                     int(report.confusion[i, j])])
+    _write_csv(out_dir / "eval.csv", ("model", "dataset", "accuracy", "n"), (
+        (model_name, dataset, repr(rep.accuracy), int(rep.confusion.sum())) for model_name, dataset, rep in evals
+    ))
+    _write_csv(out_dir / "confusions.csv", ("model", "dataset", "true_label", "predicted_label", "count"), (
+        (model_name, dataset, true_label.value, pred_label.value, int(rep.confusion[i, j]))
+        for model_name, dataset, rep in evals
+        for i, true_label in enumerate(rep.classes)
+        for j, pred_label in enumerate(rep.classes)
+    ))
     report = {
         "n_labeled": len(labeled),
         "n_train": len(train_part),
@@ -554,41 +559,36 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_classify(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Predict every accepted cleaned post with the trained model."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(_require_artifact(out_dir, "model.json"))
     has_positive = SentimentLabel.POSITIVE in model.classes
     counts = {label.value: 0 for label in model.classes}
     n_fallback = 0
-    rows = [r for r in _read_clean(out_dir) if r["rejected"] is None and r["tokens"]]
-    with (out_dir / "predictions.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label", "fallback", "p_positive"])
-        for row in rows:
-            pred = predict(model, row["tokens"])
+    posts = _classifiable(out_dir)
+
+    def prediction_rows():  # streamed: no list holds every prediction
+        nonlocal n_fallback
+        for post_id, tokens in posts:
+            pred = predict(model, tokens)
             counts[pred.label.value] += 1
             n_fallback += pred.fallback
-            p_pos = (
-                repr(pred.score_for(SentimentLabel.POSITIVE, model.classes)) if has_positive else ""
-            )
-            writer.writerow([row["id"], pred.label.value, pred.fallback, p_pos])
-    report = {"classified": len(rows), "fallback": n_fallback, "predicted": counts}
+            p_pos = repr(pred.score_for(SentimentLabel.POSITIVE, model.classes)) if has_positive else ""
+            yield post_id, pred.label.value, pred.fallback, p_pos
+
+    _write_csv(out_dir / "predictions.csv", _PREDICTIONS_HEADER, prediction_rows())
+    report = {"classified": len(posts), "fallback": n_fallback, "predicted": counts}
     _write_json(out_dir / "classify_report.json", report)
     return report
 
 
 def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Use third-party model predictions in place of the local classifier."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.require_paths("external_predictions")["external_predictions"]
     imported = import_external_predictions(path)
-    clean_ids = [r["id"] for r in _read_clean(out_dir) if r["rejected"] is None and r["tokens"]]
+    clean_ids = [post_id for post_id, _ in _classifiable(out_dir)]
     matched, unknown = match_predictions(imported, clean_ids)
-    with (out_dir / "predictions.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label", "fallback", "p_positive"])
-        for post_id in clean_ids:
-            if post_id in matched:
-                writer.writerow([post_id, matched[post_id].value, False, ""])
+    _write_csv(out_dir / "predictions.csv", _PREDICTIONS_HEADER, (
+        (post_id, matched[post_id].value, False, "") for post_id in clean_ids if post_id in matched
+    ))
     report = {"imported": len(imported), "matched": len(matched), "unknown_ids": unknown}
     _write_json(out_dir / "import_report.json", report)
     return report
@@ -596,37 +596,31 @@ def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Join predictions with locations and fold into per-region period counts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    located = {row["id"]: row for row in _read_located(out_dir)}
+    located = dict(_read_jsonl(out_dir, "located.jsonl", lambda row: (
+        row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
+    )))
     observations: list[SentimentObservation] = []
     neutral_skipped = 0
-    for row in _read_predictions(out_dir):
-        label = SentimentLabel.parse(row["label"])
+    predictions = _read_csv(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
+    for post_id, label in predictions:
         if label is SentimentLabel.NEUTRAL:
             neutral_skipped += 1
             continue
-        meta = located.get(row["id"])
-        if meta is None:
-            raise DataValidationError(f"prediction for unknown post id {row['id']!r}")
+        if post_id not in located:
+            raise DataValidationError(f"prediction for unknown post id {post_id!r}")
+        region_id, timestamp = located[post_id]
         observations.append(SentimentObservation(
-            region_id=meta["region"] or None,
-            timestamp=datetime.fromisoformat(meta["timestamp"]),
-            positive=label is SentimentLabel.POSITIVE,
+            region_id=region_id, timestamp=timestamp, positive=label is SentimentLabel.POSITIVE
         ))
     regions, no_region = aggregate(
         observations, cfg.event_date, cfg.thresholds.min_region_posts, event_day=cfg.event_day
     )
-    with (out_dir / "region_sentiment.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after",
-            "mean_sentiment", "included",
-        ])
-        for r in regions:
-            writer.writerow([
-                r.region_id, r.n_pos_before, r.n_neg_before, r.n_pos_after, r.n_neg_after,
-                repr(r.mean_sentiment), r.included,
-            ])
+    _write_csv(out_dir / "region_sentiment.csv", (
+        "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after", "mean_sentiment", "included",
+    ), (
+        (r.region_id, r.n_pos_before, r.n_neg_before, r.n_pos_after, r.n_neg_after, repr(r.mean_sentiment), r.included)
+        for r in regions
+    ))
     report = {
         "observations": len(observations),
         "neutral_skipped": neutral_skipped,
@@ -641,8 +635,7 @@ def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Global and per-region before/after proportion tests."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    regions = _read_region_sentiment(out_dir)
+    regions = _read_csv(out_dir, "region_sentiment.csv", _region_sentiment)
     per_region = {
         r.region_id: regional.shift_test_for_region(r, cfg.alpha) for r in regions if r.included
     }
@@ -662,7 +655,7 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.DesignMatrix, dict]:
     table = load_region_table(cfg.require_paths("region_table")["region_table"])
-    included = {r.region_id: r for r in _read_region_sentiment(out_dir) if r.included}
+    included = {r.region_id: r for r in _read_csv(out_dir, "region_sentiment.csv", _region_sentiment) if r.included}
     rows = [rec for rec in table if rec.region_id in included]
     if not rows:
         raise DataValidationError("no overlap between the region table and included regions")
@@ -688,15 +681,11 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
 
 
 def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
-    with (out_dir / f"{stem}.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["term", "coefficient", "se", "t", "p", "stars"])
-        terms = ["intercept", *fit.names]
-        for i, term in enumerate(terms):
-            writer.writerow([
-                term, repr(float(fit.beta[i])), repr(float(fit.se[i])),
-                repr(float(fit.t[i])), repr(float(fit.p[i])), stats.significance_stars(float(fit.p[i])),
-            ])
+    _write_csv(out_dir / f"{stem}.csv", ("term", "coefficient", "se", "t", "p", "stars"), (
+        (term, repr(float(fit.beta[i])), repr(float(fit.se[i])), repr(float(fit.t[i])), repr(float(fit.p[i])),
+         stats.significance_stars(float(fit.p[i])))
+        for i, term in enumerate(["intercept", *fit.names])
+    ))
     (out_dir / f"{stem}.txt").write_text(stats.format_fit_table(fit, title) + "\n", encoding="utf-8")
     _write_json(out_dir / f"{stem}.json", {
         "n": fit.n,
@@ -711,7 +700,6 @@ def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
 
 def stage_regress(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Fit the outcome on sentiment plus the configured features."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     design, meta = _regression_design(cfg, out_dir)
     fit = stats.ols(design)
     _write_fit(fit, out_dir, "regression_full", "Outcome model (all predictors)")
@@ -720,14 +708,11 @@ def stage_regress(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_stepwise(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Greedy AIC selection over the regression predictors."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     design, meta = _regression_design(cfg, out_dir)
     result = stats.stepwise(design, cfg.regression.direction, cfg.regression.start)
-    with (out_dir / "stepwise_trace.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "action", "name", "aic"])
-        for step, action, name, aic in result.trace:
-            writer.writerow([step, action, name, repr(aic)])
+    _write_csv(out_dir / "stepwise_trace.csv", ("step", "action", "name", "aic"), (
+        (step, action, name, repr(aic)) for step, action, name, aic in result.trace
+    ))
     _write_fit(result.fit, out_dir, "stepwise_model", "Outcome model (AIC-selected)")
     payload = {
         **meta,
@@ -751,7 +736,7 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines)
 
 
-def _summary_markdown(cfg: PipelineConfig, out_dir: Path, reports: Mapping[str, Any]) -> str:
+def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
     sections = ["# Pipeline summary", ""]
     ing = reports["ingest"]
     cln = reports["clean"]
@@ -774,8 +759,7 @@ def _summary_markdown(cfg: PipelineConfig, out_dir: Path, reports: Mapping[str, 
         "",
     ]
 
-    with (out_dir / "hashtags.csv").open(encoding="utf-8", newline="") as handle:
-        tag_rows = list(csv.DictReader(handle))[:10]
+    tag_rows = _read_csv(out_dir, "hashtags.csv")[:10]
     sections += [
         "## Top hashtags",
         "",
@@ -786,9 +770,8 @@ def _summary_markdown(cfg: PipelineConfig, out_dir: Path, reports: Mapping[str, 
         "",
     ]
 
-    whitelist = (out_dir / "emoji_whitelist.txt").read_text(encoding="utf-8").split()
-    with (out_dir / "emojis.csv").open(encoding="utf-8", newline="") as handle:
-        emoji_rows = list(csv.DictReader(handle))[:10]
+    whitelist = _read_whitelist(out_dir)
+    emoji_rows = _read_csv(out_dir, "emojis.csv")[:10]
     sections += [
         "## Emojis",
         "",
@@ -819,7 +802,7 @@ def _summary_markdown(cfg: PipelineConfig, out_dir: Path, reports: Mapping[str, 
     sections += [f"Predicted distribution over {cls['classified']} posts: {pred_counts}.", ""]
 
     agg = reports["aggregate"]
-    regions = _read_region_sentiment(out_dir)
+    regions = _read_csv(out_dir, "region_sentiment.csv", _region_sentiment)
     included = [r for r in regions if r.included]
     sections += [
         "## Regional sentiment",
@@ -843,6 +826,7 @@ def _summary_markdown(cfg: PipelineConfig, out_dir: Path, reports: Mapping[str, 
         "",
     ]
 
+    moves = _read_csv(out_dir, "stepwise_trace.csv", operator.itemgetter("action", "name"))
     sections += [
         "## Outcome regression",
         "",
@@ -856,28 +840,14 @@ def _summary_markdown(cfg: PipelineConfig, out_dir: Path, reports: Mapping[str, 
         (out_dir / "stepwise_model.txt").read_text(encoding="utf-8").rstrip(),
         "```",
         "",
-        "Selection trace: "
-        + (
-            "; ".join(f"{action} {name}" for _, action, name, _ in _read_trace(out_dir))
-            or "no moves"
-        )
-        + ".",
+        "Selection trace: " + ("; ".join(f"{action} {name}" for action, name in moves) or "no moves") + ".",
         "",
     ]
     return "\n".join(sections)
 
 
-def _read_trace(out_dir: Path) -> list[tuple[int, str, str, float]]:
-    with (out_dir / "stepwise_trace.csv").open(encoding="utf-8", newline="") as handle:
-        return [
-            (int(r["step"]), r["action"], r["name"], float(r["aic"]))
-            for r in csv.DictReader(handle)
-        ]
-
-
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, Any] = {}
     reports["ingest"] = stage_ingest(cfg, out_dir)
     reports["clean"] = stage_clean(cfg, out_dir)
@@ -889,5 +859,5 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     reports["shift"] = stage_shift_test(cfg, out_dir)
     reports["regress"] = stage_regress(cfg, out_dir)
     reports["stepwise"] = stage_stepwise(cfg, out_dir)
-    (out_dir / "summary.md").write_text(_summary_markdown(cfg, out_dir, reports), encoding="utf-8")
+    (out_dir / "summary.md").write_text(_summary_markdown(out_dir, reports), encoding="utf-8")
     return reports

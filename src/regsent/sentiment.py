@@ -37,14 +37,12 @@ __all__ = [
     "SentimentModel",
     "TokenCounts",
     "encode",
-    "encode_binary",
     "evaluate",
     "import_external_predictions",
     "load_labeled_csv",
     "load_model",
     "logistic_loss_and_grad",
     "match_predictions",
-    "positive_fraction",
     "predict",
     "pseudo_label",
     "save_model",
@@ -65,28 +63,9 @@ class SentimentLabel(Enum):
         except ValueError:
             raise DataValidationError(f"unknown sentiment label {raw!r}") from None
 
-    @property
-    def binary_value(self) -> int:
-        """Numeric encoding for the binary mode: negative 0, positive 1."""
-        if self is SentimentLabel.NEGATIVE:
-            return 0
-        if self is SentimentLabel.POSITIVE:
-            return 1
-        raise ValueError("neutral has no binary encoding")
-
 
 #: Canonical class order used for model class lists and tie-breaking.
 CLASS_ORDER = (SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE)
-
-
-def encode_binary(labels: Iterable[SentimentLabel]) -> list[int]:
-    return [label.binary_value for label in labels]
-
-
-def positive_fraction(labels: Sequence[SentimentLabel]) -> float:
-    """Mean of the binary encoding; equals the positive share."""
-    encoded = encode_binary(labels)
-    return sum(encoded) / len(encoded)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
-from regsent import cli
+from regsent import cli, pipeline
 from regsent.errors import ConfigError
 from regsent.fixtures import TABLE_BETAS, write_corpus_fixture, write_replication_fixture
 from regsent.pipeline import PipelineConfig, load_config
@@ -33,6 +33,9 @@ def pipeline_out(fixture_dir, tmp_path_factory) -> Path:
     result = run_cli(["pipeline", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
     assert result.returncode == 0, result.stderr
     return out
+
+
+SENTIMENT_HEADER = "region_id,n_pos_before,n_neg_before,n_pos_after,n_neg_after,mean_sentiment,included"
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -56,7 +59,7 @@ class TestErrorContract:
         def broken_stage(cfg, out_dir):
             raise RuntimeError("stage blew up\nsecond line")
 
-        monkeypatch.setitem(cli._STAGES, "ingest", broken_stage)
+        monkeypatch.setattr(pipeline, "stage_ingest", broken_stage)
         code = cli.main(["ingest", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 4
@@ -130,6 +133,60 @@ class TestErrorContract:
         result = run_cli(["clean", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "empty")])
         assert result.returncode == 1
         assert "located.jsonl" in result.stderr
+
+    @pytest.mark.parametrize("stage, missing", [
+        ("clean", "located.jsonl"),
+        ("report hashtags", "located.jsonl"),
+        ("report emojis", "located.jsonl"),
+        ("train", "emoji_whitelist.txt"),
+        ("classify", "model.json"),
+        ("import-predictions", "clean.jsonl"),
+        ("aggregate", "located.jsonl"),
+        ("shift-test", "region_sentiment.csv"),
+        ("regress", "region_sentiment.csv"),
+        ("stepwise", "region_sentiment.csv"),
+    ])
+    def test_only_ingest_creates_out(self, fixture_dir, tmp_path, capsys, stage, missing):
+        external = tmp_path / "external.csv"
+        external.write_text("id,label\np000001,positive\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main([
+            *stage.split(), "--config", str(fixture_dir / "config.json"), "--out", str(out),
+            "--set", f"paths.external_predictions={external}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"regsent: error[config]: missing intermediate {missing}; run the producing stage first\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, name, corrupt", [
+        ("shift-test", "region_sentiment.csv", lambda _: f"{SENTIMENT_HEADER}\nS0,x,25,25,25,0.5,True\n"),
+        ("shift-test", "region_sentiment.csv",
+         lambda _: f"{SENTIMENT_HEADER.replace(',n_neg_before', '')}\nS0,25,25,25,0.5,True\n"),
+        ("clean", "located.jsonl", lambda located: located + '{"id": "p9", "text": \n'),
+    ], ids=["count-not-int", "column-missing", "jsonl-line-invalid"])
+    def test_malformed_intermediate_exits_two_naming_line(self, fixture_dir, pipeline_out, tmp_path, capsys,
+                                                          stage, name, corrupt):
+        out = tmp_path / "out"
+        out.mkdir()
+        content = corrupt((pipeline_out / name).read_text(encoding="utf-8"))
+        (out / name).write_text(content, encoding="utf-8")
+        bad_line = content.count("\n")  # each probe corrupts the last line
+        code = cli.main([stage, "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"regsent: error[data]: {name} line {bad_line}: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_intermediate_exits_two(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "located.jsonl").write_bytes(b'{"id": "p\xff"}\n')
+        code = cli.main(["clean", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("regsent: error[data]: located.jsonl is not UTF-8: ")
+        assert err.count("\n") == 1
 
 
 class TestArtifacts:

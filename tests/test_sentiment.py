@@ -21,13 +21,11 @@ from regsent.sentiment import (
     SentimentLabel,
     SentimentModel,
     encode,
-    encode_binary,
     evaluate,
     import_external_predictions,
     load_model,
     logistic_loss_and_grad,
     match_predictions,
-    positive_fraction,
     predict,
     pseudo_label,
     save_model,
@@ -421,17 +419,6 @@ class TestPseudoLabel:
         pseudo = pseudo_label(model, [e.tokens for e in pool_truth])
         agreement = sum(e.label is truth[e.tokens] for e in pseudo) / len(pseudo)
         assert agreement >= heldout_acc - 0.05
-
-
-class TestEncoding:
-    def test_binary_values(self):
-        assert encode_binary([NEG, POS, POS]) == [0, 1, 1]
-        with pytest.raises(ValueError):
-            NEU.binary_value
-
-    @given(st.lists(st.sampled_from([NEG, POS]), min_size=1, max_size=50))
-    def test_mean_equals_positive_fraction(self, labels):
-        assert positive_fraction(labels) == labels.count(POS) / len(labels)
 
 
 class TestExternalPredictions:
