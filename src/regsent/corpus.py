@@ -16,9 +16,9 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .errors import DataValidationError
+from .errors import DataValidationError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -103,45 +103,53 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
     )
 
 
+def _parsed_records(handle: TextIO, fmt: str) -> Iterator[tuple[int, RawPost | None]]:
+    """(line number, post) per record; the post is None when the record is malformed."""
+    if fmt == "jsonl":
+        for line_no, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                post = _post_from_record(record) if isinstance(record, dict) else None
+            except ValueError:  # json.JSONDecodeError included
+                post = None
+            yield line_no, post
+    else:
+        for line_no, row in enumerate(csv.DictReader(handle), 2):
+            try:
+                post = _post_from_record(row)
+            except ValueError:
+                post = None
+            yield line_no, post
+
+
 def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int]:
     """Load posts from JSONL or CSV; returns (posts, skipped_count).
 
     Records with a missing id, empty text, or unparsable fields are skipped
-    and counted; input order is preserved. An unreadable file raises.
+    and counted; input order is preserved. An unreadable file raises, and so
+    does a post id used twice (DataValidationError naming both lines).
     """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown posts format {fmt!r}")
     posts: list[RawPost] = []
+    first_line: dict[str, int] = {}
     skipped = 0
-    with path.open(encoding="utf-8", newline="") as handle:
-        if fmt == "jsonl":
-            for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    post = _post_from_record(record) if isinstance(record, dict) else None
-                except (json.JSONDecodeError, ValueError):
-                    post = None
-                if post is None:
-                    skipped += 1
-                    logger.warning("skipping malformed post record at %s:%d", path, line_no)
-                else:
-                    posts.append(post)
-        else:
-            reader = csv.DictReader(handle)
-            for line_no, row in enumerate(reader, 2):
-                try:
-                    post = _post_from_record(row)
-                except ValueError:
-                    post = None
-                if post is None:
-                    skipped += 1
-                    logger.warning("skipping malformed post record at %s:%d", path, line_no)
-                else:
-                    posts.append(post)
+    with open_input(path) as handle:
+        for line_no, post in _parsed_records(handle, fmt):
+            if post is None:
+                skipped += 1
+                logger.warning("skipping malformed post record at %s:%d", path, line_no)
+            elif post.id in first_line:
+                raise DataValidationError(
+                    f"{path}:{line_no}: duplicate post id {post.id!r}, first used at line {first_line[post.id]}"
+                )
+            else:
+                first_line[post.id] = line_no
+                posts.append(post)
     return posts, skipped
 
 
@@ -166,7 +174,7 @@ def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
     path = Path(path)
     entries: list[GazetteerEntry] = []
     seen: set[tuple[str, str]] = set()
-    with path.open(encoding="utf-8", newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         for line_no, row in enumerate(reader, 2):
             try:
@@ -197,9 +205,9 @@ def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
 def resolve_region(place_name: str, gazetteer: Sequence[GazetteerEntry]) -> str | None:
     """Region of the maximum-importance gazetteer entry matching the name.
 
-    Matching is exact on the normalized name (no fuzzy matching). Importance
-    ties are broken by lexicographically smallest region_id, so the result
-    never depends on gazetteer order; a tie emits a warning.
+    Matching is exact on the normalized name and skips other entries, so a
+    caller may pass only the entries filed under it. Importance ties go to the
+    lexicographically smallest region_id, whatever the order; a tie warns.
     """
     key = normalize_place(place_name)
     best: GazetteerEntry | None = None
@@ -254,7 +262,7 @@ def load_region_table(path: str | Path) -> list[RegionRecord]:
     path = Path(path)
     records: list[RegionRecord] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8", newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [c for c in _REGION_TABLE_FIXED if c not in header]

@@ -23,11 +23,13 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_ori
 
 from . import regional, stats
 from .corpus import (
+    GazetteerEntry,
     RawPost,
     filter_located,
     load_gazetteer,
     load_posts,
     load_region_table,
+    normalize_place,
     region_counts,
     resolve_region,
 )
@@ -344,9 +346,16 @@ def _located_post(row: dict) -> RawPost:
     )
 
 
+def _clean_fields(row: dict) -> tuple[Any, list[str], Any]:
+    post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
+    if type(tokens) is not list or not all(type(token) is str for token in tokens):
+        raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
+    return post_id, tokens, rejected
+
+
 def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
     """(id, tokens) of each cleaned post that was accepted and kept tokens."""
-    rows = _read_jsonl(out_dir, "clean.jsonl", operator.itemgetter("id", "tokens", "rejected"))
+    rows = _read_jsonl(out_dir, "clean.jsonl", _clean_fields)
     return [(post_id, tokens) for post_id, tokens, rejected in rows if rejected is None and tokens]
 
 
@@ -384,14 +393,16 @@ def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
     paths = cfg.require_paths("posts", "gazetteer")
     posts, skipped = load_posts(paths["posts"], cfg.posts_format)
     located = filter_located(posts, cfg.language)
-    gazetteer = load_gazetteer(paths["gazetteer"])
+    by_name: dict[str, list[GazetteerEntry]] = {}  # each row normalised once, not once per place
+    for entry in load_gazetteer(paths["gazetteer"]):
+        by_name.setdefault(normalize_place(entry.place_name), []).append(entry)
     cache: dict[str, str | None] = {}
     resolved_ids: list[str] = []
     with (out_dir / "located.jsonl").open("w", encoding="utf-8", newline="") as handle:
         for post in located:
             place = post.place_name or ""
             if place not in cache:
-                cache[place] = resolve_region(place, gazetteer)
+                cache[place] = resolve_region(place, by_name.get(normalize_place(place), ()))
             region = cache[place]
             if region:
                 resolved_ids.append(region)

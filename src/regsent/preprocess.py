@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import RawPost
-from .errors import DataValidationError
+from .errors import DataValidationError, open_input
 
 __all__ = [
     "CleanConfig",
@@ -52,10 +52,8 @@ _EMOJI_RANGES = (
     (0x2B00, 0x2BFF),
 )
 
-
-def _is_emoji(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+# One compiled character class over every block above.
+EMOJI_RE = re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _EMOJI_RANGES) + "]")
 
 
 @dataclass(frozen=True)
@@ -149,20 +147,13 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
 
     kept_emojis: list[str] = []
     if config.filter_emojis:
-        chars: list[str] = []
-        for ch in text:
-            if _is_emoji(ch):
-                if ch in config.emoji_whitelist:
-                    kept_emojis.append(ch)
-                else:
-                    removed["emojis_dropped"] += 1
-                chars.append(" ")
-            else:
-                chars.append(ch)
-        text = "".join(chars)
+        found = EMOJI_RE.findall(text)
+        kept_emojis = [ch for ch in found if ch in config.emoji_whitelist]
+        removed["emojis_dropped"] = len(found) - len(kept_emojis)
+        text = EMOJI_RE.sub(" ", text)
 
     if config.strip_nonword:
-        chars = []
+        chars: list[str] = []
         for ch in text:
             if ch.isalpha() or ch.isspace():
                 chars.append(ch)
@@ -249,9 +240,8 @@ def emoji_report(posts: Iterable[RawPost], top_k: int | None = None) -> Frequenc
     """Occurrence counts of emoji codepoints across the corpus."""
     counts: dict[str, int] = {}
     for post in posts:
-        for ch in post.text:
-            if _is_emoji(ch):
-                counts[ch] = counts.get(ch, 0) + 1
+        for ch in EMOJI_RE.findall(post.text):
+            counts[ch] = counts.get(ch, 0) + 1
     return _frequency_report(counts, top_k)
 
 
@@ -289,7 +279,9 @@ def write_frequency_csv(report: FrequencyReport, path: str | Path) -> None:
 
 def load_word_list(path: str | Path) -> frozenset[str]:
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    with open_input(path) as handle:
+        lines = handle.read().splitlines()
+    for line in lines:
         word = unicodedata.normalize("NFC", line.strip().lower())
         if word:
             words.add(word)
@@ -299,7 +291,9 @@ def load_word_list(path: str | Path) -> frozenset[str]:
 def load_lemma_map(path: str | Path) -> dict[str, str]:
     """Lemma file: `word lemma` per line (whitespace separated)."""
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with open_input(path) as handle:
+        lines = handle.read().splitlines()
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -314,7 +308,9 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
 def load_emoji_polarity(path: str | Path) -> dict[str, str]:
     """Polarity file: `emoji polarity` per line, polarity in pos|neg|ambiguous."""
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with open_input(path) as handle:
+        lines = handle.read().splitlines()
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue

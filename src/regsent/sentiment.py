@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, NumericalError
+from .errors import DataValidationError, NumericalError, open_input
 
 __all__ = [
     "EvalReport",
@@ -380,7 +380,7 @@ def load_labeled_csv(path: str | Path) -> list[tuple[str, SentimentLabel, str]]:
     """Training data CSV `id,label,text`; labels negative|neutral|positive."""
     path = Path(path)
     rows: list[tuple[str, SentimentLabel, str]] = []
-    with path.open(encoding="utf-8", newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         for line_no, row in enumerate(reader, 2):
             try:
@@ -400,7 +400,7 @@ def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:
     """
     path = Path(path)
     out: dict[str, SentimentLabel] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "id" not in reader.fieldnames or "label" not in reader.fieldnames:
             raise DataValidationError(f"{path}: expected header with id,label")
@@ -454,7 +454,8 @@ def save_model(model: SentimentModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> SentimentModel:
     """Read a saved model, rejecting any document `save_model` could not have written."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_input(path) as handle:
+            doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"model file is not valid JSON: {exc}") from None
     version = doc.get("format_version") if isinstance(doc, dict) else None

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -189,6 +190,59 @@ class TestErrorContract:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("tokens", [3, "ab", ["a", 1], None])
+    def test_clean_tokens_not_a_list_of_strings_exits_two(self, fixture_dir, pipeline_out, tmp_path, capsys, tokens):
+        # its own test: classify reads model.json before clean.jsonl
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "model.json").write_bytes((pipeline_out / "model.json").read_bytes())
+        content = (pipeline_out / "clean.jsonl").read_text(encoding="utf-8")
+        content += json.dumps({"id": "zz", "tokens": tokens, "rejected": None}) + "\n"
+        (out / "clean.jsonl").write_text(content, encoding="utf-8")
+        code = cli.main(["classify", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"regsent: error[data]: clean.jsonl line {content.count(chr(10))}: tokens must be ")
+        assert err.count("\n") == 1
+
+    def test_duplicate_post_id_exits_two(self, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        code = cli.main([
+            "ingest", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "o"),
+            "--set", f"paths.posts={posts}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        post_id = json.loads(lines[0])["id"]
+        assert err == (f"regsent: error[data]: {posts}:{len(lines) + 1}: "
+                       f"duplicate post id {post_id!r}, first used at line 1\n")
+
+    @pytest.mark.parametrize("key, problem", [
+        *[(key, "not UTF-8") for key in ("posts", "gazetteer", "dictionary", "lemmas", "stop_words", "conjunctions",
+                                         "emoji_polarity", "training_data", "region_table")],
+        ("posts", "a directory"),
+    ])
+    def test_unreadable_input_exits_two_naming_it(self, fixture_dir, tmp_path, capsys, key, problem):
+        bad = tmp_path / "input"
+        if problem == "a directory":
+            bad.mkdir()
+        else:  # a stray byte on the last line, so a streaming reader meets it mid-file
+            source = load_config(fixture_dir / "config.json").paths[key]
+            lines = source.read_bytes().splitlines(keepends=True)
+            bad.write_bytes(b"".join(lines[:-1]) + b"\xff" + lines[-1])
+        code = cli.main([
+            "pipeline", "--config", str(fixture_dir / "config.json"), "--out", str(tmp_path / "o"),
+            "--set", f"paths.{key}={bad}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        expected = f"{bad} is not UTF-8: " if problem == "not UTF-8" else f"cannot read {bad}: Is a directory"
+        assert err.startswith("regsent: error[data]: " + expected)
+        assert err.count("\n") == 1
+
+
 class TestArtifacts:
     def test_located_schema(self, pipeline_out):
         with (pipeline_out / "located.jsonl").open(encoding="utf-8") as handle:
@@ -219,6 +273,24 @@ class TestArtifacts:
         ]
         included = [r for r in rows if r["included"] == "True"]
         assert included and all(r["chi2"] for r in included)
+
+    # sha256 of the corpus and preprocess artifacts of `make-fixture --seed 13`. None depends on numpy, and the
+    # fixture's only non-ASCII characters are emoji from before Unicode 10, so the digests hold on every
+    # supported Python and numpy.
+    GOLDEN = {
+        "located.jsonl": "11099bb8c040340f039f554049c98a69f4b7b24436b631fc5be0f0e71452fc7f",
+        "region_counts.csv": "0be9e8927a7efa8ca2d7487d626faa26d0cc4c08d360e99a67b57aed7204f30a",
+        "ingest_report.json": "f05a1c515e3f7564b37624056e0aac7532a2f58bd40e548a15fb3ff30d6bfc38",
+        "emoji_whitelist.txt": "d66ba899bdd388cad5e0ec4c92089da31f7c968ed479bc8daffef5d2b993869e",
+        "clean.jsonl": "fda3d5ff68bcea9a9f76d967e9ab73a535de81d0c7be3f709b07d20429847456",
+        "clean_report.json": "9c30680177edd5b71cd7532346dae7e9c2356ebeeffa6dc7d379702158eb39f1",
+        "hashtags.csv": "f9c903315d06cff51886bc48f169aaa8570e1cf61fd9488e11768684860ce5b8",
+        "emojis.csv": "c496ed56ec31231b2ba04554f5c427f15f61552fe1f088052adc7c1dfeff7fe2",
+    }
+
+    def test_corpus_and_preprocess_artifacts_are_pinned(self, pipeline_out):
+        digests = {name: hashlib.sha256((pipeline_out / name).read_bytes()).hexdigest() for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
     def test_summary_exists_with_sections(self, pipeline_out):
         text = (pipeline_out / "summary.md").read_text(encoding="utf-8")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import random
+import unicodedata
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,6 +25,7 @@ from regsent.corpus import (
     resolve_region,
 )
 from regsent.errors import DataValidationError
+from regsent.pipeline import load_config, stage_ingest
 from regsent.stats import design_matrix, ols
 
 TS = "2019-10-01T12:00:00+00:00"
@@ -106,6 +109,25 @@ class TestLoadPosts:
             assert post.timestamp == expected_ts
             assert post.place_name == record["place"]
             assert post.language == record["lang"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_duplicate_id_fatal_naming_both_lines(self, tmp_path, fmt):
+        records = [
+            {"id": "a", "text": "one", "timestamp": TS, "place": "x", "lang": "pl"},
+            {"id": "b", "text": "two", "timestamp": TS, "place": "y", "lang": "pl"},
+            {"id": "a", "text": "three", "timestamp": TS, "place": "z", "lang": "pl"},
+        ]
+        path = tmp_path / f"posts.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(path, records)
+        else:
+            with path.open("w", encoding="utf-8", newline="") as handle:
+                writer = csv.DictWriter(handle, fieldnames=list(records[0]))
+                writer.writeheader()
+                writer.writerows(records)
+        first, again = (1, 3) if fmt == "jsonl" else (2, 4)  # a CSV's first record is on line 2
+        with pytest.raises(DataValidationError, match=f":{again}: duplicate post id 'a', first used at line {first}$"):
+            load_posts(path, fmt=fmt)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "posts.csv"
@@ -208,6 +230,44 @@ class TestResolveRegion:
         shuffled = [base[i] for i in order]
         assert resolve_region("p", shuffled) == "R2"
         assert resolve_region("q", shuffled) == "R4"
+
+
+class TestIngestGazetteerIndex:
+    SPELLINGS = (str, str.upper, str.lower, str.title, lambda name: unicodedata.normalize("NFD", name))
+
+    def test_stage_ingest_resolves_as_a_full_scan(self, tmp_path, caplog):
+        """Case, NFC/NFD and importance-tie variants resolve as resolve_region over the whole gazetteer."""
+        rng = random.Random(61)
+        names = ["Łódź", "Kraków", "Zielona Góra", "Großdorf", "Bielsko-Biała", "Ærøskøbing", "York"]
+        with (tmp_path / "gazetteer.csv").open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["place_name", "commune", "region_id", "province", "importance", "population"])
+            for i, name in enumerate(names):
+                for j in range(rng.randint(1, 4)):  # importances from a small set, so ties are common
+                    writer.writerow([rng.choice(self.SPELLINGS)(name), name, f"R{i}{j}", "P",
+                                     rng.choice([0.2, 0.5, 0.5, 0.9]), 100])
+        places = [rng.choice(self.SPELLINGS)(rng.choice(names + ["Nowhere"])) for _ in range(80)]
+        places += [" york ", "KRAKÓW", unicodedata.normalize("NFD", "łódź")]
+        write_jsonl(tmp_path / "posts.jsonl", [
+            {"id": f"p{i}", "text": "hello", "timestamp": TS, "place": place, "lang": "pl"}
+            for i, place in enumerate(places)
+        ])
+        (tmp_path / "config.json").write_text(json.dumps({
+            "paths": {"posts": "posts.jsonl", "gazetteer": "gazetteer.csv"},
+        }), encoding="utf-8")
+        gazetteer = load_gazetteer(tmp_path / "gazetteer.csv")
+        with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
+            # one call per distinct raw place, as ingest's cache makes
+            expected = {place: resolve_region(place, gazetteer) for place in dict.fromkeys(places)}
+            full_scan_ties = sum("importance tie" in r.message for r in caplog.records)
+            caplog.clear()
+            stage_ingest(load_config(tmp_path / "config.json"), tmp_path / "out")
+            ingest_ties = sum("importance tie" in r.message for r in caplog.records)
+        with (tmp_path / "out" / "located.jsonl").open(encoding="utf-8") as handle:
+            got = [(row["place"], row["region"]) for row in map(json.loads, handle)]
+        assert got == [(place, expected[place] or "") for place in places]
+        assert ingest_ties == full_scan_ties > 0
+        assert None in expected.values() and len(set(expected.values())) > len(names) / 2
 
 
 class TestRegionCounts:

@@ -10,16 +10,24 @@ from __future__ import annotations
 
 import random
 import re
+import unicodedata
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coherent_clean_config, fuzz_post_text
+from regsent import fixtures
 from regsent.corpus import RawPost
 from regsent.preprocess import (
+    _EMOJI_RANGES,
+    EMOJI_RE,
+    HASHTAG_RE,
+    MENTION_RE,
+    URL_RE,
     CleanConfig,
     clean_text,
     emoji_report,
@@ -155,6 +163,64 @@ class TestCleanProperties:
         config = coherent_clean_config()
         cp = clean_text("s", "the city and river bridge", config)
         assert cp.rejected_reason == "too_short"
+
+
+def is_emoji(ch: str) -> bool:
+    return any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
+
+
+def reference_clean_text(post_id: str, raw_text: str, config: CleanConfig):
+    """clean_text with its emoji step done one character at a time.
+
+    The link, mention and hashtag steps before it and every step after it are
+    clean_text's own, so a difference can only come from the emoji step.
+    """
+    text = unicodedata.normalize("NFC", raw_text)
+    removed = {}
+    for key, pattern, enabled in (("links", URL_RE, config.remove_links),
+                                  ("mentions", MENTION_RE, config.remove_mentions),
+                                  ("hashtags", HASHTAG_RE, config.remove_hashtags)):
+        text, removed[key] = pattern.subn(" ", text) if enabled else (text, 0)
+    kept = [ch for ch in text if is_emoji(ch) and ch in config.emoji_whitelist]
+    removed["emojis_dropped"] = sum(is_emoji(ch) for ch in text) - len(kept)
+    text = "".join(" " if is_emoji(ch) else ch for ch in text)
+    rest = clean_text(post_id, text, replace(
+        config, remove_links=False, remove_mentions=False, remove_hashtags=False, filter_emojis=False,
+    ))
+    return rest.tokens, tuple(kept), {**rest.removed, **removed}, rest.rejected_reason
+
+
+# each range end and its neighbours, whitelisted and other emoji, ASCII, and words the dictionary knows
+_RANGE_ENDS = [chr(cp) for lo, hi in _EMOJI_RANGES for cp in (lo - 1, lo, hi, hi + 1)]
+_PIECES = (
+    st.sampled_from(_RANGE_ENDS + [GRIN, CRY, THINK, ROBOT])
+    | st.characters(max_codepoint=127)
+    | st.sampled_from([f" {word} " for word in fixtures.NEUTRAL_WORDS + fixtures.POSITIVE_WORDS])
+)
+_TEXTS = st.lists(_PIECES, max_size=40).map("".join)
+
+
+class TestEmojiScanner:
+    def test_compiled_class_matches_exactly_the_ranges(self):
+        matched = [cp for cp in range(0x110000) if EMOJI_RE.fullmatch(chr(cp))]
+        assert matched == [cp for lo, hi in sorted(_EMOJI_RANGES) for cp in range(lo, hi + 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXTS)
+    def test_clean_text_matches_per_character_reference(self, text):
+        config = coherent_clean_config()
+        cp = clean_text("h", text, config)
+        assert (cp.tokens, cp.kept_emojis, dict(cp.removed), cp.rejected_reason) == \
+            reference_clean_text("h", text, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, max_size=6))
+    def test_emoji_report_matches_per_character_count(self, texts):
+        posts = [RawPost(str(i), text, datetime(2019, 1, 1, tzinfo=timezone.utc)) for i, text in enumerate(texts)]
+        counts = Counter(ch for text in texts for ch in text if is_emoji(ch))
+        report = emoji_report(posts)
+        assert [(row.item, row.count) for row in report.rows] == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert report.total == sum(counts.values())
 
 
 class TestHashtagReport:
