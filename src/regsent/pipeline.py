@@ -333,7 +333,11 @@ def _read_csv(out_dir: Path, name: str, convert: Callable[[dict[str, str]], Any]
 
 
 def _read_whitelist(out_dir: Path) -> frozenset[str]:
-    return frozenset(_require_artifact(out_dir, "emoji_whitelist.txt").read_text(encoding="utf-8").split())
+    name = "emoji_whitelist.txt"
+    try:
+        return frozenset(_require_artifact(out_dir, name).read_text(encoding="utf-8").split())
+    except UnicodeDecodeError as exc:
+        raise _malformed(name, 0, exc) from None
 
 
 def _located_post(row: dict) -> RawPost:
@@ -371,7 +375,7 @@ def _region_sentiment(row: dict[str, str]) -> RegionSentiment:
 
 
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
-    """The configured cleaning toggles plus the loaded resources."""
+    """The configured short-post threshold plus the loaded resources."""
     paths = cfg.require_paths("dictionary", "lemmas", "stop_words", "conjunctions")
     return replace(
         cfg.cleaning,
@@ -648,9 +652,9 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Global and per-region before/after proportion tests."""
     regions = _read_csv(out_dir, "region_sentiment.csv", _region_sentiment)
     per_region = {
-        r.region_id: regional.shift_test_for_region(r, cfg.alpha) for r in regions if r.included
+        r.region_id: regional.shift_test_for_region(r) for r in regions if r.included
     }
-    global_test = regional.pooled_shift_test(regions, cfg.alpha)
+    global_test = regional.pooled_shift_test(regions)
     regional.write_shift_csv(regions, per_region, out_dir / "shift_tests.csv")
     summary = regional.shift_summary(per_region.values(), cfg.alpha)
     payload = {

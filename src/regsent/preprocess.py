@@ -58,9 +58,9 @@ EMOJI_RE = re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _EM
 
 @dataclass(frozen=True)
 class CleanConfig:
-    """Normalization settings: resources plus per-step toggles.
+    """Normalization resources plus the short-post threshold.
 
-    The toggles are the config's `cleaning` section; the resources are not
+    `min_words` is the config's `cleaning` section; the resources are not
     config keys. For clean_text() to be idempotent on its own rendered output
     the resources must be coherent: conjunctions should cover the stop words,
     and the lemma map should be idempotent with values inside the dictionary
@@ -73,15 +73,6 @@ class CleanConfig:
     conjunctions: frozenset[str] = frozenset()
     emoji_whitelist: frozenset[str] = frozenset()
     min_words: int = field(default=3, metadata={"min": 0})  # reject posts with <= min_words non-conjunction tokens
-    remove_links: bool = True
-    remove_mentions: bool = True
-    remove_hashtags: bool = True
-    filter_emojis: bool = True
-    strip_nonword: bool = True
-    reject_short: bool = True
-    reject_misspelled: bool = True
-    lemmatize: bool = True
-    remove_stop_words: bool = True
 
 
 @dataclass(frozen=True)
@@ -113,15 +104,10 @@ def lemmatize_and_stop(
     tokens: Iterable[str],
     lemma_map: Mapping[str, str],
     stops: frozenset[str] | set[str],
-    *,
-    lemmatize: bool = True,
-    remove_stops: bool = True,
 ) -> list[str]:
     """Replace tokens with lemmas (identity fallback), then drop stop words."""
-    out = [lemma_map.get(t, t) for t in tokens] if lemmatize else list(tokens)
-    if remove_stops:
-        out = [t for t in out if t not in stops]
-    return out
+    lemmas = (lemma_map.get(t, t) for t in tokens)
+    return [t for t in lemmas if t not in stops]
 
 
 def _reject(post_id: str, kept: list[str], removed: dict[str, int], reason: str) -> CleanPost:
@@ -137,51 +123,33 @@ def _reject(post_id: str, kept: list[str], removed: dict[str, int], reason: str)
 def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
     removed = {"links": 0, "mentions": 0, "hashtags": 0, "nonword": 0, "emojis_dropped": 0}
     text = unicodedata.normalize("NFC", raw_text)
+    text, removed["links"] = URL_RE.subn(" ", text)
+    text, removed["mentions"] = MENTION_RE.subn(" ", text)
+    text, removed["hashtags"] = HASHTAG_RE.subn(" ", text)
 
-    if config.remove_links:
-        text, removed["links"] = URL_RE.subn(" ", text)
-    if config.remove_mentions:
-        text, removed["mentions"] = MENTION_RE.subn(" ", text)
-    if config.remove_hashtags:
-        text, removed["hashtags"] = HASHTAG_RE.subn(" ", text)
+    found = EMOJI_RE.findall(text)
+    kept_emojis = [ch for ch in found if ch in config.emoji_whitelist]
+    removed["emojis_dropped"] = len(found) - len(kept_emojis)
+    text = EMOJI_RE.sub(" ", text)
 
-    kept_emojis: list[str] = []
-    if config.filter_emojis:
-        found = EMOJI_RE.findall(text)
-        kept_emojis = [ch for ch in found if ch in config.emoji_whitelist]
-        removed["emojis_dropped"] = len(found) - len(kept_emojis)
-        text = EMOJI_RE.sub(" ", text)
+    chars: list[str] = []
+    for ch in text:
+        if ch.isalpha() or ch.isspace():
+            chars.append(ch)
+        else:
+            removed["nonword"] += 1
+            chars.append(" ")
+    tokens = "".join(chars).lower().split()
 
-    if config.strip_nonword:
-        chars: list[str] = []
-        for ch in text:
-            if ch.isalpha() or ch.isspace():
-                chars.append(ch)
-            else:
-                removed["nonword"] += 1
-                chars.append(" ")
-        text = "".join(chars)
-
-    tokens = text.lower().split()
-
-    if config.reject_short:
-        content = [t for t in tokens if t not in config.conjunctions]
-        if len(content) <= config.min_words:
-            return _reject(post_id, kept_emojis, removed, "too_short")
-
-    if config.reject_misspelled and not spell_gate(tokens, config.dictionary):
+    content = [t for t in tokens if t not in config.conjunctions]
+    if len(content) <= config.min_words:
+        return _reject(post_id, kept_emojis, removed, "too_short")
+    if not spell_gate(tokens, config.dictionary):
         return _reject(post_id, kept_emojis, removed, "misspelled")
 
-    tokens = lemmatize_and_stop(
-        tokens,
-        config.lemma_map,
-        config.stop_words,
-        lemmatize=config.lemmatize,
-        remove_stops=config.remove_stop_words,
-    )
     return CleanPost(
         id=post_id,
-        tokens=tuple(tokens),
+        tokens=tuple(lemmatize_and_stop(tokens, config.lemma_map, config.stop_words)),
         kept_emojis=tuple(kept_emojis),
         removed=removed,
     )
@@ -205,44 +173,38 @@ class FrequencyRow:
 
 @dataclass(frozen=True)
 class FrequencyReport:
-    """Item counts sorted by count desc then item asc; share = count / total.
-
-    Shares stay relative to the full total even when rows are truncated to a
-    top-k, so truncated shares sum to <= 1.
-    """
+    """Item counts sorted by count desc then item asc; share = count / total."""
 
     rows: tuple[FrequencyRow, ...]
     total: int
 
 
-def _frequency_report(counts: Mapping[str, int], top_k: int | None) -> FrequencyReport:
+def _frequency_report(counts: Mapping[str, int]) -> FrequencyReport:
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_k is not None:
-        ordered = ordered[:top_k]
     rows = tuple(
         FrequencyRow(item=item, count=count, share=count / total) for item, count in ordered
     )
     return FrequencyReport(rows=rows, total=total)
 
 
-def hashtag_report(posts: Iterable[RawPost], top_k: int | None = None) -> FrequencyReport:
+def hashtag_report(posts: Iterable[RawPost]) -> FrequencyReport:
     """Occurrence counts of `#word` hashtags (lowercased, '#' stripped)."""
     counts: dict[str, int] = {}
     for post in posts:
         for match in HASHTAG_RE.findall(post.text):
             tag = match[1:].lower()
             counts[tag] = counts.get(tag, 0) + 1
-    return _frequency_report(counts, top_k)
+    return _frequency_report(counts)
 
 
-def emoji_report(posts: Iterable[RawPost], top_k: int | None = None) -> FrequencyReport:
+def emoji_report(posts: Iterable[RawPost]) -> FrequencyReport:
     """Occurrence counts of emoji codepoints across the corpus."""
     counts: dict[str, int] = {}
     for post in posts:
         for ch in EMOJI_RE.findall(post.text):
             counts[ch] = counts.get(ch, 0) + 1
-    return _frequency_report(counts, top_k)
+    return _frequency_report(counts)
 
 
 def select_emoji_whitelist(

@@ -116,14 +116,8 @@ class ShiftTestResult:
 
     scope: str  # "global" or a region_id
     chi2: float
-    df: int
     p_value: float
-    significant_at: float
     degenerate: bool = False  # a zero margin forced the chi2=0, p=1 convention
-
-    @property
-    def significant(self) -> bool:
-        return self.p_value < self.significant_at
 
 
 def shift_test(
@@ -133,7 +127,6 @@ def shift_test(
     n_neg_after: int,
     *,
     scope: str = "global",
-    alpha: float = 0.05,
 ) -> ShiftTestResult:
     """2x2 period-by-polarity test: chi2 = N (ad - bc)^2 / product of margins.
 
@@ -144,38 +137,23 @@ def shift_test(
     n = a + b + c + d
     margins = ((a + b), (c + d), (a + c), (b + d))
     if any(m == 0 for m in margins):
-        return ShiftTestResult(scope=scope, chi2=0.0, df=1, p_value=1.0, significant_at=alpha, degenerate=True)
+        return ShiftTestResult(scope=scope, chi2=0.0, p_value=1.0, degenerate=True)
     chi2 = n * (a * d - b * c) ** 2 / (margins[0] * margins[1] * margins[2] * margins[3])
-    return ShiftTestResult(
-        scope=scope,
-        chi2=float(chi2),
-        df=1,
-        p_value=stats.chi2_sf(float(chi2), 1),
-        significant_at=alpha,
-    )
+    return ShiftTestResult(scope=scope, chi2=float(chi2), p_value=stats.chi2_sf(float(chi2), 1))
 
 
-def shift_test_for_region(rs: RegionSentiment, alpha: float = 0.05) -> ShiftTestResult:
-    return shift_test(
-        rs.n_pos_before, rs.n_neg_before, rs.n_pos_after, rs.n_neg_after,
-        scope=rs.region_id, alpha=alpha,
-    )
+def shift_test_for_region(rs: RegionSentiment) -> ShiftTestResult:
+    return shift_test(rs.n_pos_before, rs.n_neg_before, rs.n_pos_after, rs.n_neg_after, scope=rs.region_id)
 
 
-def pooled_shift_test(
-    regions: Sequence[RegionSentiment],
-    alpha: float = 0.05,
-    included_only: bool = True,
-) -> ShiftTestResult:
-    """Global test on counts pooled over (included) regions."""
-    rows = [r for r in regions if r.included] if included_only else list(regions)
+def pooled_shift_test(regions: Sequence[RegionSentiment]) -> ShiftTestResult:
+    """Global test on counts pooled over the included regions."""
+    rows = [r for r in regions if r.included]
     return shift_test(
         sum(r.n_pos_before for r in rows),
         sum(r.n_neg_before for r in rows),
         sum(r.n_pos_after for r in rows),
         sum(r.n_neg_after for r in rows),
-        scope="global",
-        alpha=alpha,
     )
 
 
@@ -198,14 +176,14 @@ def shift_summary(results: Iterable[ShiftTestResult], alpha: float = 0.05) -> Sh
     )
 
 
-def shift_regression(regions: Sequence[RegionSentiment], included_only: bool = True) -> stats.OlsFit:
+def shift_regression(regions: Sequence[RegionSentiment]) -> stats.OlsFit:
     """OLS of period mean sentiment on an after-period dummy.
 
     Each usable region contributes its before mean (flag 0) and after mean
     (flag 1); regions with an empty period cannot produce that period's mean
     and are skipped with a warning. Fewer than two usable regions is fatal.
     """
-    rows = [r for r in regions if r.included] if included_only else list(regions)
+    rows = [r for r in regions if r.included]
     usable: list[RegionSentiment] = []
     for r in rows:
         if (r.n_pos_before + r.n_neg_before) == 0 or (r.n_pos_after + r.n_neg_after) == 0:

@@ -72,13 +72,10 @@ CLASS_ORDER = (SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.P
 class LabeledExample:
     tokens: tuple[str, ...]
     label: SentimentLabel
-    weight: float = 1.0
 
     def __post_init__(self):
         if not self.tokens:
             raise ValueError("labeled example needs at least one token")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,25 +186,22 @@ def logistic_loss_and_grad(
     X: np.ndarray | TokenCounts,
     y_idx: np.ndarray,
     l2: float,
-    sample_weight: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean weighted cross-entropy with L2 on weights (bias unpenalized).
+    """Mean cross-entropy with L2 on weights (bias unpenalized).
 
     Returns (loss, grad_weights, grad_bias); kept separate from the training
     loop so the gradient can be checked against finite differences. `X` is a
     dense n x V count matrix or the same counts as `TokenCounts`.
     """
     n = X.shape[0]
-    w = np.ones(n) if sample_weight is None else sample_weight
-    w_total = w.sum()
     logits = X @ weights.T + bias
     probs = _softmax(logits)
     eps = 1e-12
-    loss = float(-(w * np.log(probs[np.arange(n), y_idx] + eps)).sum() / w_total)
+    loss = float(-np.log(probs[np.arange(n), y_idx] + eps).sum() / n)
     loss += 0.5 * l2 * float((weights * weights).sum())
     delta = probs.copy()
     delta[np.arange(n), y_idx] -= 1.0
-    delta *= (w / w_total)[:, None]
+    delta *= 1.0 / n
     grad_w = delta.T @ X + l2 * weights
     grad_b = delta.sum(axis=0)
     return loss, grad_w, grad_b
@@ -250,18 +244,17 @@ def train(
     vocabulary = {token: i for i, token in enumerate(sorted({t for ex in data for t in ex.tokens}))}
     class_index = {label: i for i, label in enumerate(model_classes)}
     y_idx = np.array([class_index[ex.label] for ex in data])
-    sample_weight = np.array([ex.weight for ex in data])
     X = encode((ex.tokens for ex in data), vocabulary)
     K, V = len(model_classes), len(vocabulary)
 
     if kind == "naive_bayes":
         if smoothing <= 0:
             raise ValueError("smoothing must be positive")
-        class_weight = np.zeros((K, len(data)))
-        class_weight[y_idx, np.arange(len(data))] = sample_weight
-        counts = class_weight @ X
-        doc_weight = np.bincount(y_idx, weights=sample_weight, minlength=K)
-        class_log_prior = np.log(doc_weight / doc_weight.sum())
+        membership = np.zeros((K, len(data)))
+        membership[y_idx, np.arange(len(data))] = 1.0
+        counts = membership @ X
+        docs = np.bincount(y_idx, minlength=K)
+        class_log_prior = np.log(docs / docs.sum())
         feature_log_prob = np.log((counts + smoothing) / (counts.sum(axis=1, keepdims=True) + smoothing * V))
         return SentimentModel(
             kind=kind,
@@ -276,7 +269,7 @@ def train(
     bias = np.zeros(K)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
-            loss, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2, sample_weight)
+            loss, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2)
             weights -= learning_rate * grad_w
             bias -= learning_rate * grad_b
             if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):

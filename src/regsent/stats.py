@@ -22,11 +22,9 @@ __all__ = [
     "StepwiseResult",
     "chi2_sf",
     "design_matrix",
-    "destandardize_coefficients",
     "f_sf",
     "format_fit_table",
     "gaussian_aic",
-    "normal_sf",
     "ols",
     "regularized_incomplete_beta",
     "regularized_upper_gamma",
@@ -176,11 +174,6 @@ def student_t_sf(t: float, df: int) -> float:
     return 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-def normal_sf(z: float) -> float:
-    """Survival function of the standard normal."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def f_sf(f: float, df1: int, df2: int) -> float:
     """Survival function of the F distribution."""
     if df1 < 1 or df2 < 1:
@@ -255,8 +248,8 @@ def subset_design(d: DesignMatrix, keep: "set[str] | list[str] | tuple[str, ...]
 def standardize(d: DesignMatrix) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
     """Center and scale every predictor column to mean 0, sd 1 (n-1 divisor).
 
-    Returns the transformed design plus the (means, sds) needed to map
-    coefficients back to the raw scale; the intercept column is untouched.
+    Returns the transformed design plus the column means and sds it used; the
+    intercept column is untouched.
     """
     if d.k == 0:
         return d, np.array([]), np.array([])
@@ -268,14 +261,6 @@ def standardize(d: DesignMatrix) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
         raise ValueError(f"predictor '{d.names[int(zero[0])]}' has zero variance")
     X = np.column_stack([np.ones(d.n), (cols - means) / sds])
     return DesignMatrix(names=d.names, X=X, y=d.y), means, sds
-
-
-def destandardize_coefficients(beta: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:
-    """Map coefficients fitted on a standardized design back to the raw scale."""
-    beta = np.asarray(beta, dtype=float)
-    slopes = beta[1:] / sds
-    intercept = beta[0] - float(slopes @ means)
-    return np.concatenate([[intercept], slopes])
 
 
 # ---------------------------------------------------------------------------

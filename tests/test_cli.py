@@ -189,6 +189,16 @@ class TestErrorContract:
         assert err.startswith("regsent: error[data]: located.jsonl is not UTF-8: ")
         assert err.count("\n") == 1
 
+    def test_undecodable_whitelist_exits_two(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "emoji_whitelist.txt").write_bytes(b"\xff")
+        code = cli.main(["train", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("regsent: error[data]: emoji_whitelist.txt is not UTF-8: ")
+        assert err.count("\n") == 1
+
 
     @pytest.mark.parametrize("tokens", [3, "ab", ["a", 1], None])
     def test_clean_tokens_not_a_list_of_strings_exits_two(self, fixture_dir, pipeline_out, tmp_path, capsys, tokens):
@@ -398,7 +408,8 @@ class TestConfigValidation:
         'alpha="nan"',
         "alpha=2",
         "cleaning.min_words=-1",
-        'cleaning.lemmatize="no"',
+        "cleaning.lemmatize=true",
+        "cleaning.reject_misspelled=false",
         'classifier.binary="no"',
         'classifier.epochs="many"',
         "classifier.epochs=1e400",
@@ -466,13 +477,18 @@ class TestConfigProperty:
             assert "\n" not in str(exc) and key in str(exc)
 
 
-class TestCleaningToggles:
-    def test_misspelling_gate_can_be_disabled(self, fixture_dir, tmp_path):
-        out = tmp_path / "out"
-        config = str(fixture_dir / "config.json")
-        for stage in (["ingest"], ["clean"]):
-            result = run_cli([*stage, "--config", config, "--out", str(out),
-                              "--set", "cleaning.reject_misspelled=false"])
-            assert result.returncode == 0, result.stderr
-        report = json.loads((out / "clean_report.json").read_text(encoding="utf-8"))
-        assert report["rejected_misspelled"] == 0
+class TestReadmeKeyTable:
+    def test_rows_are_exactly_the_settable_keys(self, fixture_dir):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | type | default | allowed |\n", 1)[1].split("\n\n", 1)[0]
+        documented = [row.split("`")[1] for row in table.splitlines()[1:]]
+        config = fixture_dir / "config.json"
+        settable = ["paths.<name>"]  # stands for every path key
+        for key in _schema_keys(PipelineConfig):
+            try:
+                load_config(config, [f"{key}=null"])
+            except ConfigError as exc:  # not a key, or a section rather than a value
+                if str(exc).startswith(("unknown config keys", f"config {key} must be a JSON object")):
+                    continue
+            settable.append(key)
+        assert sorted(documented) == sorted(settable)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from regsent.errors import DataValidationError
 from regsent.regional import (
@@ -21,7 +22,6 @@ from regsent.regional import (
     shift_summary,
     shift_test,
 )
-from regsent.stats import normal_sf
 
 EVENT = date(2019, 10, 13)
 
@@ -129,7 +129,7 @@ class TestShiftTest:
         chi2 = shift_test(a, b, c, d).chi2
         assert abs(chi2 - z * z) < 1e-10 * max(1.0, chi2)
         # matching p-values through the distributional identity
-        assert abs(shift_test(a, b, c, d).p_value - 2 * normal_sf(abs(z))) < 1e-8
+        assert abs(shift_test(a, b, c, d).p_value - 2 * scipy_stats.norm.sf(abs(z))) < 1e-8
 
     def test_pooled_table_near_reference_statistic(self):
         # construct a pooled table whose statistic lands on ~0.477 and check
@@ -145,8 +145,6 @@ class TestShiftTest:
         pooled = pooled_shift_test(regions)
         direct = shift_test(40, 32, 44, 39)
         assert pooled.chi2 == direct.chi2
-        include_all = pooled_shift_test(regions, included_only=False)
-        assert include_all.chi2 == shift_test(45, 37, 49, 44).chi2
 
 
 class TestShiftRegression:

@@ -145,12 +145,6 @@ class TestLogistic:
             assert np.linalg.norm(grad_w - num_w) / denom < 1e-5
             assert np.linalg.norm(grad_b - num_b) / max(1.0, float(np.linalg.norm(num_b))) < 1e-5
 
-    def test_weight_affects_loss(self):
-        data = [ex(["up"], POS), ex(["down"], NEG),
-                LabeledExample(tokens=("up", "up"), label=POS, weight=3.0)]
-        model = train(data, "logistic", epochs=50)
-        assert predict(model, ["up"]).label is POS
-
     def test_divergence_raises_naming_learning_rate(self, recwarn):
         data = generative_corpus(60, seed=35)
         with pytest.raises(NumericalError, match=r"classifier\.learning_rate"):
@@ -228,9 +222,8 @@ class TestSparseEquivalence:
         assert X.shape == dense.shape
         K = model.n_classes
         y = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=len(docs), max_size=len(docs))))
-        w = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=len(docs), max_size=len(docs))))
-        sparse_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, X, y, 0.01, w)
-        dense_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, dense, y, 0.01, w)
+        sparse_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, X, y, 0.01)
+        dense_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, dense, y, 0.01)
         assert abs(sparse_out[0] - dense_out[0]) <= 1e-12
         assert np.abs(sparse_out[1] - dense_out[1]).max() <= 1e-12
         assert np.abs(sparse_out[2] - dense_out[2]).max() <= 1e-12
@@ -401,13 +394,13 @@ class TestPseudoLabel:
 
     def test_original_examples_untouched(self):
         originals = generative_corpus(30, seed=14)
-        snapshot = [(e.tokens, e.label, e.weight) for e in originals]
+        snapshot = [(e.tokens, e.label) for e in originals]
         model = train(originals, "naive_bayes")
         pseudo = pseudo_label(model, [e.tokens for e in generative_corpus(40, seed=15)])
         combined = originals + pseudo
         assert combined[: len(originals)] == originals
         assert all(combined[i] is originals[i] for i in range(len(originals)))
-        assert [(e.tokens, e.label, e.weight) for e in originals] == snapshot
+        assert [(e.tokens, e.label) for e in originals] == snapshot
 
     def test_agreement_close_to_heldout_accuracy(self):
         labeled = generative_corpus(300, seed=21)

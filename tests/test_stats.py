@@ -15,10 +15,8 @@ from regsent.stats import (
     _best_move,
     chi2_sf,
     design_matrix,
-    destandardize_coefficients,
     f_sf,
     gaussian_aic,
-    normal_sf,
     ols,
     standardize,
     stepwise,
@@ -65,7 +63,7 @@ class TestDistributions:
     def test_chi2_equals_squared_normal_tail(self):
         rng = np.random.default_rng(8)
         for z in rng.uniform(-6, 6, 300):
-            assert abs(chi2_sf(z * z, 1) - 2 * normal_sf(abs(z))) < 1e-8
+            assert abs(chi2_sf(z * z, 1) - 2 * scipy_stats.norm.sf(abs(z))) < 1e-8
 
     def test_monotone_and_bounded(self):
         values = [student_t_sf(t, 7) for t in np.linspace(-8, 8, 101)]
@@ -205,8 +203,6 @@ class TestStandardize:
         assert abs(raw.f_stat - std.f_stat) < 1e-9 * max(1.0, raw.f_stat)
         assert abs(raw.aic - std.aic) < 1e-9 * abs(raw.aic)
         assert np.allclose(raw.t[1:], std.t[1:], rtol=1e-9)
-        back = destandardize_coefficients(std.beta, means, sds)
-        assert np.allclose(back, raw.beta, rtol=1e-9, atol=1e-12)
 
     def test_zero_variance_fatal(self):
         d = DesignMatrix(names=("x",), X=np.column_stack([np.ones(5), np.ones(5)]), y=np.arange(5.0))
