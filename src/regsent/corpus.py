@@ -5,20 +5,23 @@ File formats (all UTF-8):
                the same columns; timestamps RFC-3339.
   gazetteer    CSV place_name,commune,region_id,province,importance,population
   region table CSV region_id,population,outcome,<feature columns...>
+
+Every file is read through `errors.iter_records`, so the line a message names
+is the physical line the record starts on, also after a quoted line break.
+Malformed posts are skipped and counted; a malformed gazetteer or region row
+is fatal: one DataValidationError `<path>:<line>: <reason>`.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DataValidationError, open_input
+from .errors import MALFORMED, DataValidationError, iter_records, open_input, read_records
 
 logger = logging.getLogger(__name__)
 
@@ -103,28 +106,6 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
     )
 
 
-def _parsed_records(handle: TextIO, fmt: str) -> Iterator[tuple[int, RawPost | None]]:
-    """(line number, post) per record; the post is None when the record is malformed."""
-    if fmt == "jsonl":
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                post = _post_from_record(record) if isinstance(record, dict) else None
-            except ValueError:  # json.JSONDecodeError included
-                post = None
-            yield line_no, post
-    else:
-        for line_no, row in enumerate(csv.DictReader(handle), 2):
-            try:
-                post = _post_from_record(row)
-            except ValueError:
-                post = None
-            yield line_no, post
-
-
 def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int]:
     """Load posts from JSONL or CSV; returns (posts, skipped_count).
 
@@ -139,7 +120,11 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int
     first_line: dict[str, int] = {}
     skipped = 0
     with open_input(path) as handle:
-        for line_no, post in _parsed_records(handle, fmt):
+        for line_no, record in iter_records(handle, fmt, str(path)):
+            try:
+                post = _post_from_record(record) if isinstance(record, dict) else None
+            except MALFORMED:
+                post = None
             if post is None:
                 skipped += 1
                 logger.warning("skipping malformed post record at %s:%d", path, line_no)
@@ -171,35 +156,28 @@ def normalize_place(name: str) -> str:
 
 
 def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
-    path = Path(path)
-    entries: list[GazetteerEntry] = []
     seen: set[tuple[str, str]] = set()
-    with open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        for line_no, row in enumerate(reader, 2):
-            try:
-                importance = float(row["importance"])
-                population = int(row["population"])
-                entry = GazetteerEntry(
-                    place_name=row["place_name"],
-                    commune=row["commune"],
-                    region_id=row["region_id"],
-                    province=row["province"],
-                    importance=importance,
-                    population=population,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataValidationError(f"{path}:{line_no}: bad gazetteer row ({exc})") from exc
-            if not (0.0 <= importance <= 1.0):
-                raise DataValidationError(f"{path}:{line_no}: importance {importance} outside [0, 1]")
-            if population < 0:
-                raise DataValidationError(f"{path}:{line_no}: negative population")
-            key = (entry.place_name, entry.region_id)
-            if key in seen:
-                raise DataValidationError(f"{path}:{line_no}: duplicate (place_name, region_id) {key}")
-            seen.add(key)
-            entries.append(entry)
-    return entries
+
+    def to_entry(row: dict[str, str]) -> GazetteerEntry:
+        entry = GazetteerEntry(
+            place_name=row["place_name"],
+            commune=row["commune"],
+            region_id=row["region_id"],
+            province=row["province"],
+            importance=float(row["importance"]),
+            population=int(row["population"]),
+        )
+        if not (0.0 <= entry.importance <= 1.0):
+            raise ValueError(f"importance {entry.importance} outside [0, 1]")
+        if entry.population < 0:
+            raise ValueError("negative population")
+        key = (entry.place_name, entry.region_id)
+        if key in seen:
+            raise ValueError(f"duplicate (place_name, region_id) {key}")
+        seen.add(key)
+        return entry
+
+    return read_records(path, "csv", to_entry)
 
 
 def resolve_region(place_name: str, gazetteer: Sequence[GazetteerEntry]) -> str | None:
@@ -259,32 +237,21 @@ _REGION_TABLE_FIXED = ("region_id", "population", "outcome")
 
 def load_region_table(path: str | Path) -> list[RegionRecord]:
     """Region table rows; every non-fixed column becomes a named feature."""
-    path = Path(path)
-    records: list[RegionRecord] = []
     seen: set[str] = set()
-    with open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in _REGION_TABLE_FIXED if c not in header]
-        if missing:
-            raise DataValidationError(f"{path}: missing region table columns {missing}")
-        feature_names = [c for c in header if c not in _REGION_TABLE_FIXED]
-        for line_no, row in enumerate(reader, 2):
-            try:
-                region_id = row["region_id"]
-                population = int(row["population"])
-                outcome = float(row["outcome"])
-                features = {name: float(row[name]) for name in feature_names}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataValidationError(f"{path}:{line_no}: bad region row ({exc})") from exc
-            if not (0.0 <= outcome <= 1.0):
-                raise DataValidationError(f"{path}:{line_no}: outcome {outcome} outside [0, 1]")
-            if population <= 0:
-                raise DataValidationError(f"{path}:{line_no}: population must be positive")
-            if region_id in seen:
-                raise DataValidationError(f"{path}:{line_no}: duplicate region_id {region_id!r}")
-            seen.add(region_id)
-            records.append(
-                RegionRecord(region_id=region_id, population=population, outcome=outcome, features=features)
-            )
-    return records
+
+    def to_record(row: dict[str, str]) -> RegionRecord:
+        region_id = row["region_id"]
+        population = int(row["population"])
+        outcome = float(row["outcome"])
+        # a row with extra fields holds them under the key None, which float() rejects
+        features = {name: float(value) for name, value in row.items() if name not in _REGION_TABLE_FIXED}
+        if not (0.0 <= outcome <= 1.0):
+            raise ValueError(f"outcome {outcome} outside [0, 1]")
+        if population <= 0:
+            raise ValueError("population must be positive")
+        if region_id in seen:
+            raise ValueError(f"duplicate region_id {region_id!r}")
+        seen.add(region_id)
+        return RegionRecord(region_id=region_id, population=population, outcome=outcome, features=features)
+
+    return read_records(path, "csv", to_record, columns=_REGION_TABLE_FIXED)

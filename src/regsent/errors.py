@@ -1,5 +1,9 @@
-"""Error taxonomy shared across the toolkit, and `open_input`, which maps an
-unreadable input file onto it.
+"""Error taxonomy shared across the toolkit, and the one reader of input files.
+
+`open_input` maps an unreadable file onto the taxonomy; `iter_records` and
+`read_records` read every CSV and JSON-lines file, configured input or
+intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
+whose line is the physical line the record starts on.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -7,9 +11,11 @@ NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
 
 from __future__ import annotations
 
+import csv
+import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 
 class ConfigError(Exception):
@@ -28,18 +34,86 @@ class RankDeficiencyError(NumericalError):
     """Design matrix is rank deficient; message names the collinear column."""
 
 
+# what parsing or converting a malformed record raises
+MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
+
+
 @contextmanager
-def open_input(path: str | Path) -> Iterator[TextIO]:
-    """Open a configured input file as UTF-8 text (newlines untranslated, as csv wants).
+def open_input(path: str | Path, name: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text (newlines untranslated, as csv wants).
 
     A directory, a file the process may not read, or bytes that are not UTF-8
-    (found while the caller reads) raise a DataValidationError naming the path.
-    A missing file stays an OSError.
+    (found while the caller reads) raise a DataValidationError naming the file
+    as `name`, the path by default. A missing file stays an OSError.
     """
+    name = name or str(path)
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             yield handle
     except UnicodeDecodeError as exc:
-        raise DataValidationError(f"{path} is not UTF-8: {exc}") from None
+        raise DataValidationError(f"{name} is not UTF-8: {exc}") from None
     except (IsADirectoryError, PermissionError) as exc:
-        raise DataValidationError(f"cannot read {path}: {exc.strerror}") from None
+        raise DataValidationError(f"cannot read {name}: {exc.strerror}") from None
+
+
+def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = ()) -> Iterator[tuple[int, Any]]:
+    """(line, record) for each record of a CSV or JSON-lines file; blank lines are skipped.
+
+    `line` is the physical line the record starts on. A CSV record is a dict
+    keyed by the header, which must hold `columns`; a CSV fault such as an
+    oversized field ends the file with a DataValidationError naming `name`.
+    A JSON-lines record is the line's JSON value, or the exception parsing it
+    raised, so that a caller may skip the line and read on.
+    """
+    if fmt == "jsonl":
+        for line, text in enumerate(handle, 1):
+            if text.strip():
+                try:
+                    record = json.loads(text)
+                except MALFORMED as exc:
+                    record = exc
+                yield line, record
+        return
+    start = 0  # first line the reader pulled for the record it is parsing; csv yields [] for a blank one
+
+    def lines() -> Iterator[str]:
+        nonlocal start
+        for number, text in enumerate(handle, 1):
+            if not start and text.strip("\r\n"):
+                start = number
+            yield text
+
+    reader = csv.DictReader(lines())
+    try:
+        header = reader.fieldnames or ()
+        missing = [column for column in columns if column not in header]
+        if missing:
+            raise DataValidationError(f"{name}:{start or 1}: missing columns {missing}")
+        start = 0
+        for record in reader:
+            yield start, record
+            start = 0
+    except csv.Error as exc:
+        raise DataValidationError(f"{name}:{start}: {exc}") from None
+
+
+def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name: str | None = None,
+                 columns: Sequence[str] = ()) -> list:
+    """`convert` of each record of the CSV or JSON-lines file at `path` (see `iter_records`).
+
+    A record that does not parse, or that `convert` rejects with one of
+    MALFORMED, raises DataValidationError `<name>:<line>: <reason>`; `name` is
+    the path by default.
+    """
+    name = name or str(path)
+    out = []
+    with open_input(path, name) as handle:
+        for line, record in iter_records(handle, fmt, name, columns):
+            try:
+                if isinstance(record, Exception):
+                    raise record
+                out.append(convert(record))
+            except MALFORMED as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise DataValidationError(f"{name}:{line}: {reason}") from None
+    return out

@@ -33,7 +33,7 @@ from .corpus import (
     region_counts,
     resolve_region,
 )
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError, DataValidationError, open_input, read_records
 from .preprocess import (
     CleanConfig,
     clean_text,
@@ -278,8 +278,6 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
 # ---------------------------------------------------------------------------
 
 _PREDICTIONS_HEADER = ("id", "label", "fallback", "p_positive")
-# what a conversion raises on a record that lacks a field or holds a bad value
-_MALFORMED = (AttributeError, csv.Error, KeyError, TypeError, ValueError)
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -300,44 +298,15 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
     return path
 
 
-def _malformed(name: str, line: int, exc: Exception) -> DataValidationError:
-    if isinstance(exc, UnicodeDecodeError):  # raised while reading ahead, so no line to name
-        return DataValidationError(f"{name} is not UTF-8: {exc}")
-    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return DataValidationError(f"{name} line {line}: {reason}")
-
-
-def _read_jsonl(out_dir: Path, name: str, convert: Callable[[Any], Any]) -> list:
-    """`convert` of each record of the JSON-lines intermediate `name`."""
-    rows = []
-    with _require_artifact(out_dir, name).open(encoding="utf-8") as handle:
-        line = 0
-        try:
-            for line, text in enumerate(handle, 1):
-                text = text.strip()
-                if text:
-                    rows.append(convert(json.loads(text)))
-        except _MALFORMED as exc:
-            raise _malformed(name, line, exc) from None
-    return rows
-
-
-def _read_csv(out_dir: Path, name: str, convert: Callable[[dict[str, str]], Any] = dict) -> list:
-    """`convert` of each row, keyed by the header, of the CSV intermediate `name`."""
-    with _require_artifact(out_dir, name).open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            return [convert(row) for row in reader]
-        except _MALFORMED as exc:
-            raise _malformed(name, reader.line_num, exc) from None
+def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any] = dict) -> list:
+    """`convert` of each record of the intermediate `name`: a JSON-lines file or a CSV keyed by its header."""
+    return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name)
 
 
 def _read_whitelist(out_dir: Path) -> frozenset[str]:
     name = "emoji_whitelist.txt"
-    try:
-        return frozenset(_require_artifact(out_dir, name).read_text(encoding="utf-8").split())
-    except UnicodeDecodeError as exc:
-        raise _malformed(name, 0, exc) from None
+    with open_input(_require_artifact(out_dir, name), name) as handle:
+        return frozenset(handle.read().split())
 
 
 def _located_post(row: dict) -> RawPost:
@@ -359,7 +328,7 @@ def _clean_fields(row: dict) -> tuple[Any, list[str], Any]:
 
 def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
     """(id, tokens) of each cleaned post that was accepted and kept tokens."""
-    rows = _read_jsonl(out_dir, "clean.jsonl", _clean_fields)
+    rows = _read_artifact(out_dir, "clean.jsonl", _clean_fields)
     return [(post_id, tokens) for post_id, tokens, rejected in rows if rejected is None and tokens]
 
 
@@ -442,7 +411,7 @@ def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Select the emoji whitelist, then run the normalization chain."""
-    posts = _read_jsonl(out_dir, "located.jsonl", _located_post)
+    posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
     (out_dir / "emoji_whitelist.txt").write_text("".join(f"{e}\n" for e in sorted(whitelist)), encoding="utf-8")
@@ -477,7 +446,7 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str) -> dict:
     """Corpus frequency diagnostics over the located posts."""
-    posts = _read_jsonl(out_dir, "located.jsonl", _located_post)
+    posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     if kind == "hashtags":
         report = hashtag_report(posts)
     elif kind == "emojis":
@@ -611,12 +580,12 @@ def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Join predictions with locations and fold into per-region period counts."""
-    located = dict(_read_jsonl(out_dir, "located.jsonl", lambda row: (
+    located = dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
         row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
     )))
     observations: list[SentimentObservation] = []
     neutral_skipped = 0
-    predictions = _read_csv(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
+    predictions = _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
     for post_id, label in predictions:
         if label is SentimentLabel.NEUTRAL:
             neutral_skipped += 1
@@ -650,7 +619,7 @@ def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Global and per-region before/after proportion tests."""
-    regions = _read_csv(out_dir, "region_sentiment.csv", _region_sentiment)
+    regions = _read_artifact(out_dir, "region_sentiment.csv", _region_sentiment)
     per_region = {
         r.region_id: regional.shift_test_for_region(r) for r in regions if r.included
     }
@@ -670,7 +639,7 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.DesignMatrix, dict]:
     table = load_region_table(cfg.require_paths("region_table")["region_table"])
-    included = {r.region_id: r for r in _read_csv(out_dir, "region_sentiment.csv", _region_sentiment) if r.included}
+    included = {r.region_id: r for r in _read_artifact(out_dir, "region_sentiment.csv", _region_sentiment) if r.included}
     rows = [rec for rec in table if rec.region_id in included]
     if not rows:
         raise DataValidationError("no overlap between the region table and included regions")
@@ -688,7 +657,7 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
     try:
         design = stats.design_matrix(names, columns, y)
         if cfg.regression.standardize:
-            design, _, _ = stats.standardize(design)
+            design = stats.standardize(design)
     except ValueError as exc:
         raise DataValidationError(str(exc)) from exc
     meta = {"n_regions": len(rows), "predictors": list(names), "standardized": cfg.regression.standardize}
@@ -774,7 +743,7 @@ def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
         "",
     ]
 
-    tag_rows = _read_csv(out_dir, "hashtags.csv")[:10]
+    tag_rows = _read_artifact(out_dir, "hashtags.csv")[:10]
     sections += [
         "## Top hashtags",
         "",
@@ -786,7 +755,7 @@ def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
     ]
 
     whitelist = _read_whitelist(out_dir)
-    emoji_rows = _read_csv(out_dir, "emojis.csv")[:10]
+    emoji_rows = _read_artifact(out_dir, "emojis.csv")[:10]
     sections += [
         "## Emojis",
         "",
@@ -817,7 +786,7 @@ def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
     sections += [f"Predicted distribution over {cls['classified']} posts: {pred_counts}.", ""]
 
     agg = reports["aggregate"]
-    regions = _read_csv(out_dir, "region_sentiment.csv", _region_sentiment)
+    regions = _read_artifact(out_dir, "region_sentiment.csv", _region_sentiment)
     included = [r for r in regions if r.included]
     sections += [
         "## Regional sentiment",
@@ -841,7 +810,7 @@ def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
         "",
     ]
 
-    moves = _read_csv(out_dir, "stepwise_trace.csv", operator.itemgetter("action", "name"))
+    moves = _read_artifact(out_dir, "stepwise_trace.csv", operator.itemgetter("action", "name"))
     sections += [
         "## Outcome regression",
         "",

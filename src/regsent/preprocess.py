@@ -30,7 +30,6 @@ __all__ = [
     "load_emoji_polarity",
     "load_lemma_map",
     "load_word_list",
-    "render_tokens",
     "select_emoji_whitelist",
     "spell_gate",
     "write_frequency_csv",
@@ -153,11 +152,6 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
         kept_emojis=tuple(kept_emojis),
         removed=removed,
     )
-
-
-def render_tokens(cp: CleanPost) -> str:
-    """Cleaned post back as text (tokens then kept emojis, space separated)."""
-    return " ".join(list(cp.tokens) + list(cp.kept_emojis))
 
 
 # ---------------------------------------------------------------------------

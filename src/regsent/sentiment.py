@@ -16,7 +16,6 @@ number of tokens, never documents x vocabulary.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from array import array
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, NumericalError, open_input
+from .errors import DataValidationError, NumericalError, open_input, read_records
 
 __all__ = [
     "EvalReport",
@@ -334,7 +333,7 @@ def train_test_split(
     train_split = [data[i] for i in indices[n_test:]]
     test_split = [data[i] for i in indices[:n_test]]
     if not train_split:
-        raise ValueError("split leaves no training data")
+        raise DataValidationError("split leaves no training data")
     return train_split, test_split
 
 
@@ -371,19 +370,14 @@ def pseudo_label(
 
 def load_labeled_csv(path: str | Path) -> list[tuple[str, SentimentLabel, str]]:
     """Training data CSV `id,label,text`; labels negative|neutral|positive."""
-    path = Path(path)
-    rows: list[tuple[str, SentimentLabel, str]] = []
-    with open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        for line_no, row in enumerate(reader, 2):
-            try:
-                label = SentimentLabel.parse(row["label"])
-            except (KeyError, DataValidationError) as exc:
-                raise DataValidationError(f"{path}:{line_no}: {exc}") from None
-            if not row.get("id") or row.get("text") is None:
-                raise DataValidationError(f"{path}:{line_no}: missing id or text")
-            rows.append((row["id"], label, row["text"]))
-    return rows
+
+    def to_row(row: dict[str, str]) -> tuple[str, SentimentLabel, str]:
+        label = SentimentLabel.parse(row["label"] or "")
+        if not row.get("id") or row.get("text") is None:
+            raise ValueError("missing id or text")
+        return row["id"], label, row["text"]
+
+    return read_records(path, "csv", to_row)
 
 
 def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:
@@ -391,21 +385,16 @@ def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:
 
     Unknown label strings and duplicate ids are fatal, with the line number.
     """
-    path = Path(path)
-    out: dict[str, SentimentLabel] = {}
-    with open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "id" not in reader.fieldnames or "label" not in reader.fieldnames:
-            raise DataValidationError(f"{path}: expected header with id,label")
-        for line_no, row in enumerate(reader, 2):
-            label_raw = row.get("label") or ""
-            if label_raw.strip().lower() not in ("negative", "neutral", "positive"):
-                raise DataValidationError(f"{path}:{line_no}: unknown label {label_raw!r}")
-            post_id = row["id"]
-            if post_id in out:
-                raise DataValidationError(f"{path}:{line_no}: duplicate id {post_id!r}")
-            out[post_id] = SentimentLabel.parse(label_raw)
-    return out
+    seen: set[str] = set()
+
+    def to_pair(row: dict[str, str]) -> tuple[str, SentimentLabel]:
+        label = SentimentLabel.parse(row["label"] or "")
+        if row["id"] in seen:
+            raise ValueError(f"duplicate id {row['id']!r}")
+        seen.add(row["id"])
+        return row["id"], label
+
+    return dict(read_records(path, "csv", to_pair, columns=("id", "label")))
 
 
 def match_predictions(

@@ -245,14 +245,13 @@ def subset_design(d: DesignMatrix, keep: "set[str] | list[str] | tuple[str, ...]
     return DesignMatrix(names=names, X=d.X[:, idx], y=d.y)
 
 
-def standardize(d: DesignMatrix) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
+def standardize(d: DesignMatrix) -> DesignMatrix:
     """Center and scale every predictor column to mean 0, sd 1 (n-1 divisor).
 
-    Returns the transformed design plus the column means and sds it used; the
-    intercept column is untouched.
+    The intercept column is untouched.
     """
     if d.k == 0:
-        return d, np.array([]), np.array([])
+        return d
     cols = d.X[:, 1:]
     means = cols.mean(axis=0)
     sds = cols.std(axis=0, ddof=1)
@@ -260,7 +259,7 @@ def standardize(d: DesignMatrix) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
     if zero.size:
         raise ValueError(f"predictor '{d.names[int(zero[0])]}' has zero variance")
     X = np.column_stack([np.ones(d.n), (cols - means) / sds])
-    return DesignMatrix(names=d.names, X=X, y=d.y), means, sds
+    return DesignMatrix(names=d.names, X=X, y=d.y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@ regression subcommands on the replication fixture."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,40 @@ SENTIMENT_HEADER = "region_id,n_pos_before,n_neg_before,n_pos_after,n_neg_after,
 def read_csv(path: Path) -> list[dict]:
     with path.open(encoding="utf-8", newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+# the stage that reads each configured input first; "posts_csv" is the posts file in CSV form
+_READING_STAGE = {
+    "posts": "ingest", "posts_csv": "ingest", "gazetteer": "ingest", "region_table": "ingest",
+    "dictionary": "clean", "lemmas": "clean", "stop_words": "clean", "conjunctions": "clean",
+    "emoji_polarity": "clean", "training_data": "train", "external_predictions": "import-predictions",
+}
+
+
+def run_reading_stage(fixture_dir: Path, pipeline_out: Path, out: Path, key: str, path: Path) -> tuple[int, str]:
+    """(exit code, stderr) of the stage that reads input `key`, given as `path`, after the fixture's earlier stages."""
+    out.mkdir()
+    for name in ("located.jsonl", "clean.jsonl", "emoji_whitelist.txt"):
+        shutil.copyfile(pipeline_out / name, out / name)
+    overrides = [f"paths.posts={path}", "posts_format=csv"] if key == "posts_csv" else [f"paths.{key}={path}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*_READING_STAGE[key].split(), "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                         *(arg for item in overrides for arg in ("--set", item))])
+    return code, err.getvalue()
+
+
+def fixture_posts(fixture_dir: Path) -> list[dict]:
+    """The records of the fixture's posts.jsonl."""
+    with (fixture_dir / "posts.jsonl").open(encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def write_posts_csv(path: Path, records: list[dict]) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
 
 
 class TestErrorContract:
@@ -176,7 +214,7 @@ class TestErrorContract:
         code = cli.main([stage, "--config", str(fixture_dir / "config.json"), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"regsent: error[data]: {name} line {bad_line}: ")
+        assert err.startswith(f"regsent: error[data]: {name}:{bad_line}: ")
         assert err.count("\n") == 1
 
     def test_undecodable_intermediate_exits_two(self, fixture_dir, tmp_path, capsys):
@@ -212,7 +250,7 @@ class TestErrorContract:
         code = cli.main(["classify", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"regsent: error[data]: clean.jsonl line {content.count(chr(10))}: tokens must be ")
+        assert err.startswith(f"regsent: error[data]: clean.jsonl:{content.count(chr(10))}: tokens must be ")
         assert err.count("\n") == 1
 
     def test_duplicate_post_id_exits_two(self, fixture_dir, tmp_path, capsys):
@@ -251,6 +289,62 @@ class TestErrorContract:
         expected = f"{bad} is not UTF-8: " if problem == "not UTF-8" else f"cannot read {bad}: Is a directory"
         assert err.startswith("regsent: error[data]: " + expected)
         assert err.count("\n") == 1
+
+
+class TestRecordReader:
+    """Every CSV input names the line a bad record starts on, and an oversized field is one data error."""
+
+    @pytest.mark.parametrize("key, bad_record, reason", [
+        ("training_data", "t_bad,meh,hello there", "unknown sentiment label 'meh'"),
+        ("gazetteer", "alpha,alpha commune,R01,province west,1.5,10", "importance 1.5 outside [0, 1]"),
+    ])
+    def test_line_after_a_quoted_line_break(self, fixture_dir, pipeline_out, tmp_path, key, bad_record, reason):
+        source = load_config(fixture_dir / "config.json").paths[key]
+        header, first, *rest = source.read_text(encoding="utf-8").splitlines()
+        name, _, tail = first.partition(",")
+        bad = tmp_path / "input.csv"
+        bad.write_text("\n".join([header, f'"{name}\nsecond line",{tail}', *rest, bad_record]) + "\n", encoding="utf-8")
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        assert code == 2
+        # header on line 1, the quoted record on lines 2-3
+        assert err == f"regsent: error[data]: {bad}:{len(rest) + 4}: {reason}\n"
+
+    def test_csv_posts_duplicate_names_both_start_lines(self, fixture_dir, pipeline_out, tmp_path):
+        records = fixture_posts(fixture_dir)
+        records[0]["text"] += "\nsecond line"
+        records.append(records[2])  # header on line 1, records[0] on lines 2-3, so records[2] starts on line 5
+        posts = tmp_path / "posts.csv"
+        write_posts_csv(posts, records)
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", "posts_csv", posts)
+        assert code == 2
+        assert err == (f"regsent: error[data]: {posts}:{len(records) + 2}: "
+                       f"duplicate post id {records[2]['id']!r}, first used at line 5\n")
+
+    @pytest.mark.parametrize("key, header", [
+        ("posts_csv", "id,text,timestamp,place,lang"),
+        ("gazetteer", "place_name,commune,region_id,province,importance,population"),
+        ("region_table", "region_id,population,outcome,urbanization"),
+        ("training_data", "id,label,text"),
+        ("external_predictions", "id,label"),
+    ])
+    def test_oversized_field_exits_two(self, fixture_dir, pipeline_out, tmp_path, key, header):
+        limit = csv.field_size_limit()
+        bad = tmp_path / "input.csv"
+        bad.write_text(f"{header}\n{'x' * (limit + 1)}\n", encoding="utf-8")
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        assert code == 2
+        assert err == f"regsent: error[data]: {bad}:2: field larger than field limit ({limit})\n"
+
+    @pytest.mark.parametrize("key, header", [
+        ("region_table", "region_id,population"),
+        ("external_predictions", "id,prediction"),
+    ])
+    def test_missing_header_columns_exit_two(self, fixture_dir, pipeline_out, tmp_path, key, header):
+        bad = tmp_path / "input.csv"
+        bad.write_text(header + "\n", encoding="utf-8")
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        assert code == 2
+        assert err.startswith(f"regsent: error[data]: {bad}:1: missing columns [") and err.count("\n") == 1
 
 
 class TestArtifacts:
@@ -475,6 +569,71 @@ class TestConfigProperty:
             load_config(config, [f"{key}={json.dumps(value)}"])
         except ConfigError as exc:
             assert "\n" not in str(exc) and key in str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(fixture_dir, pipeline_out, tmp_path_factory) -> Path:
+    """A directory holding a copy of each configured input of the fixture, named by its key,
+    plus the posts as CSV (`posts_csv`) and the predictions as an `external_predictions` CSV."""
+    inputs = tmp_path_factory.mktemp("fuzz_inputs")
+    for key, path in load_config(fixture_dir / "config.json").paths.items():
+        if path:
+            shutil.copyfile(path, inputs / key)
+    write_posts_csv(inputs / "posts_csv", fixture_posts(fixture_dir))
+    predictions = read_csv(pipeline_out / "predictions.csv")
+    (inputs / "external_predictions").write_text(
+        "id,label\n" + "".join(f"{row['id']},{row['label']}\n" for row in predictions), encoding="utf-8")
+    return inputs
+
+
+_CSV_INPUTS = {"posts_csv", "gazetteer", "region_table", "training_data", "external_predictions"}
+
+
+@st.composite
+def _mutated(draw, data: bytes, key: str) -> bytes:
+    """`data`, the bytes of input `key`, after one mutation."""
+    kinds = ["flip", "truncate", "oversized", "quoted newline"]
+    kinds += ["drop column", "extra column"] if key in _CSV_INPUTS else []
+    kinds += ["json type"] if key == "posts" else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    lines = data.decode("utf-8").split("\n")  # the last item is the empty text after the final newline
+    at = draw(st.integers(0, len(lines) - 2))
+    line = lines[at]
+    if kind == "oversized":
+        line = "x" * (csv.field_size_limit() + 1) + line
+    elif kind == "quoted newline":
+        line = '"two\nlines",' + line.partition(",")[2]
+    elif kind == "drop column":
+        line = line.rpartition(",")[0]
+    elif kind == "extra column":
+        line += ",extra"
+    else:
+        record = json.loads(line)
+        record[draw(st.sampled_from(sorted(record)))] = draw(_JSON_VALUES)
+        line = json.dumps(record)
+    lines[at] = line
+    return "\n".join(lines).encode("utf-8")
+
+
+class TestInputProperty:
+    @pytest.mark.parametrize("key", sorted(_READING_STAGE))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_mutated_input_works_or_is_one_error_line(self, fixture_dir, pipeline_out, fuzz_inputs, key, data):
+        content = data.draw(_mutated((fuzz_inputs / key).read_bytes(), key))
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "input"
+            path.write_bytes(content)
+            code, err = run_reading_stage(fixture_dir, pipeline_out, Path(work) / "out", key, path)
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("regsent: error[")]
+        assert len(errors) == (code != 0) and (not errors or err.endswith(errors[0] + "\n")), err
 
 
 class TestReadmeKeyTable:

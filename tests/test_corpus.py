@@ -37,6 +37,16 @@ def write_jsonl(path, records):
             handle.write(json.dumps(record) + "\n")
 
 
+def write_posts(path, records, fmt):
+    if fmt == "jsonl":
+        write_jsonl(path, records)
+        return
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+
+
 def make_post(i, place="northgate", lang="pl", text="hello world"):
     return RawPost(
         id=f"p{i}",
@@ -75,12 +85,13 @@ class TestLoadPosts:
         path.write_text(
             json.dumps({"text": "no id", "timestamp": TS}) + "\n"
             + "{broken json\n"
+            + "[" * 100_000 + "\n"  # nested past the recursion limit of json.loads
             + json.dumps({"id": "ok", "text": "fine", "timestamp": TS}) + "\n",
             encoding="utf-8",
         )
         posts, skipped = load_posts(path)
         assert [p.id for p in posts] == ["ok"]
-        assert skipped == 2
+        assert skipped == 3
 
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -118,16 +129,38 @@ class TestLoadPosts:
             {"id": "a", "text": "three", "timestamp": TS, "place": "z", "lang": "pl"},
         ]
         path = tmp_path / f"posts.{fmt}"
-        if fmt == "jsonl":
-            write_jsonl(path, records)
-        else:
-            with path.open("w", encoding="utf-8", newline="") as handle:
-                writer = csv.DictWriter(handle, fieldnames=list(records[0]))
-                writer.writeheader()
-                writer.writerows(records)
+        write_posts(path, records, fmt)
         first, again = (1, 3) if fmt == "jsonl" else (2, 4)  # a CSV's first record is on line 2
         with pytest.raises(DataValidationError, match=f":{again}: duplicate post id 'a', first used at line {first}$"):
             load_posts(path, fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_timestamp_past_datetime_range_skipped_and_counted(self, tmp_path, caplog, fmt):
+        # valid RFC 3339, but 9999-12-31T23:59:59-01:00 is past datetime.max once moved to UTC
+        records = [
+            {"id": "a", "text": "one", "timestamp": TS, "place": "x", "lang": "pl"},
+            {"id": "b", "text": "two", "timestamp": "9999-12-31T23:59:59-01:00", "place": "y", "lang": "pl"},
+            {"id": "c", "text": "three", "timestamp": TS, "place": "z", "lang": "pl"},
+        ]
+        path = tmp_path / f"posts.{fmt}"
+        write_posts(path, records, fmt)
+        with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
+            posts, skipped = load_posts(path, fmt=fmt)
+        assert [p.id for p in posts] == ["a", "c"] and skipped == 1
+        line = 2 if fmt == "jsonl" else 3
+        assert [r.getMessage() for r in caplog.records] == [f"skipping malformed post record at {path}:{line}"]
+
+    def test_csv_line_is_where_the_record_starts(self, tmp_path):
+        records = [
+            {"id": "a", "text": "two\nlines", "timestamp": TS, "place": "x", "lang": "pl"},
+            {"id": "b", "text": "one", "timestamp": TS, "place": "y", "lang": "pl"},
+            {"id": "b", "text": "again", "timestamp": TS, "place": "z", "lang": "pl"},
+        ]
+        path = tmp_path / "posts.csv"
+        write_posts(path, records, "csv")
+        # header on line 1, "a" on lines 2-3, so the first "b" starts on line 4 and the second on 5
+        with pytest.raises(DataValidationError, match=r":5: duplicate post id 'b', first used at line 4$"):
+            load_posts(path, fmt="csv")
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "posts.csv"

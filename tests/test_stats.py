@@ -175,8 +175,9 @@ class TestStandardize:
     def test_two_point_column(self):
         d = design_matrix(["x"], np.array([[0.0], [2.0], [0.0], [2.0]]), np.array([0.0, 1.0, 0.1, 0.9]))
         sd_x = np.std([0, 2, 0, 2], ddof=1)
-        z, means, sds = standardize(d)
-        assert means[0] == 1.0 and abs(sds[0] - sd_x) < 1e-12
+        z = standardize(d)
+        assert abs(z.X[:, 1].mean()) < 1e-12 and abs(z.X[:, 1].std(ddof=1) - 1.0) < 1e-12
+        assert np.array_equal(z.X[:, 0], np.ones(4))
         assert np.allclose(sorted(set(np.round(z.X[:, 1], 6))), sorted({(0 - 1) / sd_x, (2 - 1) / sd_x}), atol=1e-6)
 
     def test_two_observation_scaling_constant(self):
@@ -190,13 +191,15 @@ class TestStandardize:
         col = rng.standard_normal(40)
         col = (col - col.mean()) / col.std(ddof=1)
         d = design_matrix(["z"], col.reshape(-1, 1), rng.standard_normal(40))
-        z, means, sds = standardize(d)
+        z = standardize(d)
         assert np.allclose(z.X, d.X, atol=1e-12)
 
     def test_fit_invariants_under_standardization(self):
         rng = np.random.default_rng(9)
         d = random_design(rng, n=90, k=4)
-        z, means, sds = standardize(d)
+        z = standardize(d)
+        assert np.allclose(z.X[:, 1:].mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(z.X[:, 1:].std(axis=0, ddof=1), 1.0, atol=1e-12)
         raw, std = ols(d), ols(z)
         assert np.allclose(d.X @ raw.beta, z.X @ std.beta, atol=1e-10)
         assert abs(raw.r2 - std.r2) < 1e-9
