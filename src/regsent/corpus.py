@@ -111,7 +111,8 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int
 
     Records with a missing id, empty text, or unparsable fields are skipped
     and counted; input order is preserved. An unreadable file raises, and so
-    does a post id used twice (DataValidationError naming both lines).
+    do a CSV header without an id, text or timestamp column and a post id
+    used twice (DataValidationError naming both lines).
     """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
@@ -120,7 +121,7 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int
     first_line: dict[str, int] = {}
     skipped = 0
     with open_input(path) as handle:
-        for line_no, record in iter_records(handle, fmt, str(path)):
+        for line_no, record in iter_records(handle, fmt, str(path), columns=("id", "text", "timestamp")):
             try:
                 post = _post_from_record(record) if isinstance(record, dict) else None
             except MALFORMED:

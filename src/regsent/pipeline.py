@@ -2,11 +2,12 @@
 
 Every stage reads its inputs from configured paths or from artifacts earlier
 stages left in the output directory, and writes deterministic artifacts
-(plain CSV/JSONL, stable ordering, repr floats). `run_pipeline` is literally
-the stages composed in order, so a pipeline run and the equivalent sequence
-of subcommands produce identical bytes. Only `stage_ingest` creates the output
-directory; a missing intermediate is a ConfigError, a malformed one a
-DataValidationError naming its line.
+(plain CSV/JSONL, stable ordering, repr floats). `run_pipeline` is the stages
+composed in order; it hands the located posts and the predictions from stage
+to stage in memory, as the records their artifacts hold, so a pipeline run and
+the equivalent sequence of subcommands produce identical bytes. Only
+`stage_ingest` creates the output directory; a missing intermediate is a
+ConfigError, a malformed one a DataValidationError naming its line.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def _clean_fields(row: dict) -> tuple[Any, list[str], Any]:
     post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
     if type(tokens) is not list or not all(type(token) is str for token in tokens):
         raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
-    return post_id, tokens, rejected
+    return post_id, [sys.intern(token) for token in tokens], rejected  # one str object per distinct token
 
 
 def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
@@ -360,8 +361,15 @@ def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConf
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Load posts, keep located ones in the configured language, resolve regions."""
+def stage_ingest(
+    cfg: PipelineConfig, out_dir: Path
+) -> tuple[dict, list[RawPost], dict[str, tuple[str | None, datetime]]]:
+    """Load posts, keep located ones in the configured language, resolve regions.
+
+    Returns the report, the located posts and each one's id -> (region or
+    None, timestamp): the records of `located.jsonl`, as `stage_clean`,
+    `stage_report` and `stage_aggregate` read them.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out
     paths = cfg.require_paths("posts", "gazetteer")
     posts, skipped = load_posts(paths["posts"], cfg.posts_format)
@@ -371,14 +379,17 @@ def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
         by_name.setdefault(normalize_place(entry.place_name), []).append(entry)
     cache: dict[str, str | None] = {}
     resolved_ids: list[str] = []
+    where: dict[str, tuple[str | None, datetime]] = {}
     with (out_dir / "located.jsonl").open("w", encoding="utf-8", newline="") as handle:
         for post in located:
             place = post.place_name or ""
             if place not in cache:
-                cache[place] = resolve_region(place, by_name.get(normalize_place(place), ()))
+                # an empty region id is no region, as `located.jsonl` reads back
+                cache[place] = resolve_region(place, by_name.get(normalize_place(place), ())) or None
             region = cache[place]
             if region:
                 resolved_ids.append(region)
+            where[post.id] = (region, post.timestamp)
             handle.write(json.dumps({
                 "id": post.id,
                 "text": post.text,
@@ -406,12 +417,13 @@ def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> dict:
         "regions": len(counts),
     }
     _write_json(out_dir / "ingest_report.json", report)
-    return report
+    return report, located, where
 
 
-def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Select the emoji whitelist, then run the normalization chain."""
-    posts = _read_artifact(out_dir, "located.jsonl", _located_post)
+def stage_clean(cfg: PipelineConfig, out_dir: Path, *, posts: Sequence[RawPost] | None = None) -> dict:
+    """Select the emoji whitelist, then run the normalization chain over `posts`, `located.jsonl` by default."""
+    if posts is None:
+        posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
     (out_dir / "emoji_whitelist.txt").write_text("".join(f"{e}\n" for e in sorted(whitelist)), encoding="utf-8")
@@ -444,9 +456,10 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path) -> dict:
     return report
 
 
-def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str) -> dict:
-    """Corpus frequency diagnostics over the located posts."""
-    posts = _read_artifact(out_dir, "located.jsonl", _located_post)
+def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, *, posts: Sequence[RawPost] | None = None) -> dict:
+    """Corpus frequency diagnostics over the located `posts`, `located.jsonl` by default."""
+    if posts is None:
+        posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     if kind == "hashtags":
         report = hashtag_report(posts)
     elif kind == "emojis":
@@ -541,27 +554,33 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
     return report
 
 
-def stage_classify(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Predict every accepted cleaned post with the trained model."""
+def stage_classify(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, list[tuple[str, SentimentLabel]]]:
+    """Predict every accepted cleaned post with the trained model.
+
+    Returns the report and the (id, label) records of `predictions.csv`, as
+    `stage_aggregate` reads them.
+    """
     model = load_model(_require_artifact(out_dir, "model.json"))
     has_positive = SentimentLabel.POSITIVE in model.classes
     counts = {label.value: 0 for label in model.classes}
     n_fallback = 0
     posts = _classifiable(out_dir)
+    labels: list[tuple[str, SentimentLabel]] = []
 
-    def prediction_rows():  # streamed: no list holds every prediction
+    def prediction_rows():  # rows are formatted as they are written; only (id, label) is kept
         nonlocal n_fallback
         for post_id, tokens in posts:
             pred = predict(model, tokens)
             counts[pred.label.value] += 1
             n_fallback += pred.fallback
+            labels.append((post_id, pred.label))
             p_pos = repr(pred.score_for(SentimentLabel.POSITIVE, model.classes)) if has_positive else ""
             yield post_id, pred.label.value, pred.fallback, p_pos
 
     _write_csv(out_dir / "predictions.csv", _PREDICTIONS_HEADER, prediction_rows())
     report = {"classified": len(posts), "fallback": n_fallback, "predicted": counts}
     _write_json(out_dir / "classify_report.json", report)
-    return report
+    return report, labels
 
 
 def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
@@ -578,14 +597,29 @@ def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
     return report
 
 
-def stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Join predictions with locations and fold into per-region period counts."""
-    located = dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
-        row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
-    )))
+def stage_aggregate(
+    cfg: PipelineConfig,
+    out_dir: Path,
+    *,
+    located: Mapping[str, tuple[str | None, datetime]] | None = None,
+    predictions: Iterable[tuple[str, SentimentLabel]] | None = None,
+) -> dict:
+    """Join predictions with locations and fold into per-region period counts.
+
+    `located` maps a post id to its (region or None, timestamp), read from
+    `located.jsonl` by default; `predictions` are (id, label) pairs, read from
+    `predictions.csv` by default.
+    """
+    if located is None:
+        located = dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
+            row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
+        )))
+    if predictions is None:
+        predictions = _read_artifact(out_dir, "predictions.csv", lambda row: (
+            row["id"], SentimentLabel.parse(row["label"])
+        ))
     observations: list[SentimentObservation] = []
     neutral_skipped = 0
-    predictions = _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
     for post_id, label in predictions:
         if label is SentimentLabel.NEUTRAL:
             neutral_skipped += 1
@@ -831,15 +865,24 @@ def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise."""
+    """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise.
+
+    Writes every artifact the stage sequence writes, plus summary.md. The
+    located posts and the predictions go to the stages that read them in
+    memory rather than parsed back from `out_dir`. Classify still reads the
+    cleaned tokens from `clean.jsonl`: holding them from clean to classify
+    would raise the run's peak memory more than the parse costs in time.
+    """
     reports: dict[str, Any] = {}
-    reports["ingest"] = stage_ingest(cfg, out_dir)
-    reports["clean"] = stage_clean(cfg, out_dir)
-    reports["hashtags"] = stage_report(cfg, out_dir, "hashtags")
-    reports["emojis"] = stage_report(cfg, out_dir, "emojis")
+    reports["ingest"], posts, located = stage_ingest(cfg, out_dir)
+    reports["clean"] = stage_clean(cfg, out_dir, posts=posts)
+    reports["hashtags"] = stage_report(cfg, out_dir, "hashtags", posts=posts)
+    reports["emojis"] = stage_report(cfg, out_dir, "emojis", posts=posts)
+    del posts  # freed before train: the post texts are not needed past the reports
     reports["train"] = stage_train(cfg, out_dir)
-    reports["classify"] = stage_classify(cfg, out_dir)
-    reports["aggregate"] = stage_aggregate(cfg, out_dir)
+    reports["classify"], predictions = stage_classify(cfg, out_dir)
+    reports["aggregate"] = stage_aggregate(cfg, out_dir, located=located, predictions=predictions)
+    del located, predictions  # freed before regress and stepwise allocate their designs
     reports["shift"] = stage_shift_test(cfg, out_dir)
     reports["regress"] = stage_regress(cfg, out_dir)
     reports["stepwise"] = stage_stepwise(cfg, out_dir)

@@ -336,6 +336,7 @@ class TestRecordReader:
         assert err == f"regsent: error[data]: {bad}:2: field larger than field limit ({limit})\n"
 
     @pytest.mark.parametrize("key, header", [
+        ("posts_csv", "id,body,timestamp,place,lang"),
         ("region_table", "region_id,population"),
         ("external_predictions", "id,prediction"),
     ])
@@ -404,16 +405,22 @@ class TestArtifacts:
 
 
 class TestComposition:
-    def test_pipeline_equals_stage_sequence(self, fixture_dir, pipeline_out, tmp_path_factory):
-        out = tmp_path_factory.mktemp("stage_seq")
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["--set", "classifier.kind=logistic", "--set", "classifier.pseudo_label=true"],
+    ], ids=["default", "logistic"])
+    def test_pipeline_equals_stage_sequence(self, fixture_dir, tmp_path_factory, overrides):
+        pipeline_out, out = tmp_path_factory.mktemp("pipeline"), tmp_path_factory.mktemp("stage_seq")
         config = str(fixture_dir / "config.json")
         stages = [
             ["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"],
             ["train"], ["classify"], ["aggregate"], ["shift-test"], ["regress"], ["stepwise"],
         ]
         for stage in stages:
-            result = run_cli([*stage, "--config", config, "--out", str(out)])
+            result = run_cli([*stage, "--config", config, "--out", str(out), *overrides])
             assert result.returncode == 0, (stage, result.stderr)
+        result = run_cli(["pipeline", "--config", config, "--out", str(pipeline_out), *overrides])
+        assert result.returncode == 0, result.stderr
         names = {p.name for p in pipeline_out.iterdir()} - {"summary.md"}
         assert names == {p.name for p in out.iterdir()}
         mismatched = [
@@ -421,6 +428,19 @@ class TestComposition:
             if (pipeline_out / name).read_bytes() != (out / name).read_bytes()
         ]
         assert mismatched == []
+
+    def test_pipeline_parses_no_record_it_handed_on(self, fixture_dir, tmp_path, monkeypatch):
+        """The located posts and the predictions go from stage to stage in memory; clean.jsonl is read once."""
+        parsed: list[str] = []
+        read_records = pipeline.read_records
+
+        def counting(path, *args, **kwargs):
+            parsed.append(Path(path).name)
+            return read_records(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_records", counting)
+        pipeline.run_pipeline(load_config(fixture_dir / "config.json"), tmp_path / "out")
+        assert [parsed.count(name) for name in ("located.jsonl", "predictions.csv", "clean.jsonl")] == [0, 0, 1]
 
 
 class TestShiftTestCommand:
