@@ -1,9 +1,10 @@
-"""Error taxonomy shared across the toolkit, and the one reader of input files.
+"""Error taxonomy shared across the toolkit, and the one reader and writer of record files.
 
 `open_input` maps an unreadable file onto the taxonomy; `iter_records` and
-`read_records` read every CSV and JSON-lines file, configured input or
-intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
-whose line is the physical line the record starts on.
+`read_records` read every CSV, JSON-lines and word-list file, configured input
+or intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
+whose line is the physical line the record starts on. `write_records` writes
+every CSV, JSON-lines and word-list file the toolkit produces.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -14,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 
 class ConfigError(Exception):
@@ -57,14 +59,20 @@ def open_input(path: str | Path, name: str | None = None) -> Iterator[TextIO]:
 
 
 def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = ()) -> Iterator[tuple[int, Any]]:
-    """(line, record) for each record of a CSV or JSON-lines file; blank lines are skipped.
+    """(line, record) for each record of a `csv`, `jsonl` or `txt` file; blank lines are skipped.
 
     `line` is the physical line the record starts on. A CSV record is a dict
     keyed by the header, which must hold `columns`; a CSV fault such as an
     oversized field ends the file with a DataValidationError naming `name`.
     A JSON-lines record is the line's JSON value, or the exception parsing it
-    raised, so that a caller may skip the line and read on.
+    raised, so that a caller may skip the line and read on. A `txt` record is
+    a word-list line, stripped; its lines are the ones `str.splitlines` cuts.
     """
+    if fmt == "txt":
+        for line, text in enumerate(handle.read().splitlines(), 1):
+            if text.strip():
+                yield line, text.strip()
+        return
     if fmt == "jsonl":
         for line, text in enumerate(handle, 1):
             if text.strip():
@@ -99,7 +107,7 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
 
 def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name: str | None = None,
                  columns: Sequence[str] = ()) -> list:
-    """`convert` of each record of the CSV or JSON-lines file at `path` (see `iter_records`).
+    """`convert` of each record of the record file at `path` (see `iter_records`).
 
     A record that does not parse, or that `convert` rejects with one of
     MALFORMED, raises DataValidationError `<name>:<line>: <reason>`; `name` is
@@ -117,3 +125,20 @@ def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise DataValidationError(f"{name}:{line}: {reason}") from None
     return out
+
+
+def write_records(path: str | Path, fmt: str, records: Iterable[Any], header: Sequence[str] = ()) -> None:
+    """Write `records` to `path` as UTF-8, one per line ending in a line feed, consuming them as it goes.
+
+    A `csv` record is a row of fields under the `header` row, a `jsonl` record
+    any JSON value (non-ASCII kept as is) and a `txt` record one word-list line.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(records)
+            return
+        line = partial(json.dumps, ensure_ascii=False) if fmt == "jsonl" else str
+        for record in records:
+            handle.write(line(record) + "\n")

@@ -7,7 +7,6 @@ files, which the CLI determinism checks rely on.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from dataclasses import dataclass
@@ -15,6 +14,9 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
+
+from .errors import write_records
+from .regional import RegionSentiment
 
 __all__ = [
     "ReplicationDesign",
@@ -86,10 +88,6 @@ _REGIONS: dict[str, tuple[list[tuple[str, float, int]], int, float, float]] = {
 }
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _dictionary_words() -> list[str]:
     words = set(POSITIVE_WORDS) | set(NEGATIVE_WORDS) | set(NEUTRAL_WORDS) | set(STOP_WORDS)
     for inflected, lemma in LEMMA_PAIRS:
@@ -138,24 +136,24 @@ def write_corpus_fixture(directory: str | Path, n_posts: int = 500, seed: int = 
     rng = random.Random(seed)
 
     # --- resources ---------------------------------------------------------
-    _write_lines(directory / "dictionary.txt", _dictionary_words())
-    _write_lines(directory / "stop_words.txt", sorted(STOP_WORDS))
-    _write_lines(directory / "conjunctions.txt", sorted(CONJUNCTIONS))
-    _write_lines(directory / "lemmas.txt", [f"{w} {l}" for w, l in sorted(LEMMA_PAIRS)])
-    _write_lines(directory / "emoji_polarity.txt", [f"{e} {p}" for e, p in EMOJI_POLARITY.items()])
+    write_records(directory / "dictionary.txt", "txt", _dictionary_words())
+    write_records(directory / "stop_words.txt", "txt", sorted(STOP_WORDS))
+    write_records(directory / "conjunctions.txt", "txt", sorted(CONJUNCTIONS))
+    write_records(directory / "lemmas.txt", "txt", [f"{w} {l}" for w, l in sorted(LEMMA_PAIRS)])
+    write_records(directory / "emoji_polarity.txt", "txt", [f"{e} {p}" for e, p in EMOJI_POLARITY.items()])
 
     # --- gazetteer ----------------------------------------------------------
-    with (directory / "gazetteer.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["place_name", "commune", "region_id", "province", "importance", "population"])
-        for region_id, (places, _pop, _w, _theta) in _REGIONS.items():
-            for name, importance, place_pop in places:
-                writer.writerow([name, f"{name} commune", region_id, "province west", importance, place_pop])
+    write_records(directory / "gazetteer.csv", "csv", (
+        (name, f"{name} commune", region_id, "province west", importance, place_pop)
+        for region_id, (places, _pop, _w, _theta) in _REGIONS.items()
+        for name, importance, place_pop in places
+    ), ("place_name", "commune", "region_id", "province", "importance", "population"))
 
     # --- posts --------------------------------------------------------------
     region_ids = list(_REGIONS)
     weights = [_REGIONS[r][2] for r in region_ids]
-    with (directory / "posts.jsonl").open("w", encoding="utf-8", newline="") as handle:
+
+    def posts():
         for i in range(n_posts):
             region = rng.choices(region_ids, weights=weights)[0]
             places, _pop, _w, theta = _REGIONS[region]
@@ -172,33 +170,29 @@ def write_corpus_fixture(directory: str | Path, n_posts: int = 500, seed: int = 
             lang = "pl" if rng.random() < 0.95 else "en"
             offset = timedelta(days=rng.randint(-30, 30), hours=rng.randint(0, 23), minutes=rng.randint(0, 59))
             ts = datetime.combine(EVENT_DATE, datetime.min.time(), tzinfo=timezone.utc) + offset
-            record = {
+            yield {
                 "id": f"p{i:06d}",
                 "text": text,
                 "timestamp": ts.isoformat(),
                 "place": place,
                 "lang": lang,
             }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+    write_records(directory / "posts.jsonl", "jsonl", posts())
 
     # --- training data -------------------------------------------------------
-    with (directory / "training.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label", "text"])
+    def training():
         labels = ["negative"] * 240 + ["positive"] * 240 + ["neutral"] * 120
         for i, label in enumerate(labels):
             text = _make_text(rng, label, decorate=(rng.random() < 0.4))
             if rng.random() < 0.02:
                 text += " " + rng.choice(MISSPELLINGS)
-            writer.writerow([f"t{i:05d}", label, text])
+            yield f"t{i:05d}", label, text
+
+    write_records(directory / "training.csv", "csv", training(), ("id", "label", "text"))
 
     # --- region features ------------------------------------------------------
-    with (directory / "region_features.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "region_id", "population", "outcome",
-            "urbanization", "divorces_per_capita", "migration_balance", "median_age",
-        ])
+    def features():
         for region_id, (_places, population, _w, theta) in _REGIONS.items():
             urbanization = round(rng.uniform(0.25, 0.9), 3)
             divorces = round(rng.uniform(0.001, 0.004), 5)
@@ -206,7 +200,12 @@ def write_corpus_fixture(directory: str | Path, n_posts: int = 500, seed: int = 
             median_age = round(rng.uniform(36.0, 46.0), 1)
             outcome = 0.45 - 0.4 * (theta - 0.5) - 0.08 * (urbanization - 0.55) + rng.gauss(0.0, 0.02)
             outcome = min(0.95, max(0.05, round(outcome, 4)))
-            writer.writerow([region_id, population, outcome, urbanization, divorces, migration, median_age])
+            yield region_id, population, outcome, urbanization, divorces, migration, median_age
+
+    write_records(directory / "region_features.csv", "csv", features(), (
+        "region_id", "population", "outcome",
+        "urbanization", "divorces_per_capita", "migration_balance", "median_age",
+    ))
 
     # --- config ----------------------------------------------------------------
     config = {
@@ -345,10 +344,7 @@ def write_replication_fixture(directory: str | Path, seed: int = 2019) -> Path:
         "avg_salary": rng.normal(5200.0, 600.0, n),
     }
 
-    with (directory / "region_features.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        feature_names = [name for name in base.names if name != "sentiment"]
-        writer.writerow(["region_id", "population", "outcome"] + feature_names + sorted(noise_features))
+    def features():
         for i in range(n):
             row = [f"Q{i + 1:03d}", int(rng.integers(60000, 900000)), repr(float(y[i]))]
             for j, name in enumerate(base.names):
@@ -358,29 +354,26 @@ def write_replication_fixture(directory: str | Path, seed: int = 2019) -> Path:
                 row.append(repr(float(mean + sd * cols[i, j])))
             for name in sorted(noise_features):
                 row.append(repr(float(noise_features[name][i])))
-            writer.writerow(row)
+            yield row
 
-    with (directory / "region_sentiment.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after",
-            "mean_sentiment", "included",
-        ])
+    feature_names = [name for name in base.names if name != "sentiment"]
+    header = ["region_id", "population", "outcome"] + feature_names + sorted(noise_features)
+    write_records(directory / "region_features.csv", "csv", features(), header)
+
+    def sentiments():
         for i in range(n):
             n_pos = int(round(share[i] * 1000))
             pos_before = n_pos // 2
             pos_after = n_pos - pos_before
-            writer.writerow([
-                f"Q{i + 1:03d}", pos_before, 500 - pos_before, pos_after, 500 - pos_after,
-                repr(n_pos / 1000), True,
-            ])
+            yield RegionSentiment(f"Q{i + 1:03d}", pos_before, 500 - pos_before, pos_after, 500 - pos_after, True).row()
+
+    write_records(directory / "region_sentiment.csv", "csv", sentiments(), RegionSentiment.COLUMNS)
 
     config = {
         "paths": {"region_table": "region_features.csv"},
         "regression": {
             "standardize": True,
-            "features": [name for name in base.names if name != "sentiment"]
-            + sorted(noise_features),
+            "features": header[3:],
         },
         "seed": seed,
     }

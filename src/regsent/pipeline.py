@@ -12,13 +12,14 @@ ConfigError, a malformed one a DataValidationError naming its line.
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -34,7 +35,7 @@ from .corpus import (
     region_counts,
     resolve_region,
 )
-from .errors import ConfigError, DataValidationError, open_input, read_records
+from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
     CleanConfig,
     clean_text,
@@ -275,7 +276,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
 
 
 # ---------------------------------------------------------------------------
-# Artifact helpers: every artifact is UTF-8, every CSV has "\n" line endings
+# Artifact helpers: every artifact is UTF-8 with "\n" line endings
 # ---------------------------------------------------------------------------
 
 _PREDICTIONS_HEADER = ("id", "label", "fallback", "p_positive")
@@ -283,13 +284,6 @@ _PREDICTIONS_HEADER = ("id", "label", "fallback", "p_positive")
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _require_artifact(out_dir: Path, name: str) -> Path:
@@ -300,14 +294,12 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
 
 
 def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any] = dict) -> list:
-    """`convert` of each record of the intermediate `name`: a JSON-lines file or a CSV keyed by its header."""
+    """`convert` of each record of the intermediate `name`: JSON-lines, a CSV keyed by its header, or a word list."""
     return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name)
 
 
 def _read_whitelist(out_dir: Path) -> frozenset[str]:
-    name = "emoji_whitelist.txt"
-    with open_input(_require_artifact(out_dir, name), name) as handle:
-        return frozenset(handle.read().split())
+    return frozenset(chain.from_iterable(_read_artifact(out_dir, "emoji_whitelist.txt", str.split)))
 
 
 def _located_post(row: dict) -> RawPost:
@@ -324,6 +316,8 @@ def _clean_fields(row: dict) -> tuple[Any, list[str], Any]:
     post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
     if type(tokens) is not list or not all(type(token) is str for token in tokens):
         raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
+    if rejected not in (None, "too_short", "misspelled"):  # what clean_text gives
+        raise ValueError(f"rejected must be null, 'too_short' or 'misspelled', got {rejected!r}")
     return post_id, [sys.intern(token) for token in tokens], rejected  # one str object per distinct token
 
 
@@ -333,15 +327,8 @@ def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
     return [(post_id, tokens) for post_id, tokens, rejected in rows if rejected is None and tokens]
 
 
-def _region_sentiment(row: dict[str, str]) -> RegionSentiment:
-    return RegionSentiment(
-        region_id=row["region_id"],
-        n_pos_before=int(row["n_pos_before"]),
-        n_neg_before=int(row["n_neg_before"]),
-        n_pos_after=int(row["n_pos_after"]),
-        n_neg_after=int(row["n_neg_after"]),
-        included=row["included"] == "True",
-    )
+def _read_regions(out_dir: Path) -> list[RegionSentiment]:
+    return _read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row)
 
 
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
@@ -380,7 +367,8 @@ def stage_ingest(
     cache: dict[str, str | None] = {}
     resolved_ids: list[str] = []
     where: dict[str, tuple[str | None, datetime]] = {}
-    with (out_dir / "located.jsonl").open("w", encoding="utf-8", newline="") as handle:
+
+    def located_records():
         for post in located:
             place = post.place_name or ""
             if place not in cache:
@@ -390,23 +378,25 @@ def stage_ingest(
             if region:
                 resolved_ids.append(region)
             where[post.id] = (region, post.timestamp)
-            handle.write(json.dumps({
+            yield {
                 "id": post.id,
                 "text": post.text,
                 "timestamp": post.timestamp.isoformat(),
                 "place": post.place_name,
                 "lang": post.language,
                 "region": region or "",
-            }, ensure_ascii=False) + "\n")
+            }
+
+    write_records(out_dir / "located.jsonl", "jsonl", located_records())
 
     populations: dict[str, int] = {}
     if cfg.paths.get("region_table"):
         populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
     counts = region_counts(resolved_ids, populations)
-    _write_csv(out_dir / "region_counts.csv", ("region_id", "count", "per_capita"), (
+    write_records(out_dir / "region_counts.csv", "csv", (
         (region_id, rc.count, "" if rc.per_capita is None else repr(rc.per_capita))
         for region_id, rc in counts.items()
-    ))
+    ), ("region_id", "count", "per_capita"))
 
     report = {
         "loaded": len(posts),
@@ -426,30 +416,28 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path, *, posts: Sequence[RawPost] 
         posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
-    (out_dir / "emoji_whitelist.txt").write_text("".join(f"{e}\n" for e in sorted(whitelist)), encoding="utf-8")
+    write_records(out_dir / "emoji_whitelist.txt", "txt", sorted(whitelist))
     settings = _clean_settings(cfg, whitelist)
-    accepted = rejected_short = rejected_misspelled = 0
-    with (out_dir / "clean.jsonl").open("w", encoding="utf-8", newline="") as handle:
+    outcomes: Counter = Counter()  # rejected_reason -> posts
+
+    def clean_records():
         for post in posts:
             cp = clean_text(post.id, post.text, settings)
-            if cp.rejected_reason == "too_short":
-                rejected_short += 1
-            elif cp.rejected_reason == "misspelled":
-                rejected_misspelled += 1
-            else:
-                accepted += 1
-            handle.write(json.dumps({
+            outcomes[cp.rejected_reason] += 1
+            yield {
                 "id": cp.id,
                 "tokens": list(cp.tokens),
                 "kept_emojis": list(cp.kept_emojis),
                 "removed": dict(cp.removed),
                 "rejected": cp.rejected_reason,
-            }, ensure_ascii=False) + "\n")
+            }
+
+    write_records(out_dir / "clean.jsonl", "jsonl", clean_records())
     report = {
         "input": len(posts),
-        "accepted": accepted,
-        "rejected_too_short": rejected_short,
-        "rejected_misspelled": rejected_misspelled,
+        "accepted": outcomes[None],
+        "rejected_too_short": outcomes["too_short"],
+        "rejected_misspelled": outcomes["misspelled"],
         "emoji_whitelist_size": len(whitelist),
     }
     _write_json(out_dir / "clean_report.json", report)
@@ -530,15 +518,15 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
         evals.append(("final", "heldout", evaluate(final_model, heldout)))
     save_model(final_model, out_dir / "model.json")
 
-    _write_csv(out_dir / "eval.csv", ("model", "dataset", "accuracy", "n"), (
+    write_records(out_dir / "eval.csv", "csv", (
         (model_name, dataset, repr(rep.accuracy), int(rep.confusion.sum())) for model_name, dataset, rep in evals
-    ))
-    _write_csv(out_dir / "confusions.csv", ("model", "dataset", "true_label", "predicted_label", "count"), (
+    ), ("model", "dataset", "accuracy", "n"))
+    write_records(out_dir / "confusions.csv", "csv", (
         (model_name, dataset, true_label.value, pred_label.value, int(rep.confusion[i, j]))
         for model_name, dataset, rep in evals
         for i, true_label in enumerate(rep.classes)
         for j, pred_label in enumerate(rep.classes)
-    ))
+    ), ("model", "dataset", "true_label", "predicted_label", "count"))
     report = {
         "n_labeled": len(labeled),
         "n_train": len(train_part),
@@ -577,7 +565,7 @@ def stage_classify(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, list[tuple
             p_pos = repr(pred.score_for(SentimentLabel.POSITIVE, model.classes)) if has_positive else ""
             yield post_id, pred.label.value, pred.fallback, p_pos
 
-    _write_csv(out_dir / "predictions.csv", _PREDICTIONS_HEADER, prediction_rows())
+    write_records(out_dir / "predictions.csv", "csv", prediction_rows(), _PREDICTIONS_HEADER)
     report = {"classified": len(posts), "fallback": n_fallback, "predicted": counts}
     _write_json(out_dir / "classify_report.json", report)
     return report, labels
@@ -589,9 +577,9 @@ def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
     imported = import_external_predictions(path)
     clean_ids = [post_id for post_id, _ in _classifiable(out_dir)]
     matched, unknown = match_predictions(imported, clean_ids)
-    _write_csv(out_dir / "predictions.csv", _PREDICTIONS_HEADER, (
+    write_records(out_dir / "predictions.csv", "csv", (
         (post_id, matched[post_id].value, False, "") for post_id in clean_ids if post_id in matched
-    ))
+    ), _PREDICTIONS_HEADER)
     report = {"imported": len(imported), "matched": len(matched), "unknown_ids": unknown}
     _write_json(out_dir / "import_report.json", report)
     return report
@@ -633,12 +621,7 @@ def stage_aggregate(
     regions, no_region = aggregate(
         observations, cfg.event_date, cfg.thresholds.min_region_posts, event_day=cfg.event_day
     )
-    _write_csv(out_dir / "region_sentiment.csv", (
-        "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after", "mean_sentiment", "included",
-    ), (
-        (r.region_id, r.n_pos_before, r.n_neg_before, r.n_pos_after, r.n_neg_after, repr(r.mean_sentiment), r.included)
-        for r in regions
-    ))
+    write_records(out_dir / "region_sentiment.csv", "csv", map(RegionSentiment.row, regions), RegionSentiment.COLUMNS)
     report = {
         "observations": len(observations),
         "neutral_skipped": neutral_skipped,
@@ -653,7 +636,7 @@ def stage_aggregate(
 
 def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Global and per-region before/after proportion tests."""
-    regions = _read_artifact(out_dir, "region_sentiment.csv", _region_sentiment)
+    regions = _read_regions(out_dir)
     per_region = {
         r.region_id: regional.shift_test_for_region(r) for r in regions if r.included
     }
@@ -673,7 +656,7 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.DesignMatrix, dict]:
     table = load_region_table(cfg.require_paths("region_table")["region_table"])
-    included = {r.region_id: r for r in _read_artifact(out_dir, "region_sentiment.csv", _region_sentiment) if r.included}
+    included = {r.region_id: r for r in _read_regions(out_dir) if r.included}
     rows = [rec for rec in table if rec.region_id in included]
     if not rows:
         raise DataValidationError("no overlap between the region table and included regions")
@@ -699,11 +682,11 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
 
 
 def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
-    _write_csv(out_dir / f"{stem}.csv", ("term", "coefficient", "se", "t", "p", "stars"), (
+    write_records(out_dir / f"{stem}.csv", "csv", (
         (term, repr(float(fit.beta[i])), repr(float(fit.se[i])), repr(float(fit.t[i])), repr(float(fit.p[i])),
          stats.significance_stars(float(fit.p[i])))
         for i, term in enumerate(["intercept", *fit.names])
-    ))
+    ), ("term", "coefficient", "se", "t", "p", "stars"))
     (out_dir / f"{stem}.txt").write_text(stats.format_fit_table(fit, title) + "\n", encoding="utf-8")
     _write_json(out_dir / f"{stem}.json", {
         "n": fit.n,
@@ -728,9 +711,9 @@ def stage_stepwise(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Greedy AIC selection over the regression predictors."""
     design, meta = _regression_design(cfg, out_dir)
     result = stats.stepwise(design, cfg.regression.direction, cfg.regression.start)
-    _write_csv(out_dir / "stepwise_trace.csv", ("step", "action", "name", "aic"), (
+    write_records(out_dir / "stepwise_trace.csv", "csv", (
         (step, action, name, repr(aic)) for step, action, name, aic in result.trace
-    ))
+    ), ("step", "action", "name", "aic"))
     _write_fit(result.fit, out_dir, "stepwise_model", "Outcome model (AIC-selected)")
     payload = {
         **meta,
@@ -820,7 +803,7 @@ def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
     sections += [f"Predicted distribution over {cls['classified']} posts: {pred_counts}.", ""]
 
     agg = reports["aggregate"]
-    regions = _read_artifact(out_dir, "region_sentiment.csv", _region_sentiment)
+    regions = _read_regions(out_dir)
     included = [r for r in regions if r.included]
     sections += [
         "## Regional sentiment",

@@ -8,7 +8,6 @@ short-circuits the remaining steps and is a value, not an error.
 
 from __future__ import annotations
 
-import csv
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import RawPost
-from .errors import DataValidationError, open_input
+from .errors import read_records, write_records
 
 __all__ = [
     "CleanConfig",
@@ -222,11 +221,8 @@ def select_emoji_whitelist(
 
 
 def write_frequency_csv(report: FrequencyReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["item", "count", "share"])
-        for row in report.rows:
-            writer.writerow([row.item, row.count, repr(row.share)])
+    rows = ((row.item, row.count, repr(row.share)) for row in report.rows)
+    write_records(path, "csv", rows, ("item", "count", "share"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,44 +230,25 @@ def write_frequency_csv(report: FrequencyReport, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def load_word_list(path: str | Path) -> frozenset[str]:
-    words = set()
-    with open_input(path) as handle:
-        lines = handle.read().splitlines()
-    for line in lines:
-        word = unicodedata.normalize("NFC", line.strip().lower())
-        if word:
-            words.add(word)
-    return frozenset(words)
+    return frozenset(read_records(path, "txt", lambda word: unicodedata.normalize("NFC", word.lower())))
+
+
+def _pair(line: str, expected: str, values: tuple[str, ...] = ()) -> list[str]:
+    """The two whitespace-separated fields of a word-list line, the second one of `values` if any are given."""
+    parts = line.split()
+    if len(parts) != 2 or (values and parts[1] not in values):
+        raise ValueError(f"expected '{expected}', got {line!r}")
+    return parts
 
 
 def load_lemma_map(path: str | Path) -> dict[str, str]:
     """Lemma file: `word lemma` per line (whitespace separated)."""
-    mapping: dict[str, str] = {}
-    with open_input(path) as handle:
-        lines = handle.read().splitlines()
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataValidationError(f"{path}:{line_no}: expected 'word lemma', got {line!r}")
-        word, lemma = (unicodedata.normalize("NFC", p.lower()) for p in parts)
-        mapping[word] = lemma
-    return mapping
+    return dict(read_records(path, "txt", lambda line: [
+        unicodedata.normalize("NFC", part.lower()) for part in _pair(line, "word lemma")
+    ]))
 
 
 def load_emoji_polarity(path: str | Path) -> dict[str, str]:
     """Polarity file: `emoji polarity` per line, polarity in pos|neg|ambiguous."""
-    mapping: dict[str, str] = {}
-    with open_input(path) as handle:
-        lines = handle.read().splitlines()
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[1] not in ("pos", "neg", "ambiguous"):
-            raise DataValidationError(f"{path}:{line_no}: expected 'emoji pos|neg|ambiguous', got {line!r}")
-        mapping[parts[0]] = parts[1]
-    return mapping
+    polarities = ("pos", "neg", "ambiguous")
+    return dict(read_records(path, "txt", lambda line: _pair(line, "emoji pos|neg|ambiguous", polarities)))

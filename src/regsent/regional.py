@@ -7,15 +7,14 @@ their classified-post total strictly exceeds the threshold.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from . import stats
-from .errors import DataValidationError
+from .errors import DataValidationError, write_records
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +44,12 @@ class SentimentObservation:
 
 @dataclass(frozen=True)
 class RegionSentiment:
+    """A region's period counts: one record of `region_sentiment.csv`, whose columns are COLUMNS."""
+
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after", "mean_sentiment", "included",
+    )
+
     region_id: str
     n_pos_before: int
     n_neg_before: int
@@ -68,6 +73,28 @@ class RegionSentiment:
     @property
     def mean_after(self) -> float:
         return self.n_pos_after / (self.n_pos_after + self.n_neg_after)
+
+    def row(self) -> tuple:
+        """The fields of this region's record, in COLUMNS order."""
+        return (self.region_id, self.n_pos_before, self.n_neg_before, self.n_pos_after, self.n_neg_after,
+                repr(self.mean_sentiment), self.included)
+
+    @classmethod
+    def from_row(cls, row: Mapping[str, str]) -> RegionSentiment:
+        """The region of a record keyed by COLUMNS, as `aggregate` writes them; ValueError when it cannot be.
+
+        `mean_sentiment` is derived, so it is not read.
+        """
+        region_id = row["region_id"]
+        counts = [int(row[column]) for column in cls.COLUMNS[1:5]]
+        for column, count in zip(cls.COLUMNS[1:5], counts):
+            if count < 0:
+                raise ValueError(f"{column} must not be negative, got {count}")
+        if not sum(counts):
+            raise ValueError(f"region {region_id!r} has no classified posts")
+        if row["included"] not in ("True", "False"):
+            raise ValueError(f"included must be True or False, got {row['included']!r}")
+        return cls(region_id, *counts, included=row["included"] == "True")
 
 
 def aggregate(
@@ -205,17 +232,9 @@ def write_shift_csv(
     path: str | Path,
 ) -> None:
     """Per-region CSV with counts, mean, inclusion, and the test outcome."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after",
-            "mean_sentiment", "included", "chi2", "p",
-        ])
+    def rows():
         for r in regions:
             test = results.get(r.region_id)
-            writer.writerow([
-                r.region_id, r.n_pos_before, r.n_neg_before, r.n_pos_after, r.n_neg_after,
-                repr(r.mean_sentiment), r.included,
-                repr(test.chi2) if test else "",
-                repr(test.p_value) if test else "",
-            ])
+            yield (*r.row(), repr(test.chi2) if test else "", repr(test.p_value) if test else "")
+
+    write_records(path, "csv", rows(), (*RegionSentiment.COLUMNS, "chi2", "p"))

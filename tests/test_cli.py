@@ -198,23 +198,36 @@ class TestErrorContract:
         assert err == f"regsent: error[config]: missing intermediate {missing}; run the producing stage first\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("stage, name, corrupt", [
-        ("shift-test", "region_sentiment.csv", lambda _: f"{SENTIMENT_HEADER}\nS0,x,25,25,25,0.5,True\n"),
+    @pytest.mark.parametrize("stage, name, corrupt, reason", [
+        ("shift-test", "region_sentiment.csv", lambda _: f"{SENTIMENT_HEADER}\nS0,x,25,25,25,0.5,True\n",
+         "invalid literal for int() with base 10: 'x'"),
         ("shift-test", "region_sentiment.csv",
-         lambda _: f"{SENTIMENT_HEADER.replace(',n_neg_before', '')}\nS0,25,25,25,0.5,True\n"),
-        ("clean", "located.jsonl", lambda located: located + '{"id": "p9", "text": \n'),
-    ], ids=["count-not-int", "column-missing", "jsonl-line-invalid"])
+         lambda _: f"{SENTIMENT_HEADER.replace(',n_neg_before', '')}\nS0,25,25,25,0.5,True\n",
+         "missing field 'n_neg_before'"),
+        ("shift-test", "region_sentiment.csv", lambda sentiment: sentiment + "S0,0,0,0,0,0.5,True\n",
+         "region 'S0' has no classified posts"),
+        ("regress", "region_sentiment.csv", lambda sentiment: sentiment + "S0,-50,25,25,25,0.5,True\n",
+         "n_pos_before must not be negative, got -50"),
+        ("stepwise", "region_sentiment.csv", lambda sentiment: sentiment + "S0,25,25,25,25,0.5,yes\n",
+         "included must be True or False, got 'yes'"),
+        ("clean", "located.jsonl", lambda located: located + '{"id": "p9", "text": \n', "Expecting value"),
+        ("classify", "clean.jsonl", lambda clean: clean + json.dumps(
+            {"id": "p9", "tokens": ["city"], "kept_emojis": [], "removed": {}, "rejected": 5}) + "\n",
+         "rejected must be null, 'too_short' or 'misspelled', got 5"),
+    ], ids=["count-not-int", "column-missing", "counts-all-zero", "count-negative", "included-not-bool",
+            "jsonl-line-invalid", "rejected-not-a-reason"])
     def test_malformed_intermediate_exits_two_naming_line(self, fixture_dir, pipeline_out, tmp_path, capsys,
-                                                          stage, name, corrupt):
+                                                          stage, name, corrupt, reason):
         out = tmp_path / "out"
         out.mkdir()
+        shutil.copyfile(pipeline_out / "model.json", out / "model.json")  # classify reads it before clean.jsonl
         content = corrupt((pipeline_out / name).read_text(encoding="utf-8"))
         (out / name).write_text(content, encoding="utf-8")
         bad_line = content.count("\n")  # each probe corrupts the last line
         code = cli.main([stage, "--config", str(fixture_dir / "config.json"), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"regsent: error[data]: {name}:{bad_line}: ")
+        assert err.startswith(f"regsent: error[data]: {name}:{bad_line}: {reason}")
         assert err.count("\n") == 1
 
     def test_undecodable_intermediate_exits_two(self, fixture_dir, tmp_path, capsys):
@@ -335,6 +348,19 @@ class TestRecordReader:
         assert code == 2
         assert err == f"regsent: error[data]: {bad}:2: field larger than field limit ({limit})\n"
 
+    @pytest.mark.parametrize("key, bad_line, reason", [
+        ("lemmas", "a b c", "expected 'word lemma', got 'a b c'"),
+        ("emoji_polarity", "\U0001F600 happy", "expected 'emoji pos|neg|ambiguous', got '\U0001F600 happy'"),
+    ])
+    def test_word_list_line_is_named(self, fixture_dir, pipeline_out, tmp_path, key, bad_line, reason):
+        source = load_config(fixture_dir / "config.json").paths[key]
+        lines = source.read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "input.txt"
+        bad.write_text("\n".join([*lines, "", bad_line]) + "\n", encoding="utf-8")  # a blank line still counts
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        assert code == 2
+        assert err == f"regsent: error[data]: {bad}:{len(lines) + 2}: {reason}\n"
+
     @pytest.mark.parametrize("key, header", [
         ("posts_csv", "id,body,timestamp,place,lang"),
         ("region_table", "region_id,population"),
@@ -396,6 +422,26 @@ class TestArtifacts:
     def test_corpus_and_preprocess_artifacts_are_pinned(self, pipeline_out):
         digests = {name: hashlib.sha256((pipeline_out / name).read_bytes()).hexdigest() for name in self.GOLDEN}
         assert digests == self.GOLDEN
+
+    # sha256 of every file `make-fixture --seed 13` writes. The generator draws from random.Random and formats
+    # Python floats only, so, like GOLDEN, the digests do not depend on numpy.
+    FIXTURE_GOLDEN = {
+        "config.json": "f059d45adf428c6ea6a1e337fd8fc2a05a071f68b34ebf892a38876b5869c4e3",
+        "conjunctions.txt": "0bf9721a0e7404146f766edf3c192eb2bb4a5784ee6bbbe25e1899679b77c900",
+        "dictionary.txt": "994c76905d9206781b73dee1180ca98d77c0f223e80b4964d8fe8a8789b90548",
+        "emoji_polarity.txt": "727ecc12fac38bdd270b006789ea246a78f0d3f11b0663dcffbdfd9291de9bcb",
+        "gazetteer.csv": "5ae8b49e3662c88454b4a8312f5217c10dce39c02712489e83d008662f4eb0df",
+        "lemmas.txt": "51ad2c08452d9479b698087b9a24926c93188de71ac95e8a51e53c210c10d1c3",
+        "posts.jsonl": "ac4cbf10f063c79625e00b403d70a0318646fbb53c62d2f17cbc6168e30777ab",
+        "region_features.csv": "f328d201c5433d782ef71b7c1d349f82fe3ffeb05a3f7404addbe0f9b6836ec2",
+        "stop_words.txt": "0bf9721a0e7404146f766edf3c192eb2bb4a5784ee6bbbe25e1899679b77c900",
+        "training.csv": "2cdad826987259d1d3ec81df36329f4a058204c18b55734b0ad1ab5e1ab5fa56",
+    }
+
+    def test_fixture_inputs_are_pinned(self, tmp_path):
+        assert cli.main(["make-fixture", "--out", str(tmp_path), "--seed", "13"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests == self.FIXTURE_GOLDEN
 
     def test_summary_exists_with_sections(self, pipeline_out):
         text = (pipeline_out / "summary.md").read_text(encoding="utf-8")

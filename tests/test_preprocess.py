@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 import re
 import unicodedata
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import coherent_clean_config, fuzz_post_text
 from regsent import fixtures
 from regsent.corpus import RawPost
+from regsent.errors import DataValidationError
 from regsent.preprocess import (
     _EMOJI_RANGES,
     EMOJI_RE,
@@ -32,6 +35,9 @@ from regsent.preprocess import (
     emoji_report,
     hashtag_report,
     lemmatize_and_stop,
+    load_emoji_polarity,
+    load_lemma_map,
+    load_word_list,
     select_emoji_whitelist,
     spell_gate,
 )
@@ -311,3 +317,47 @@ class TestLemmatizeAndStop:
         expected = [lemma_map.get(t, t) for t in tokens]
         expected = [t for t in expected if t not in stops]
         assert lemmatize_and_stop(tokens, lemma_map, stops) == expected
+
+
+def _split_lines_oracle(text: str, path: Path, kind: str):
+    """A word-list file read line by line over `str.splitlines`, as each loader is specified."""
+    words: set[str] = set()
+    mapping: dict[str, str] = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if kind == "words":
+            words.add(unicodedata.normalize("NFC", line.lower()))
+            continue
+        parts = line.split()
+        if kind == "lemmas":
+            if len(parts) != 2:
+                return f"{path}:{number}: expected 'word lemma', got {line!r}"
+            word, lemma = (unicodedata.normalize("NFC", part.lower()) for part in parts)
+            mapping[word] = lemma
+        else:
+            if len(parts) != 2 or parts[1] not in ("pos", "neg", "ambiguous"):
+                return f"{path}:{number}: expected 'emoji pos|neg|ambiguous', got {line!r}"
+            mapping[parts[0]] = parts[1]
+    return frozenset(words) if kind == "words" else mapping
+
+
+class TestWordListLoaders:
+    # every line boundary str.splitlines knows, other whitespace, case and a combining accent
+    PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\t", "\xa0",
+              "Ab", "e\u0301", "\u00c9", GRIN, "pos", "neg", "ambiguous", "happy"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+    def test_loaders_read_lines_as_splitlines_cuts_them(self, text):
+        loaders = {"words": load_word_list, "lemmas": load_lemma_map, "polarity": load_emoji_polarity}
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "list.txt"
+            path.write_bytes(text.encode("utf-8"))
+            for kind, load in loaders.items():
+                try:
+                    got = load(path)
+                except DataValidationError as exc:
+                    got = str(exc)
+                assert got == _split_lines_oracle(text, path, kind)
