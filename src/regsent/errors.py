@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -38,6 +37,9 @@ class RankDeficiencyError(NumericalError):
 
 # what parsing or converting a malformed record raises
 MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
+
+# the encoder json.dumps(..., ensure_ascii=False) builds for every call, built once
+_json_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @contextmanager
@@ -139,6 +141,6 @@ def write_records(path: str | Path, fmt: str, records: Iterable[Any], header: Se
             writer.writerow(header)
             writer.writerows(records)
             return
-        line = partial(json.dumps, ensure_ascii=False) if fmt == "jsonl" else str
+        line = _json_line if fmt == "jsonl" else str
         for record in records:
             handle.write(line(record) + "\n")

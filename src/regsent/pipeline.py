@@ -328,7 +328,16 @@ def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
 
 
 def _read_regions(out_dir: Path) -> list[RegionSentiment]:
-    return _read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row)
+    seen: set[str] = set()
+
+    def to_region(row: dict[str, str]) -> RegionSentiment:
+        region = RegionSentiment.from_row(row)
+        if region.region_id in seen:
+            raise ValueError(f"duplicate region_id {region.region_id!r}")
+        seen.add(region.region_id)
+        return region
+
+    return _read_artifact(out_dir, "region_sentiment.csv", to_region)
 
 
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:

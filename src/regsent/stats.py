@@ -407,11 +407,28 @@ def stepwise(d: DesignMatrix, direction: str = "both", start: str = "full") -> S
     lowest-AIC move is taken when it strictly improves the current AIC,
     otherwise the search stops. Ties are broken by lexicographic predictor
     name. The intercept is never a move candidate.
+
+    Candidates are ranked on the RSS read from one QR factor R of [X, y]:
+    since [X_S, y] = Q R[:, S + y], the last diagonal entry of the QR of that
+    small slice is the subset's residual norm (Bjorck, Numerical Methods for
+    Least Squares Problems, SIAM 1996, section 1.3). The best candidate is
+    refitted through the route ols() uses, and that refit decides whether the
+    move is taken, so start_aic and the trace report what ols() reports.
     """
     if direction not in ("backward", "forward", "both"):
         raise ValueError(f"unknown direction {direction!r}")
     if start not in ("full", "empty"):
         raise ValueError(f"unknown start {start!r}")
+
+    R = np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
+    col_norms = np.linalg.norm(d.X, axis=0)
+
+    def screened_aic(keep: set[str]) -> float:
+        idx = [0] + [i + 1 for i, name in enumerate(d.names) if name in keep]
+        r = np.linalg.qr(R[:, idx + [-1]], mode="r")
+        if np.any(np.abs(np.diag(r))[:-1] < _RANK_RTOL * col_norms[idx].max()):
+            return _rss_and_aic(subset_design(d, keep))  # the ols() route decides, naming the column
+        return gaussian_aic(float(r[-1, -1] ** 2), d.n, len(idx) - 1)
 
     current: set[str] = set(d.names) if start == "full" else set()
     current_aic = _rss_and_aic(subset_design(d, current))
@@ -424,15 +441,16 @@ def stepwise(d: DesignMatrix, direction: str = "both", start: str = "full") -> S
             for name in d.names:
                 if name in current:
                     after = current - {name}
-                    candidates.append((_rss_and_aic(subset_design(d, after)), name, "drop", after))
+                    candidates.append((screened_aic(after), name, "drop", after))
         if direction in ("forward", "both"):
             for name in d.names:
                 if name not in current:
                     after = current | {name}
-                    candidates.append((_rss_and_aic(subset_design(d, after)), name, "add", after))
+                    candidates.append((screened_aic(after), name, "add", after))
         if not candidates:
             break
-        best_aic, best_name, best_action, best_set = _best_move(candidates)
+        _, best_name, best_action, best_set = _best_move(candidates)
+        best_aic = _rss_and_aic(subset_design(d, best_set))
         if best_aic >= current_aic:
             break
         step += 1

@@ -214,8 +214,11 @@ class TestErrorContract:
         ("classify", "clean.jsonl", lambda clean: clean + json.dumps(
             {"id": "p9", "tokens": ["city"], "kept_emojis": [], "removed": {}, "rejected": 5}) + "\n",
          "rejected must be null, 'too_short' or 'misspelled', got 5"),
+        *[(stage, "region_sentiment.csv", lambda sentiment: sentiment + sentiment.splitlines()[1] + "\n",
+           "duplicate region_id 'R01'") for stage in ("shift-test", "regress", "stepwise")],
     ], ids=["count-not-int", "column-missing", "counts-all-zero", "count-negative", "included-not-bool",
-            "jsonl-line-invalid", "rejected-not-a-reason"])
+            "jsonl-line-invalid", "rejected-not-a-reason",
+            "region-repeated-shift-test", "region-repeated-regress", "region-repeated-stepwise"])
     def test_malformed_intermediate_exits_two_naming_line(self, fixture_dir, pipeline_out, tmp_path, capsys,
                                                           stage, name, corrupt, reason):
         out = tmp_path / "out"

@@ -3,16 +3,19 @@ independent oracles (scipy, closed-form normal equations, brute force)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from regsent import stats
 from regsent.errors import RankDeficiencyError
 from regsent.stats import (
     DesignMatrix,
     _best_move,
+    _rss_and_aic,
     chi2_sf,
     design_matrix,
     f_sf,
@@ -300,3 +303,81 @@ class TestStepwise:
             stepwise(d, direction="sideways")
         with pytest.raises(ValueError):
             stepwise(d, start="middle")
+
+
+def reference_stepwise(d, direction, start):
+    """(trace, start_aic) of the search with every candidate fitted through _rss_and_aic."""
+    current = set(d.names) if start == "full" else set()
+    current_aic = _rss_and_aic(subset_design(d, current))
+    start_aic = current_aic
+    trace = []
+    while True:
+        candidates = []
+        if direction in ("backward", "both"):
+            candidates += [(current - {name}, name, "drop") for name in d.names if name in current]
+        if direction in ("forward", "both"):
+            candidates += [(current | {name}, name, "add") for name in d.names if name not in current]
+        if not candidates:
+            break
+        best_aic, name, action, after = _best_move(
+            [(_rss_and_aic(subset_design(d, after)), name, action, after) for after, name, action in candidates])
+        if best_aic >= current_aic:
+            break
+        current, current_aic = after, best_aic
+        trace.append((len(trace) + 1, action, name, best_aic))
+    return tuple(trace), start_aic
+
+
+def near_collinear_design(rng):
+    """A design with a few active predictors, some columns near copies of others (r up to 0.999)."""
+    n = int(rng.integers(40, 250))
+    k = int(rng.integers(3, 13))
+    cols = rng.standard_normal((n, k))
+    for j in rng.choice(np.arange(1, k), int(rng.integers(1, k)), replace=False):
+        rho = rng.uniform(0.9, 0.999)
+        cols[:, j] = rho * cols[:, int(rng.integers(0, j))] + math.sqrt(1.0 - rho * rho) * cols[:, j]
+    beta = np.zeros(k)
+    active = rng.choice(k, int(rng.integers(1, k // 2 + 2)), replace=False)
+    beta[active] = rng.normal(0.0, 0.5, len(active))
+    y = 0.3 + cols @ beta + rng.standard_normal(n)
+    d = design_matrix([f"x{i:02d}" for i in range(k)], cols, y)
+    return standardize(d) if rng.random() < 0.5 else d
+
+
+class TestStepwiseScreening:
+    """Ranking candidates on one QR factor of [X, y] takes the moves fitting every candidate takes."""
+
+    @pytest.mark.parametrize("direction, start", itertools.product(("backward", "forward", "both"), ("full", "empty")))
+    def test_trace_equals_fitting_every_candidate(self, direction, start):
+        moves = 0
+        for seed in range(100):
+            d = near_collinear_design(np.random.default_rng(7000 + seed))
+            result = stepwise(d, direction, start)
+            trace, start_aic = reference_stepwise(d, direction, start)
+            assert result.trace == trace, seed
+            assert result.start_aic == start_aic, seed
+            moves += len(trace)
+        assert moves > 100 or (direction, start) in (("backward", "empty"), ("forward", "full"))  # no move allowed
+
+    def test_candidates_are_not_fitted_through_qr_of_the_design(self, monkeypatch):
+        calls = 0
+        fit = stats._qr_rank_checked
+
+        def counted(d):
+            nonlocal calls
+            calls += 1
+            return fit(d)
+
+        monkeypatch.setattr(stats, "_qr_rank_checked", counted)
+        result = stepwise(near_collinear_design(np.random.default_rng(11)), "both", "full")
+        assert result.trace
+        assert calls <= len(result.trace) + 3
+
+    @pytest.mark.parametrize("direction, start", [("forward", "empty"), ("both", "empty"), ("both", "full")])
+    def test_rank_deficient_candidate_names_the_column(self, direction, start):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 120))
+        y = 1.0 + 2.0 * a - 1.5 * b + 0.3 * rng.standard_normal(120)
+        d = design_matrix(["a", "b", "c"], np.column_stack([a, b, a + b]), y)
+        with pytest.raises(RankDeficiencyError, match="at column 'c'"):
+            stepwise(d, direction, start)
