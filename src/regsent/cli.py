@@ -3,6 +3,8 @@
 Stage subcommand `<name>` runs `pipeline.stage_<name>` on `--out`. Only `ingest`
 creates that directory; a later stage exits 1 naming an intermediate it needs
 that is missing there, and 2 naming the artifact and line of a malformed one.
+An `--out` that is, or runs through, something other than a directory exits 1
+before any subcommand runs.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data validation
 failure, 3 numerical failure, 4 any other exception (`error[internal]`). Every
@@ -67,12 +69,17 @@ def build_parser() -> _Parser:
 
 
 def _run(args: argparse.Namespace) -> None:
+    if args.command == "make-fixture" and args.posts < 1:
+        raise _UsageError(f"argument --posts: must be at least 1, got {args.posts}")
+    out_dir = Path(args.out)
+    for path in (out_dir, *out_dir.parents):  # a directory, or a path where one can be made
+        if (path.exists() or path.is_symlink()) and not path.is_dir():
+            raise ConfigError(f"--out {str(out_dir)!r}: {str(path)!r} is not a directory")
     if args.command == "make-fixture":
-        config_path = write_corpus_fixture(Path(args.out), n_posts=args.posts, seed=args.seed)
+        config_path = write_corpus_fixture(out_dir, n_posts=args.posts, seed=args.seed)
         print(config_path)
         return
     cfg = load_config(args.config, overrides=args.overrides, seed=args.seed)
-    out_dir = Path(args.out)
     if args.command == "pipeline":
         pipeline.run_pipeline(cfg, out_dir)
         print(out_dir / "summary.md")

@@ -133,10 +133,9 @@ class PipelineConfig:
 
     A field's annotation is its key's type, its default the key's default, and its
     metadata its `choices`, closed `min`/`max` or open `gt`/`lt` bounds. `load_config`
-    fills in `base_dir` and the resolved `paths`.
+    fills in the resolved `paths`.
     """
 
-    base_dir: Path
     paths: Mapping[str, Path | None]
     language: str = "pl"
     event_date: date = date(2019, 10, 13)
@@ -272,7 +271,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
             raise ConfigError(f"paths.{key} is not a usable path: {exc}") from exc
     if missing:
         raise ConfigError("configured files do not exist: " + "; ".join(missing))
-    return _build(PipelineConfig, doc, "", base_dir=path.parent, paths=paths)
+    return _build(PipelineConfig, doc, "", paths=paths)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,6 @@ def pooled_shift_test(regions: Sequence[RegionSentiment]) -> ShiftTestResult:
 class ShiftSummary:
     n_tested: int
     n_significant: int
-    alpha: float
     significant_regions: tuple[str, ...]
 
 
@@ -198,7 +197,6 @@ def shift_summary(results: Iterable[ShiftTestResult], alpha: float = 0.05) -> Sh
     return ShiftSummary(
         n_tested=len(results),
         n_significant=len(significant),
-        alpha=alpha,
         significant_regions=tuple(significant),
     )
 

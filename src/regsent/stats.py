@@ -283,7 +283,6 @@ class OlsFit:
     rss: float
     residuals: np.ndarray
     n: int
-    df_resid: int
 
 
 def gaussian_aic(rss: float, n_obs: int, n_predictors: int) -> float:
@@ -376,7 +375,6 @@ def ols(d: DesignMatrix) -> OlsFit:
         rss=rss,
         residuals=residuals,
         n=n,
-        df_resid=dof,
     )
 
 

@@ -16,8 +16,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import replication as fixtures
 from conftest import coherent_clean_config, fuzz_post_text, generative_corpus, run_cli
-from regsent import fixtures
 from regsent.corpus import RawPost
 from regsent.preprocess import clean_text, hashtag_report
 from regsent.regional import RegionSentiment, SentimentObservation, aggregate, shift_regression, shift_test

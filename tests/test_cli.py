@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from conftest import run_cli
 from regsent import cli, pipeline
 from regsent.errors import ConfigError
-from regsent.fixtures import TABLE_BETAS, write_corpus_fixture, write_replication_fixture
+from regsent.fixtures import write_corpus_fixture
 from regsent.pipeline import PipelineConfig, load_config
+from replication import TABLE_BETAS, write_replication_fixture
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,25 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code == 4
         assert err == "regsent: error[internal]: RuntimeError: stage blew up second line\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline", "make-fixture"])
+    @pytest.mark.parametrize("shape, blocker", [("afile", "afile"), ("afile/sub", "afile"), ("dangling", "dangling")])
+    def test_out_that_is_not_a_directory_exits_one(self, fixture_dir, tmp_path, capsys, command, shape, blocker):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        out = tmp_path / shape
+        config = [] if command == "make-fixture" else ["--config", str(fixture_dir / "config.json")]
+        code = cli.main([command, *config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"regsent: error[config]: --out {str(out)!r}: {str(tmp_path / blocker)!r} is not a directory\n"
+
+    @pytest.mark.parametrize("posts", ["0", "-1"])
+    def test_make_fixture_without_posts_is_usage_error(self, tmp_path, capsys, posts):
+        code = cli.main(["make-fixture", "--out", str(tmp_path / "fixture"), "--posts", posts])
+        assert code == 1
+        assert capsys.readouterr().err == f"regsent: error[usage]: argument --posts: must be at least 1, got {posts}\n"
+        assert not (tmp_path / "fixture").exists()
 
     def test_bad_external_label_exits_two(self, fixture_dir, pipeline_out, tmp_path):
         out = tmp_path / "out"
