@@ -87,22 +87,23 @@ def _parse_timestamp(raw: str) -> datetime:
 
 
 def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
-    """None when the record fails the ingestion filter (missing id/empty text)."""
-    post_id = record.get("id")
-    text = record.get("text")
-    if post_id in (None, "") or text in (None, "") or not str(text).strip():
+    """None when the record fails the ingestion filter: an id that is neither a
+    string nor an integer, a text, timestamp, place or language that is not a
+    string (place and language may be null or absent), an empty id or text."""
+    post_id, text, ts = record.get("id"), record.get("text"), record.get("timestamp")
+    place, lang = record.get("place"), record.get("lang")
+    if type(post_id) not in (str, int) or type(text) is not str or type(ts) is not str:
+        return None  # `type`, not isinstance: a JSON true is not the post id 'True'
+    if not all(value is None or type(value) is str for value in (place, lang)):
         return None
-    ts = record.get("timestamp")
-    if not ts:
+    if post_id == "" or not text.strip() or not ts:
         return None
-    place = record.get("place") or None
-    lang = record.get("lang") or None
     return RawPost(
         id=str(post_id),
-        text=str(text),
-        timestamp=_parse_timestamp(str(ts)),
-        place_name=str(place) if place else None,
-        language=str(lang) if lang else None,
+        text=text,
+        timestamp=_parse_timestamp(ts),
+        place_name=place or None,
+        language=lang or None,
     )
 
 

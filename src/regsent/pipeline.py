@@ -21,47 +21,24 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
-from . import regional, stats
 from .corpus import (
-    GazetteerEntry,
-    RawPost,
-    filter_located,
-    load_gazetteer,
-    load_posts,
-    load_region_table,
-    normalize_place,
-    region_counts,
-    resolve_region,
+    GazetteerEntry, RawPost, filter_located, load_gazetteer, load_posts, load_region_table, normalize_place,
+    region_counts, resolve_region,
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
-    CleanConfig,
-    clean_text,
-    emoji_report,
-    hashtag_report,
-    load_emoji_polarity,
-    load_lemma_map,
-    load_word_list,
-    select_emoji_whitelist,
-    write_frequency_csv,
+    CleanConfig, clean_text, emoji_report, hashtag_report, load_emoji_polarity, load_lemma_map, load_word_list,
+    select_emoji_whitelist, write_frequency_csv,
 )
-from .regional import RegionSentiment, SentimentObservation, aggregate
-from .sentiment import (
-    LabeledExample,
-    SentimentLabel,
-    evaluate,
-    import_external_predictions,
-    load_labeled_csv,
-    load_model,
-    match_predictions,
-    predict,
-    pseudo_label,
-    save_model,
-    train,
-    train_test_split,
-)
+
+# sentiment, regional and stats load numpy, so the stages that compute with them import
+# them when they run: ingest, clean and the reports start without numpy.
+if TYPE_CHECKING:
+    from . import stats
+    from .regional import RegionSentiment
+    from .sentiment import LabeledExample, SentimentLabel
 
 __all__ = [
     "ClassifierSettings",
@@ -327,6 +304,7 @@ def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
 
 
 def _read_regions(out_dir: Path) -> list[RegionSentiment]:
+    from .regional import RegionSentiment
     seen: set[str] = set()
 
     def to_region(row: dict[str, str]) -> RegionSentiment:
@@ -468,6 +446,7 @@ def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, *, posts: Sequen
 
 def _training_examples(cfg: PipelineConfig, out_dir: Path) -> tuple[list[LabeledExample], list[tuple[str, ...]]]:
     """Cleaned training examples plus the neutral pool (binary mode)."""
+    from .sentiment import LabeledExample, SentimentLabel, load_labeled_csv
     settings = _clean_settings(cfg, _read_whitelist(out_dir))
     rows = load_labeled_csv(cfg.require_paths("training_data")["training_data"])
     labeled: list[LabeledExample] = []
@@ -484,6 +463,7 @@ def _training_examples(cfg: PipelineConfig, out_dir: Path) -> tuple[list[Labeled
 
 
 def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
+    from .sentiment import SentimentLabel, train
     cs = cfg.classifier
     classes = (SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE) if cs.binary else None
     return train(
@@ -499,6 +479,7 @@ def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
 
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Train the classifier (optionally with pseudo-labeling) and evaluate it."""
+    from .sentiment import evaluate, pseudo_label, save_model, train_test_split
     cs = cfg.classifier
     labeled, neutral_pool = _training_examples(cfg, out_dir)
     if not labeled:
@@ -556,6 +537,7 @@ def stage_classify(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, list[tuple
     Returns the report and the (id, label) records of `predictions.csv`, as
     `stage_aggregate` reads them.
     """
+    from .sentiment import SentimentLabel, load_model, predict
     model = load_model(_require_artifact(out_dir, "model.json"))
     has_positive = SentimentLabel.POSITIVE in model.classes
     counts = {label.value: 0 for label in model.classes}
@@ -581,6 +563,7 @@ def stage_classify(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, list[tuple
 
 def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Use third-party model predictions in place of the local classifier."""
+    from .sentiment import import_external_predictions, match_predictions
     path = cfg.require_paths("external_predictions")["external_predictions"]
     imported = import_external_predictions(path)
     clean_ids = [post_id for post_id, _ in _classifiable(out_dir)]
@@ -606,6 +589,8 @@ def stage_aggregate(
     `located.jsonl` by default; `predictions` are (id, label) pairs, read from
     `predictions.csv` by default.
     """
+    from .regional import RegionSentiment, SentimentObservation, aggregate
+    from .sentiment import SentimentLabel
     if located is None:
         located = dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
             row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
@@ -644,6 +629,7 @@ def stage_aggregate(
 
 def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Global and per-region before/after proportion tests."""
+    from . import regional
     regions = _read_regions(out_dir)
     per_region = {
         r.region_id: regional.shift_test_for_region(r) for r in regions if r.included
@@ -663,8 +649,14 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 
 def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.DesignMatrix, dict]:
+    from . import stats
     table = load_region_table(cfg.require_paths("region_table")["region_table"])
     included = {r.region_id: r for r in _read_regions(out_dir) if r.included}
+    if not included:
+        threshold = cfg.thresholds.min_region_posts
+        raise DataValidationError(
+            f"no region has more than {threshold} classified posts (thresholds.min_region_posts); nothing to regress"
+        )
     rows = [rec for rec in table if rec.region_id in included]
     if not rows:
         raise DataValidationError("no overlap between the region table and included regions")
@@ -690,6 +682,7 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
 
 
 def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
+    from . import stats
     write_records(out_dir / f"{stem}.csv", "csv", (
         (term, repr(float(fit.beta[i])), repr(float(fit.se[i])), repr(float(fit.t[i])), repr(float(fit.p[i])),
          stats.significance_stars(float(fit.p[i])))
@@ -709,6 +702,7 @@ def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
 
 def stage_regress(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Fit the outcome on sentiment plus the configured features."""
+    from . import stats
     design, meta = _regression_design(cfg, out_dir)
     fit = stats.ols(design)
     _write_fit(fit, out_dir, "regression_full", "Outcome model (all predictors)")
@@ -717,6 +711,7 @@ def stage_regress(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def stage_stepwise(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Greedy AIC selection over the regression predictors."""
+    from . import stats
     design, meta = _regression_design(cfg, out_dir)
     result = stats.stepwise(design, cfg.regression.direction, cfg.regression.start)
     write_records(out_dir / "stepwise_trace.csv", "csv", (

@@ -99,13 +99,16 @@ def generative_corpus(n: int, seed: int) -> list[LabeledExample]:
     return [generative_example(rng) for _ in range(n)]
 
 
-def run_cli(args: list[str], cwd: str | Path | None = None) -> subprocess.CompletedProcess:
+# Python source that makes every later `import numpy` in its interpreter raise ImportError.
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None"
+
+
+def run_python(argv: list[str], cwd: str | Path | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter, with this checkout's src on its path, run with `argv`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run(
-        [sys.executable, "-m", "regsent.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args: list[str], cwd: str | Path | None = None) -> subprocess.CompletedProcess:
+    return run_python(["-m", "regsent.cli", *args], cwd)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import BLOCK_NUMPY, run_cli, run_python
 from regsent import cli, pipeline
 from regsent.errors import ConfigError
 from regsent.fixtures import write_corpus_fixture
@@ -68,6 +68,11 @@ def run_reading_stage(fixture_dir: Path, pipeline_out: Path, out: Path, key: str
         code = cli.main([*_READING_STAGE[key].split(), "--config", str(fixture_dir / "config.json"), "--out", str(out),
                          *(arg for item in overrides for arg in ("--set", item))])
     return code, err.getvalue()
+
+
+def read_all(directory: Path) -> dict[str, bytes]:
+    """File name -> bytes of every file in `directory`."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 def fixture_posts(fixture_dir: Path) -> list[dict]:
@@ -175,6 +180,18 @@ class TestErrorContract:
         assert "classifier.learning_rate" in result.stderr
         assert (out / "emoji_whitelist.txt").exists()  # the stages before train ran
         assert not (out / "model.json").exists()
+
+    def test_no_included_region_exits_two_naming_the_threshold(self, tmp_path, capsys):
+        assert cli.main(["make-fixture", "--out", str(tmp_path / "fixture"), "--posts", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = cli.main(["pipeline", "--config", str(tmp_path / "fixture" / "config.json"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "regsent: error[data]: no region has more than 15 classified posts (thresholds.min_region_posts); "
+            "nothing to regress\n"
+        )
+        assert json.loads((out / "aggregate_report.json").read_text(encoding="utf-8"))["included_regions"] == 0
 
     def test_malformed_model_exits_two_at_classify(self, fixture_dir, pipeline_out, tmp_path):
         out = tmp_path / "out"
@@ -510,6 +527,34 @@ class TestComposition:
         monkeypatch.setattr(pipeline, "read_records", counting)
         pipeline.run_pipeline(load_config(fixture_dir / "config.json"), tmp_path / "out")
         assert [parsed.count(name) for name in ("located.jsonl", "predictions.csv", "clean.jsonl")] == [0, 0, 1]
+
+
+class TestStartWithoutNumpy:
+    """Set-up, make-fixture, ingest, clean and both reports never import numpy."""
+
+    CLI = f"{BLOCK_NUMPY}; from regsent.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def test_setup_runs_without_numpy(self, fixture_dir):
+        setup = f"{BLOCK_NUMPY}; import regsent.cli; regsent.cli.load_config(sys.argv[1])"
+        result = run_python(["-c", setup, str(fixture_dir / "config.json")])
+        assert result.returncode == 0, result.stderr
+
+    def test_numpy_free_stages_write_the_same_bytes(self, pipeline_out, tmp_path):
+        result = run_python(["-c", self.CLI, "make-fixture", "--out", str(tmp_path / "fixture"), "--seed", "13"])
+        assert result.returncode == 0, result.stderr
+        write_corpus_fixture(tmp_path / "unblocked", seed=13)
+        assert read_all(tmp_path / "fixture") == read_all(tmp_path / "unblocked")
+        config, out = str(tmp_path / "fixture" / "config.json"), tmp_path / "out"
+        for stage in (["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"]):
+            result = run_python(["-c", self.CLI, *stage, "--config", config, "--out", str(out)])
+            assert result.returncode == 0, (stage, result.stderr)
+        written = read_all(out)
+        assert written == {name: (pipeline_out / name).read_bytes() for name in written}
+        assert len(written) == 8
+        # the control: a stage that computes with numpy cannot run in this interpreter
+        result = run_python(["-c", self.CLI, "train", "--config", config, "--out", str(out)])
+        assert result.returncode == 4
+        assert result.stderr.startswith("regsent: error[internal]: ModuleNotFoundError: import of numpy halted")
 
 
 class TestShiftTestCommand:

@@ -150,6 +150,34 @@ class TestLoadPosts:
         line = 2 if fmt == "jsonl" else 3
         assert [r.getMessage() for r in caplog.records] == [f"skipping malformed post record at {path}:{line}"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", True), ("id", 1.5), ("id", ["a"]), ("id", {"a": 1}),
+        ("text", ["hello", "world"]), ("text", 7), ("text", {"a": 1}), ("text", True),
+        ("timestamp", 1569931200), ("timestamp", [TS]), ("timestamp", None),
+        ("place", {"a": 1}), ("place", ["x"]), ("place", 3), ("place", False),
+        ("lang", ["pl"]), ("lang", 1), ("lang", True),
+    ])
+    def test_json_field_of_the_wrong_type_skipped_and_counted(self, tmp_path, caplog, field, value):
+        path = tmp_path / "posts.jsonl"
+        write_jsonl(path, [
+            {"id": "a", "text": "one", "timestamp": TS, "place": "x", "lang": "pl"},
+            {"id": "b", "text": "two", "timestamp": TS, "place": "y", "lang": "pl", field: value},
+        ])
+        with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
+            posts, skipped = load_posts(path)
+        assert [p.id for p in posts] == ["a"] and skipped == 1
+        assert [r.getMessage() for r in caplog.records] == [f"skipping malformed post record at {path}:2"]
+
+    def test_integer_id_and_null_or_absent_place_and_lang_accepted(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        write_jsonl(path, [
+            {"id": 7, "text": "one", "timestamp": TS, "place": None, "lang": None},
+            {"id": "b", "text": "two", "timestamp": TS},
+        ])
+        posts, skipped = load_posts(path)
+        assert skipped == 0
+        assert [(p.id, p.place_name, p.language) for p in posts] == [("7", None, None), ("b", None, None)]
+
     def test_csv_line_is_where_the_record_starts(self, tmp_path):
         records = [
             {"id": "a", "text": "two\nlines", "timestamp": TS, "place": "x", "lang": "pl"},
