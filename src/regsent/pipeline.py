@@ -13,8 +13,8 @@ ConfigError, a malformed one a DataValidationError naming its line.
 from __future__ import annotations
 
 import json
+import math
 import operator
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -29,8 +29,8 @@ from .corpus import (
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
-    CleanConfig, clean_text, emoji_report, hashtag_report, load_emoji_polarity, load_lemma_map, load_word_list,
-    select_emoji_whitelist, write_frequency_csv,
+    CleanConfig, FrequencyReport, FrequencyRow, clean_text, emoji_report, hashtag_report, load_emoji_polarity,
+    load_lemma_map, load_word_list, select_emoji_whitelist, write_frequency_csv,
 )
 
 # sentiment, regional and stats load numpy, so the stages that compute with them import
@@ -91,7 +91,6 @@ class ClassifierSettings:
     epochs: int = field(default=300, metadata={"min": 1})
     l2: float = field(default=1e-4, metadata={"min": 0.0})
     pseudo_label: bool = False
-    pseudo_fraction: float = field(default=1.0, metadata={"min": 0.0, "max": 1.0})
     min_confidence: float | None = field(default=None, metadata={"min": 0.0, "max": 1.0})
     test_fraction: float = field(default=0.2, metadata={"gt": 0.0, "lt": 1.0})
 
@@ -139,7 +138,7 @@ class PipelineConfig:
 # Field types a document value can have; fields of other types (cleaning
 # resources, resolved paths) are not config keys.
 _EXPECTED = {bool: "true or false", int: "an integer within float range", float: "a finite number",
-             str: "a string", date: "an ISO date string", tuple: "a list of strings"}
+             str: "a string", date: "an ISO date string", tuple: "a list of distinct strings"}
 _BOUNDS = {"min": (">=", operator.ge), "max": ("<=", operator.le), "gt": (">", operator.gt), "lt": ("<", operator.lt)}
 
 
@@ -158,7 +157,8 @@ def _convert(kind, value: Any) -> Any:
         return kind(value)
     if kind is date:
         return date.fromisoformat(value)
-    if kind is tuple and type(value) is list and all(type(item) is str for item in value):
+    if (kind is tuple and type(value) is list and all(type(item) is str for item in value)
+            and len(set(value)) == len(value)):  # each name is one regression predictor
         return tuple(value)
     if type(value) is not kind:
         raise TypeError(value)
@@ -272,10 +272,6 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
 def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any] = dict) -> list:
     """`convert` of each record of the intermediate `name`: JSON-lines, a CSV keyed by its header, or a word list."""
     return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name)
-
-
-def _read_whitelist(out_dir: Path) -> frozenset[str]:
-    return frozenset(chain.from_iterable(_read_artifact(out_dir, "emoji_whitelist.txt", str.split)))
 
 
 def _located_post(row: dict) -> RawPost:
@@ -396,8 +392,13 @@ def stage_ingest(
     return report, located, where
 
 
-def stage_clean(cfg: PipelineConfig, out_dir: Path, *, posts: Sequence[RawPost] | None = None) -> dict:
-    """Select the emoji whitelist, then run the normalization chain over `posts`, `located.jsonl` by default."""
+def stage_clean(
+    cfg: PipelineConfig, out_dir: Path, *, posts: Sequence[RawPost] | None = None
+) -> tuple[dict, frozenset[str]]:
+    """Select the emoji whitelist, then run the normalization chain over `posts`, `located.jsonl` by default.
+
+    Returns the report and the whitelist.
+    """
     if posts is None:
         posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
@@ -427,11 +428,13 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path, *, posts: Sequence[RawPost] 
         "emoji_whitelist_size": len(whitelist),
     }
     _write_json(out_dir / "clean_report.json", report)
-    return report
+    return report, whitelist
 
 
-def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, *, posts: Sequence[RawPost] | None = None) -> dict:
-    """Corpus frequency diagnostics over the located `posts`, `located.jsonl` by default."""
+def stage_report(
+    cfg: PipelineConfig, out_dir: Path, kind: str, *, posts: Sequence[RawPost] | None = None
+) -> FrequencyReport:
+    """Corpus frequency diagnostics over the located `posts`, `located.jsonl` by default; returns the report."""
     if posts is None:
         posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     if kind == "hashtags":
@@ -441,13 +444,14 @@ def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, *, posts: Sequen
     else:
         raise ConfigError(f"unknown report kind {kind!r} (expected hashtags or emojis)")
     write_frequency_csv(report, out_dir / f"{kind}.csv")
-    return {"kind": kind, "total": report.total, "distinct": len(report.rows)}
+    return report
 
 
 def _training_examples(cfg: PipelineConfig, out_dir: Path) -> tuple[list[LabeledExample], list[tuple[str, ...]]]:
     """Cleaned training examples plus the neutral pool (binary mode)."""
     from .sentiment import LabeledExample, SentimentLabel, load_labeled_csv
-    settings = _clean_settings(cfg, _read_whitelist(out_dir))
+    whitelist = frozenset(chain.from_iterable(_read_artifact(out_dir, "emoji_whitelist.txt", str.split)))
+    settings = _clean_settings(cfg, whitelist)
     rows = load_labeled_csv(cfg.require_paths("training_data")["training_data"])
     labeled: list[LabeledExample] = []
     neutral_pool: list[tuple[str, ...]] = []
@@ -494,13 +498,8 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
     n_pseudo = 0
     pool_used = 0
     if cs.pseudo_label and neutral_pool:
-        pool = list(neutral_pool)
-        if cs.pseudo_fraction < 1.0:
-            n_keep = int(round(len(pool) * cs.pseudo_fraction))
-            keep = sorted(random.Random(cfg.seed + 1).sample(range(len(pool)), n_keep))
-            pool = [pool[i] for i in keep]
-        pool_used = len(pool)
-        pseudo = pseudo_label(base_model, pool, min_confidence=cs.min_confidence)
+        pool_used = len(neutral_pool)
+        pseudo = pseudo_label(base_model, neutral_pool, min_confidence=cs.min_confidence)
         n_pseudo = len(pseudo)
         final_model = _train_one(cfg, list(train_part) + pseudo)
         evals.append(("final", "train", evaluate(final_model, train_part)))
@@ -582,12 +581,13 @@ def stage_aggregate(
     *,
     located: Mapping[str, tuple[str | None, datetime]] | None = None,
     predictions: Iterable[tuple[str, SentimentLabel]] | None = None,
-) -> dict:
+) -> tuple[dict, list[RegionSentiment]]:
     """Join predictions with locations and fold into per-region period counts.
 
     `located` maps a post id to its (region or None, timestamp), read from
     `located.jsonl` by default; `predictions` are (id, label) pairs, read from
-    `predictions.csv` by default.
+    `predictions.csv` by default. Returns the report and the regions of
+    `region_sentiment.csv`.
     """
     from .regional import RegionSentiment, SentimentObservation, aggregate
     from .sentiment import SentimentLabel
@@ -624,7 +624,7 @@ def stage_aggregate(
         "threshold": cfg.thresholds.min_region_posts,
     }
     _write_json(out_dir / "aggregate_report.json", report)
-    return report
+    return report, regions
 
 
 def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
@@ -650,7 +650,8 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.DesignMatrix, dict]:
     from . import stats
-    table = load_region_table(cfg.require_paths("region_table")["region_table"])
+    table_path = cfg.require_paths("region_table")["region_table"]
+    table = load_region_table(table_path)
     included = {r.region_id: r for r in _read_regions(out_dir) if r.included}
     if not included:
         threshold = cfg.thresholds.min_region_posts
@@ -665,6 +666,13 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
     missing = [f for f in features if f not in available]
     if missing:
         raise DataValidationError(f"region table lacks feature columns {missing}")
+    if "sentiment" in features:
+        raise DataValidationError(f"{table_path}: feature column 'sentiment' clashes with the sentiment predictor")
+    for rec in rows:  # the table loader takes any float: a column no fit uses may hold nan or inf
+        for f in features:
+            if not math.isfinite(value := rec.features[f]):
+                raise DataValidationError(
+                    f"{table_path}: region_id {rec.region_id!r}: feature {f!r} is {value!r}, not a finite number")
     names = ("sentiment", *features)
     columns = [
         [included[rec.region_id].mean_sentiment] + [rec.features[f] for f in features]
@@ -681,14 +689,16 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
     return design, meta
 
 
-def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
+def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> str:
+    """Write `<stem>.csv`, `<stem>.txt` and `<stem>.json`; returns the table `<stem>.txt` holds."""
     from . import stats
+    table = stats.format_fit_table(fit, title)
     write_records(out_dir / f"{stem}.csv", "csv", (
         (term, repr(float(fit.beta[i])), repr(float(fit.se[i])), repr(float(fit.t[i])), repr(float(fit.p[i])),
          stats.significance_stars(float(fit.p[i])))
         for i, term in enumerate(["intercept", *fit.names])
     ), ("term", "coefficient", "se", "t", "p", "stars"))
-    (out_dir / f"{stem}.txt").write_text(stats.format_fit_table(fit, title) + "\n", encoding="utf-8")
+    (out_dir / f"{stem}.txt").write_text(table + "\n", encoding="utf-8")
     _write_json(out_dir / f"{stem}.json", {
         "n": fit.n,
         "r2": fit.r2,
@@ -698,26 +708,29 @@ def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> None:
         "aic": fit.aic,
         "rss": fit.rss,
     })
+    return table
 
 
-def stage_regress(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Fit the outcome on sentiment plus the configured features."""
+def stage_regress(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, str]:
+    """Fit the outcome on sentiment plus the configured features; returns the report and the fit table."""
     from . import stats
     design, meta = _regression_design(cfg, out_dir)
     fit = stats.ols(design)
-    _write_fit(fit, out_dir, "regression_full", "Outcome model (all predictors)")
-    return {**meta, "r2": fit.r2, "aic": fit.aic}
+    table = _write_fit(fit, out_dir, "regression_full", "Outcome model (all predictors)")
+    return {**meta, "r2": fit.r2, "aic": fit.aic}, table
 
 
-def stage_stepwise(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Greedy AIC selection over the regression predictors."""
+def stage_stepwise(
+    cfg: PipelineConfig, out_dir: Path
+) -> tuple[dict, str, tuple[tuple[int, str, str, float], ...]]:
+    """Greedy AIC selection over the regression predictors; returns the report, the fit table and the moves."""
     from . import stats
     design, meta = _regression_design(cfg, out_dir)
     result = stats.stepwise(design, cfg.regression.direction, cfg.regression.start)
     write_records(out_dir / "stepwise_trace.csv", "csv", (
         (step, action, name, repr(aic)) for step, action, name, aic in result.trace
     ), ("step", "action", "name", "aic"))
-    _write_fit(result.fit, out_dir, "stepwise_model", "Outcome model (AIC-selected)")
+    table = _write_fit(result.fit, out_dir, "stepwise_model", "Outcome model (AIC-selected)")
     payload = {
         **meta,
         "selected": list(result.selected),
@@ -726,7 +739,7 @@ def stage_stepwise(cfg: PipelineConfig, out_dir: Path) -> dict:
         "steps": len(result.trace),
     }
     _write_json(out_dir / "stepwise.json", payload)
-    return payload
+    return payload, table, result.trace
 
 
 # ---------------------------------------------------------------------------
@@ -740,137 +753,108 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines)
 
 
-def _summary_markdown(out_dir: Path, reports: Mapping[str, Any]) -> str:
-    sections = ["# Pipeline summary", ""]
-    ing = reports["ingest"]
-    cln = reports["clean"]
-    sections += [
+def _summary_markdown(
+    reports: Mapping[str, Any], whitelist: frozenset[str], hashtags: Sequence[FrequencyRow],
+    emojis: Sequence[FrequencyRow], included: Sequence[RegionSentiment], fit_tables: tuple[str, str],
+    moves: Iterable[tuple[int, str, str, float]],
+) -> str:
+    """summary.md from what the stages returned; `hashtags` and `emojis` are the rows it prints."""
+    ing, cln, trn = reports["ingest"], reports["clean"], reports["train"]
+    cls, agg, sh = reports["classify"], reports["aggregate"], reports["shift"]
+    return "\n".join([
+        "# Pipeline summary",
+        "",
         "## Corpus",
         "",
-        _md_table(
-            ["metric", "value"],
-            [
-                ("posts loaded", ing["loaded"]),
-                ("malformed records skipped", ing["skipped_records"]),
-                ("located, language-matched", ing["located"]),
-                ("resolved to a region", ing["resolved"]),
-                ("unresolved place names", ing["unresolved"]),
-                ("accepted after cleaning", cln["accepted"]),
-                ("rejected: too short", cln["rejected_too_short"]),
-                ("rejected: misspelled", cln["rejected_misspelled"]),
-            ],
-        ),
+        _md_table(["metric", "value"], [
+            ("posts loaded", ing["loaded"]),
+            ("malformed records skipped", ing["skipped_records"]),
+            ("located, language-matched", ing["located"]),
+            ("resolved to a region", ing["resolved"]),
+            ("unresolved place names", ing["unresolved"]),
+            ("accepted after cleaning", cln["accepted"]),
+            ("rejected: too short", cln["rejected_too_short"]),
+            ("rejected: misspelled", cln["rejected_misspelled"]),
+        ]),
         "",
-    ]
-
-    tag_rows = _read_artifact(out_dir, "hashtags.csv")[:10]
-    sections += [
         "## Top hashtags",
         "",
-        _md_table(
-            ["hashtag", "count", "share"],
-            [(r["item"], r["count"], f"{float(r['share']) * 100:.2f}%") for r in tag_rows],
-        ) if tag_rows else "(no hashtags)",
+        _md_table(["hashtag", "count", "share"], [
+            (r.item, r.count, f"{r.share * 100:.2f}%") for r in hashtags
+        ]) if hashtags else "(no hashtags)",
         "",
-    ]
-
-    whitelist = _read_whitelist(out_dir)
-    emoji_rows = _read_artifact(out_dir, "emojis.csv")[:10]
-    sections += [
         "## Emojis",
         "",
-        _md_table(
-            ["emoji", "count", "share", "whitelisted"],
-            [
-                (r["item"], r["count"], f"{float(r['share']) * 100:.2f}%", r["item"] in whitelist)
-                for r in emoji_rows
-            ],
-        ) if emoji_rows else "(no emojis)",
+        _md_table(["emoji", "count", "share", "whitelisted"], [
+            (r.item, r.count, f"{r.share * 100:.2f}%", r.item in whitelist) for r in emojis
+        ]) if emojis else "(no emojis)",
         "",
-    ]
-
-    trn = reports["train"]
-    sections += [
         "## Sentiment classifier",
         "",
-        _md_table(
-            ["model", "dataset", "accuracy"],
-            [(key.split("/")[0], key.split("/")[1], f"{value:.4f}") for key, value in sorted(trn["accuracies"].items())],
-        ),
+        _md_table(["model", "dataset", "accuracy"], [
+            (*key.split("/"), f"{value:.4f}") for key, value in sorted(trn["accuracies"].items())
+        ]),
         "",
         f"Pseudo-labeled examples added: {trn['n_pseudo_labels']} (pool {trn['neutral_pool_used']}).",
         "",
-    ]
-    cls = reports["classify"]
-    pred_counts = ", ".join(f"{k}: {v}" for k, v in sorted(cls["predicted"].items()))
-    sections += [f"Predicted distribution over {cls['classified']} posts: {pred_counts}.", ""]
-
-    agg = reports["aggregate"]
-    regions = _read_regions(out_dir)
-    included = [r for r in regions if r.included]
-    sections += [
+        f"Predicted distribution over {cls['classified']} posts: "
+        + ", ".join(f"{k}: {v}" for k, v in sorted(cls["predicted"].items())) + ".",
+        "",
         "## Regional sentiment",
         "",
-        f"{agg['included_regions']} of {agg['regions']} regions kept "
-        f"(more than {agg['threshold']} classified posts).",
+        f"{agg['included_regions']} of {agg['regions']} regions kept (more than {agg['threshold']} classified posts).",
         "",
-        _md_table(
-            ["region", "posts", "mean sentiment"],
-            [(r.region_id, r.total, f"{r.mean_sentiment:.4f}") for r in included],
-        ) if included else "(no included regions)",
+        _md_table(["region", "posts", "mean sentiment"], [
+            (r.region_id, r.total, f"{r.mean_sentiment:.4f}") for r in included
+        ]) if included else "(no included regions)",
         "",
-    ]
-
-    sh = reports["shift"]
-    sections += [
         "## Before/after shift",
         "",
         f"Global test: chi2(1) = {sh['global']['chi2']:.3f}, p = {sh['global']['p']:.3f}.",
         f"Per-region tests: {sh['n_significant']} of {sh['n_tested']} significant at alpha = {sh['alpha']}.",
         "",
-    ]
-
-    moves = _read_artifact(out_dir, "stepwise_trace.csv", operator.itemgetter("action", "name"))
-    sections += [
         "## Outcome regression",
         "",
         "```",
-        (out_dir / "regression_full.txt").read_text(encoding="utf-8").rstrip(),
+        fit_tables[0],
         "```",
         "",
         "## Selected model",
         "",
         "```",
-        (out_dir / "stepwise_model.txt").read_text(encoding="utf-8").rstrip(),
+        fit_tables[1],
         "```",
         "",
-        "Selection trace: " + ("; ".join(f"{action} {name}" for action, name in moves) or "no moves") + ".",
+        "Selection trace: " + ("; ".join(f"{action} {name}" for _, action, name, _ in moves) or "no moves") + ".",
         "",
-    ]
-    return "\n".join(sections)
+    ])
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise.
 
-    Writes every artifact the stage sequence writes, plus summary.md. The
-    located posts and the predictions go to the stages that read them in
+    Writes every artifact the stage sequence writes, plus summary.md, which is
+    rendered from what the stages returned: no artifact is read back for it.
+    The located posts and the predictions go to the stages that read them in
     memory rather than parsed back from `out_dir`. Classify still reads the
     cleaned tokens from `clean.jsonl`: holding them from clean to classify
     would raise the run's peak memory more than the parse costs in time.
+    Returns the report dict of each stage but the frequency reports, by stage name.
     """
     reports: dict[str, Any] = {}
     reports["ingest"], posts, located = stage_ingest(cfg, out_dir)
-    reports["clean"] = stage_clean(cfg, out_dir, posts=posts)
-    reports["hashtags"] = stage_report(cfg, out_dir, "hashtags", posts=posts)
-    reports["emojis"] = stage_report(cfg, out_dir, "emojis", posts=posts)
+    reports["clean"], whitelist = stage_clean(cfg, out_dir, posts=posts)
+    hashtags = stage_report(cfg, out_dir, "hashtags", posts=posts).rows[:10]  # the rows the summary prints
+    emojis = stage_report(cfg, out_dir, "emojis", posts=posts).rows[:10]
     del posts  # freed before train: the post texts are not needed past the reports
     reports["train"] = stage_train(cfg, out_dir)
     reports["classify"], predictions = stage_classify(cfg, out_dir)
-    reports["aggregate"] = stage_aggregate(cfg, out_dir, located=located, predictions=predictions)
-    del located, predictions  # freed before regress and stepwise allocate their designs
+    reports["aggregate"], regions = stage_aggregate(cfg, out_dir, located=located, predictions=predictions)
+    included = [region for region in regions if region.included]
+    del located, predictions, regions  # freed before regress and stepwise allocate their designs
     reports["shift"] = stage_shift_test(cfg, out_dir)
-    reports["regress"] = stage_regress(cfg, out_dir)
-    reports["stepwise"] = stage_stepwise(cfg, out_dir)
-    (out_dir / "summary.md").write_text(_summary_markdown(out_dir, reports), encoding="utf-8")
+    reports["regress"], full_table = stage_regress(cfg, out_dir)
+    reports["stepwise"], selected_table, moves = stage_stepwise(cfg, out_dir)
+    summary = _summary_markdown(reports, whitelist, hashtags, emojis, included, (full_table, selected_table), moves)
+    (out_dir / "summary.md").write_text(summary, encoding="utf-8")
     return reports

@@ -489,12 +489,51 @@ class TestArtifacts:
                         "## Before/after shift", "## Outcome regression", "## Selected model"):
             assert heading in text
 
+    def test_summary_agrees_with_the_artifacts_it_summarises(self, pipeline_out):
+        """summary.md is rendered from the stage returns; each section equals the artifact it stands for."""
+        sections = {}
+        for part in (pipeline_out / "summary.md").read_text(encoding="utf-8").split("\n## ")[1:]:
+            heading, _, body = part.partition("\n")
+            sections[heading] = body
+
+        def table(heading):  # the cells of each body row of the section's table
+            lines = [line for line in sections[heading].splitlines() if line.startswith("|")]
+            return [line.strip("| ").split(" | ") for line in lines[2:]]
+
+        def fenced(heading):
+            return sections[heading].split("```\n", 1)[1].split("\n```", 1)[0]
+
+        def percent(share):
+            return f"{float(share) * 100:.2f}%"
+
+        hashtags = read_csv(pipeline_out / "hashtags.csv")[:10]
+        assert table("Top hashtags") == [[r["item"], r["count"], percent(r["share"])] for r in hashtags]
+        whitelist = set((pipeline_out / "emoji_whitelist.txt").read_text(encoding="utf-8").split())
+        emojis = read_csv(pipeline_out / "emojis.csv")[:10]
+        assert table("Emojis") == [
+            [r["item"], r["count"], percent(r["share"]), str(r["item"] in whitelist)] for r in emojis
+        ]
+        assert "True" in {row[3] for row in table("Emojis")}
+        regions = [r for r in read_csv(pipeline_out / "region_sentiment.csv") if r["included"] == "True"]
+        assert table("Regional sentiment") == [
+            [r["region_id"], str(sum(int(r[c]) for c in SENTIMENT_HEADER.split(",")[1:5])),
+             f"{float(r['mean_sentiment']):.4f}"]
+            for r in regions
+        ]
+        assert hashtags and emojis and regions
+        assert len(read_csv(pipeline_out / "emojis.csv")) > 10  # the summary prints the first ten rows
+        for heading, name in (("Outcome regression", "regression_full.txt"), ("Selected model", "stepwise_model.txt")):
+            assert fenced(heading) + "\n" == (pipeline_out / name).read_text(encoding="utf-8")
+        moves = "; ".join(f"{r['action']} {r['name']}" for r in read_csv(pipeline_out / "stepwise_trace.csv"))
+        assert moves and f"\nSelection trace: {moves}.\n" in sections["Selected model"]
+
 
 class TestComposition:
     @pytest.mark.parametrize("overrides", [
         [],
         ["--set", "classifier.kind=logistic", "--set", "classifier.pseudo_label=true"],
-    ], ids=["default", "logistic"])
+        ["--set", "classifier.binary=false"],
+    ], ids=["default", "logistic", "three-class"])
     def test_pipeline_equals_stage_sequence(self, fixture_dir, tmp_path_factory, overrides):
         pipeline_out, out = tmp_path_factory.mktemp("pipeline"), tmp_path_factory.mktemp("stage_seq")
         config = str(fixture_dir / "config.json")
@@ -516,17 +555,32 @@ class TestComposition:
         assert mismatched == []
 
     def test_pipeline_parses_no_record_it_handed_on(self, fixture_dir, tmp_path, monkeypatch):
-        """The located posts and the predictions go from stage to stage in memory; clean.jsonl is read once."""
+        """The located posts and the predictions go from stage to stage in memory; clean.jsonl is read once.
+
+        summary.md is rendered from the stage returns: the whitelist is read once (by train) and
+        region_sentiment.csv three times (by shift-test, regress and stepwise), and the frequency
+        reports, the stepwise trace and the fit tables are never read back.
+        """
         parsed: list[str] = []
-        read_records = pipeline.read_records
+        read_records, read_text = pipeline.read_records, Path.read_text
 
         def counting(path, *args, **kwargs):
             parsed.append(Path(path).name)
             return read_records(path, *args, **kwargs)
 
+        def counting_text(path, *args, **kwargs):
+            parsed.append(path.name)
+            return read_text(path, *args, **kwargs)
+
         monkeypatch.setattr(pipeline, "read_records", counting)
+        monkeypatch.setattr(Path, "read_text", counting_text)
         pipeline.run_pipeline(load_config(fixture_dir / "config.json"), tmp_path / "out")
-        assert [parsed.count(name) for name in ("located.jsonl", "predictions.csv", "clean.jsonl")] == [0, 0, 1]
+        counts = {
+            "located.jsonl": 0, "predictions.csv": 0, "clean.jsonl": 1, "region_sentiment.csv": 3,
+            "emoji_whitelist.txt": 1, "hashtags.csv": 0, "emojis.csv": 0, "stepwise_trace.csv": 0,
+            "regression_full.txt": 0, "stepwise_model.txt": 0,
+        }
+        assert {name: parsed.count(name) for name in counts} == counts
 
 
 class TestStartWithoutNumpy:
@@ -592,6 +646,66 @@ class TestReplicationFixture:
         assert set(selected) == set(TABLE_BETAS)
 
 
+class TestRegionTableFeatures:
+    """regress and stepwise check the region table's selected feature columns; a column no fit uses is not checked."""
+
+    def run_fit(self, fixture_dir, pipeline_out, work, edit, stages, *overrides) -> tuple[int, str, Path]:
+        """(exit code, stderr, the table) of `stages` run in turn on the pipeline's regional sentiment, in
+        `work`/out, with the fixture's region table after `edit` changed its rows."""
+        out = work / "out"
+        out.mkdir(parents=True)
+        shutil.copyfile(pipeline_out / "region_sentiment.csv", out / "region_sentiment.csv")
+        rows = read_csv(fixture_dir / "region_features.csv")
+        edit(rows)
+        path = work / "region_features.csv"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        args = ["--config", str(fixture_dir / "config.json"), "--out", str(out), "--set", f"paths.region_table={path}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            codes = [cli.main([stage, *args, *overrides]) for stage in stages]
+        return max(codes), err.getvalue(), path
+
+    @pytest.mark.parametrize("features", ["null", '["urbanization","sentiment"]'])
+    @pytest.mark.parametrize("stage", ["regress", "stepwise"])
+    def test_sentiment_column_clashes_with_the_predictor(self, fixture_dir, pipeline_out, tmp_path, features, stage):
+        def add_sentiment(rows):
+            for i, row in enumerate(rows):
+                row["sentiment"] = str(i % 3)
+
+        code, err, path = self.run_fit(
+            fixture_dir, pipeline_out, tmp_path, add_sentiment, [stage], "--set", f"regression.features={features}")
+        assert code == 2
+        assert err == f"regsent: error[data]: {path}: feature column 'sentiment' clashes with the sentiment predictor\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["region_sentiment.csv"]
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("1e999", "inf"), ("-inf", "-inf")])
+    @pytest.mark.parametrize("stage", ["regress", "stepwise"])
+    def test_non_finite_selected_feature_names_file_region_and_column(
+        self, fixture_dir, pipeline_out, tmp_path, value, shown, stage
+    ):
+        def spoil(rows):
+            rows[1]["migration_balance"] = value
+
+        code, err, path = self.run_fit(fixture_dir, pipeline_out, tmp_path, spoil, [stage])
+        assert code == 2
+        assert err == (f"regsent: error[data]: {path}: region_id 'R02': feature 'migration_balance' is {shown}, "
+                       "not a finite number\n")
+
+    def test_non_finite_unselected_feature_is_left_alone(self, fixture_dir, pipeline_out, tmp_path):
+        def spoil(rows):
+            rows[1]["median_age"] = "nan"
+
+        selected = ("--set", 'regression.features=["urbanization","divorces_per_capita","migration_balance"]')
+        stages = ["regress", "stepwise"]
+        assert self.run_fit(fixture_dir, pipeline_out, tmp_path / "nan", spoil, stages, *selected)[:2] == (0, "")
+        assert self.run_fit(fixture_dir, pipeline_out, tmp_path / "clean", list, stages, *selected)[:2] == (0, "")
+        assert read_all(tmp_path / "nan" / "out") == read_all(tmp_path / "clean" / "out")
+        assert "median_age" not in (tmp_path / "nan" / "out" / "regression_full.csv").read_text(encoding="utf-8")
+
+
 class TestSeedOverride:
     def test_seed_changes_split_but_stays_deterministic(self, fixture_dir, tmp_path):
         config = str(fixture_dir / "config.json")
@@ -644,6 +758,8 @@ class TestConfigValidation:
         "classifier.smoothing=0",
         'classifier.min_confidence="hi"',
         'regression.features="urbanization"',
+        'regression.features=["urbanization","urbanization"]',
+        "classifier.pseudo_fraction=0.5",
         "seed=1.5",
         "paths.posts=3",
         "thresholds.min_region_posts=1e400",
