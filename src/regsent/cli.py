@@ -1,8 +1,9 @@
 """Command line entry points.
 
-Stage subcommand `<name>` runs `pipeline.stage_<name>` on `--out`. Only `ingest`
-creates that directory; a later stage exits 1 naming an intermediate it needs
-that is missing there, and 2 naming the artifact and line of a malformed one.
+Stage subcommand `<name>` is `pipeline.run_stage`, which reads the inputs of
+`pipeline.stage_<name>` from the artifacts in `--out` and runs it there. Only
+`ingest` creates that directory; a later stage exits 1 naming an intermediate it
+needs that is missing there, and 2 naming the artifact and line of a malformed one.
 An `--out` that is, or runs through, something other than a directory exits 1
 before any subcommand runs.
 
@@ -84,11 +85,7 @@ def _run(args: argparse.Namespace) -> None:
         pipeline.run_pipeline(cfg, out_dir)
         print(out_dir / "summary.md")
         return
-    stage = getattr(pipeline, "stage_" + args.command.replace("-", "_"))
-    if args.command == "report":
-        stage(cfg, out_dir, args.kind)
-    else:
-        stage(cfg, out_dir)
+    pipeline.run_stage(args.command.replace("-", "_"), cfg, out_dir, *([args.kind] if args.command == "report" else []))
 
 
 def main(argv: list[str] | None = None) -> int:

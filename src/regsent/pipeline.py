@@ -1,13 +1,15 @@
 """Batch stages behind the CLI subcommands.
 
-Every stage reads its inputs from configured paths or from artifacts earlier
-stages left in the output directory, and writes deterministic artifacts
-(plain CSV/JSONL, stable ordering, repr floats). `run_pipeline` is the stages
-composed in order; it hands the located posts and the predictions from stage
-to stage in memory, as the records their artifacts hold, so a pipeline run and
-the equivalent sequence of subcommands produce identical bytes. Only
-`stage_ingest` creates the output directory; a missing intermediate is a
-ConfigError, a malformed one a DataValidationError naming its line.
+Each `stage_<name>(cfg, out_dir[, kind], *inputs)` computes from the inputs it
+is given and from the configured paths, and writes deterministic artifacts
+(plain CSV/JSONL, stable ordering, repr floats) to `out_dir`; no stage reads
+an artifact another stage wrote. `run_pipeline` is the stages composed in
+order, each handed what the stages before it returned. `run_stage` runs one
+stage for the CLI: it reads the stage's inputs back from `out_dir` through
+`_INPUTS`, as the records their artifacts hold, so a pipeline run and the
+equivalent sequence of subcommands produce identical bytes. Only `stage_ingest`
+creates the output directory; a missing intermediate is a ConfigError, a
+malformed one a DataValidationError naming its line.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .preprocess import (
 if TYPE_CHECKING:
     from . import stats
     from .regional import RegionSentiment
-    from .sentiment import LabeledExample, SentimentLabel
+    from .sentiment import LabeledExample, SentimentLabel, SentimentModel
 
 __all__ = [
     "ClassifierSettings",
@@ -47,6 +49,7 @@ __all__ = [
     "ThresholdSettings",
     "load_config",
     "run_pipeline",
+    "run_stage",
     "stage_aggregate",
     "stage_classify",
     "stage_clean",
@@ -284,6 +287,31 @@ def _located_post(row: dict) -> RawPost:
     )
 
 
+def _located_posts(out_dir: Path) -> list[RawPost]:
+    return _read_artifact(out_dir, "located.jsonl", _located_post)
+
+
+def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
+    """Each located post's id -> (region or None, timestamp)."""
+    return dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
+        row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
+    )))
+
+
+def _whitelist(out_dir: Path) -> frozenset[str]:
+    return frozenset(chain.from_iterable(_read_artifact(out_dir, "emoji_whitelist.txt", str.split)))
+
+
+def _model(out_dir: Path) -> SentimentModel:
+    from .sentiment import load_model
+    return load_model(_require_artifact(out_dir, "model.json"))
+
+
+def _predictions(out_dir: Path) -> list[tuple[str, SentimentLabel]]:
+    from .sentiment import SentimentLabel
+    return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
+
+
 def _clean_fields(row: dict) -> tuple[Any, list[str], Any]:
     post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
     if type(tokens) is not list or not all(type(token) is str for token in tokens):
@@ -313,6 +341,22 @@ def _read_regions(out_dir: Path) -> list[RegionSentiment]:
     return _read_artifact(out_dir, "region_sentiment.csv", to_region)
 
 
+# The readers of each stage's inputs, in argument order: how `run_stage` gets from `out_dir` what
+# `run_pipeline` hands on in memory. A stage not listed takes no intermediate.
+_INPUTS: dict[str, tuple[Callable[[Path], Any], ...]] = {
+    "clean": (_located_posts,), "report": (_located_posts,), "train": (_whitelist,),
+    "classify": (_model, _classifiable), "import_predictions": (_classifiable,),
+    "aggregate": (_located_where, _predictions),
+    **dict.fromkeys(("shift_test", "regress", "stepwise"), (_read_regions,)),
+}
+
+
+def run_stage(name: str, cfg: PipelineConfig, out_dir: Path, *args: Any) -> Any:
+    """`stage_<name>` on `args` (the report kind) and then its inputs, read from `out_dir` through `_INPUTS`."""
+    stage = globals()["stage_" + name]  # looked up on every call, so a patched stage is the one that runs
+    return stage(cfg, out_dir, *args, *[read(out_dir) for read in _INPUTS.get(name, ())])
+
+
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
     """The configured short-post threshold plus the loaded resources."""
     paths = cfg.require_paths("dictionary", "lemmas", "stop_words", "conjunctions")
@@ -337,7 +381,7 @@ def stage_ingest(
 
     Returns the report, the located posts and each one's id -> (region or
     None, timestamp): the records of `located.jsonl`, as `stage_clean`,
-    `stage_report` and `stage_aggregate` read them.
+    `stage_report` and `stage_aggregate` take them.
     """
     out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out
     paths = cfg.require_paths("posts", "gazetteer")
@@ -392,15 +436,11 @@ def stage_ingest(
     return report, located, where
 
 
-def stage_clean(
-    cfg: PipelineConfig, out_dir: Path, *, posts: Sequence[RawPost] | None = None
-) -> tuple[dict, frozenset[str]]:
-    """Select the emoji whitelist, then run the normalization chain over `posts`, `located.jsonl` by default.
+def stage_clean(cfg: PipelineConfig, out_dir: Path, posts: Sequence[RawPost]) -> tuple[dict, frozenset[str]]:
+    """Select the emoji whitelist, then run the normalization chain over the located `posts`.
 
     Returns the report and the whitelist.
     """
-    if posts is None:
-        posts = _read_artifact(out_dir, "located.jsonl", _located_post)
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
     write_records(out_dir / "emoji_whitelist.txt", "txt", sorted(whitelist))
@@ -431,12 +471,8 @@ def stage_clean(
     return report, whitelist
 
 
-def stage_report(
-    cfg: PipelineConfig, out_dir: Path, kind: str, *, posts: Sequence[RawPost] | None = None
-) -> FrequencyReport:
-    """Corpus frequency diagnostics over the located `posts`, `located.jsonl` by default; returns the report."""
-    if posts is None:
-        posts = _read_artifact(out_dir, "located.jsonl", _located_post)
+def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, posts: Sequence[RawPost]) -> FrequencyReport:
+    """Corpus frequency diagnostics over the located `posts`; returns the report."""
     if kind == "hashtags":
         report = hashtag_report(posts)
     elif kind == "emojis":
@@ -447,11 +483,11 @@ def stage_report(
     return report
 
 
-def _training_examples(cfg: PipelineConfig, out_dir: Path) -> tuple[list[LabeledExample], list[tuple[str, ...]]]:
-    """Cleaned training examples plus the neutral pool (binary mode)."""
+def _training_examples(
+    cfg: PipelineConfig, settings: CleanConfig
+) -> tuple[list[LabeledExample], list[tuple[str, ...]]]:
+    """Training examples cleaned with `settings`, plus the neutral pool (binary mode)."""
     from .sentiment import LabeledExample, SentimentLabel, load_labeled_csv
-    whitelist = frozenset(chain.from_iterable(_read_artifact(out_dir, "emoji_whitelist.txt", str.split)))
-    settings = _clean_settings(cfg, whitelist)
     rows = load_labeled_csv(cfg.require_paths("training_data")["training_data"])
     labeled: list[LabeledExample] = []
     neutral_pool: list[tuple[str, ...]] = []
@@ -481,11 +517,14 @@ def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
     )
 
 
-def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Train the classifier (optionally with pseudo-labeling) and evaluate it."""
+def stage_train(cfg: PipelineConfig, out_dir: Path, whitelist: frozenset[str]) -> tuple[dict, SentimentModel]:
+    """Train the classifier (optionally with pseudo-labeling) on text cleaned with the emoji `whitelist`.
+
+    Evaluates it, and returns the report and the model `model.json` holds.
+    """
     from .sentiment import evaluate, pseudo_label, save_model, train_test_split
     cs = cfg.classifier
-    labeled, neutral_pool = _training_examples(cfg, out_dir)
+    labeled, neutral_pool = _training_examples(cfg, _clean_settings(cfg, whitelist))
     if not labeled:
         raise DataValidationError("no usable training examples after cleaning")
     train_part, heldout = train_test_split(labeled, cs.test_fraction, cfg.seed)
@@ -527,21 +566,21 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> dict:
         "accuracies": {f"{m}/{d}": rep.accuracy for m, d, rep in evals},
     }
     _write_json(out_dir / "train_report.json", report)
-    return report
+    return report, final_model
 
 
-def stage_classify(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, list[tuple[str, SentimentLabel]]]:
-    """Predict every accepted cleaned post with the trained model.
+def stage_classify(
+    cfg: PipelineConfig, out_dir: Path, model: SentimentModel, posts: Sequence[tuple[str, list[str]]]
+) -> tuple[dict, list[tuple[str, SentimentLabel]]]:
+    """Predict each classifiable (id, tokens) post with the trained `model`.
 
     Returns the report and the (id, label) records of `predictions.csv`, as
-    `stage_aggregate` reads them.
+    `stage_aggregate` takes them.
     """
-    from .sentiment import SentimentLabel, load_model, predict
-    model = load_model(_require_artifact(out_dir, "model.json"))
+    from .sentiment import SentimentLabel, predict
     has_positive = SentimentLabel.POSITIVE in model.classes
     counts = {label.value: 0 for label in model.classes}
     n_fallback = 0
-    posts = _classifiable(out_dir)
     labels: list[tuple[str, SentimentLabel]] = []
 
     def prediction_rows():  # rows are formatted as they are written; only (id, label) is kept
@@ -560,12 +599,12 @@ def stage_classify(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, list[tuple
     return report, labels
 
 
-def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Use third-party model predictions in place of the local classifier."""
+def stage_import_predictions(cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, list[str]]]) -> dict:
+    """Use third-party model predictions for the classifiable (id, tokens) `posts` in place of the local classifier."""
     from .sentiment import import_external_predictions, match_predictions
     path = cfg.require_paths("external_predictions")["external_predictions"]
     imported = import_external_predictions(path)
-    clean_ids = [post_id for post_id, _ in _classifiable(out_dir)]
+    clean_ids = [post_id for post_id, _ in posts]
     matched, unknown = match_predictions(imported, clean_ids)
     write_records(out_dir / "predictions.csv", "csv", (
         (post_id, matched[post_id].value, False, "") for post_id in clean_ids if post_id in matched
@@ -576,29 +615,17 @@ def stage_import_predictions(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 
 def stage_aggregate(
-    cfg: PipelineConfig,
-    out_dir: Path,
-    *,
-    located: Mapping[str, tuple[str | None, datetime]] | None = None,
-    predictions: Iterable[tuple[str, SentimentLabel]] | None = None,
+    cfg: PipelineConfig, out_dir: Path, located: Mapping[str, tuple[str | None, datetime]],
+    predictions: Iterable[tuple[str, SentimentLabel]],
 ) -> tuple[dict, list[RegionSentiment]]:
     """Join predictions with locations and fold into per-region period counts.
 
-    `located` maps a post id to its (region or None, timestamp), read from
-    `located.jsonl` by default; `predictions` are (id, label) pairs, read from
-    `predictions.csv` by default. Returns the report and the regions of
-    `region_sentiment.csv`.
+    `located` maps a post id to its (region or None, timestamp); `predictions`
+    are (id, label) pairs. Returns the report and the regions of
+    `region_sentiment.csv`, as the shift test and the fits take them.
     """
     from .regional import RegionSentiment, SentimentObservation, aggregate
     from .sentiment import SentimentLabel
-    if located is None:
-        located = dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
-            row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
-        )))
-    if predictions is None:
-        predictions = _read_artifact(out_dir, "predictions.csv", lambda row: (
-            row["id"], SentimentLabel.parse(row["label"])
-        ))
     observations: list[SentimentObservation] = []
     neutral_skipped = 0
     for post_id, label in predictions:
@@ -627,10 +654,9 @@ def stage_aggregate(
     return report, regions
 
 
-def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Global and per-region before/after proportion tests."""
+def stage_shift_test(cfg: PipelineConfig, out_dir: Path, regions: Sequence[RegionSentiment]) -> dict:
+    """Global and per-region before/after proportion tests over `regions`."""
     from . import regional
-    regions = _read_regions(out_dir)
     per_region = {
         r.region_id: regional.shift_test_for_region(r) for r in regions if r.included
     }
@@ -648,11 +674,11 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path) -> dict:
     return payload
 
 
-def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.DesignMatrix, dict]:
+def _regression_design(cfg: PipelineConfig, regions: Sequence[RegionSentiment]) -> tuple[stats.DesignMatrix, dict]:
     from . import stats
     table_path = cfg.require_paths("region_table")["region_table"]
     table = load_region_table(table_path)
-    included = {r.region_id: r for r in _read_regions(out_dir) if r.included}
+    included = {r.region_id: r for r in regions if r.included}
     if not included:
         threshold = cfg.thresholds.min_region_posts
         raise DataValidationError(
@@ -666,8 +692,9 @@ def _regression_design(cfg: PipelineConfig, out_dir: Path) -> tuple[stats.Design
     missing = [f for f in features if f not in available]
     if missing:
         raise DataValidationError(f"region table lacks feature columns {missing}")
-    if "sentiment" in features:
-        raise DataValidationError(f"{table_path}: feature column 'sentiment' clashes with the sentiment predictor")
+    for name, term in (("sentiment", "the sentiment predictor"), ("intercept", "the intercept term")):
+        if name in features:  # every fit has both terms: a column of the same name could not be told apart
+            raise DataValidationError(f"{table_path}: feature column {name!r} clashes with {term}")
     for rec in rows:  # the table loader takes any float: a column no fit uses may hold nan or inf
         for f in features:
             if not math.isfinite(value := rec.features[f]):
@@ -711,21 +738,21 @@ def _write_fit(fit: stats.OlsFit, out_dir: Path, stem: str, title: str) -> str:
     return table
 
 
-def stage_regress(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, str]:
-    """Fit the outcome on sentiment plus the configured features; returns the report and the fit table."""
+def stage_regress(cfg: PipelineConfig, out_dir: Path, regions: Sequence[RegionSentiment]) -> tuple[dict, str]:
+    """Fit the outcome on the `regions`' sentiment plus the configured features; returns the report and fit table."""
     from . import stats
-    design, meta = _regression_design(cfg, out_dir)
+    design, meta = _regression_design(cfg, regions)
     fit = stats.ols(design)
     table = _write_fit(fit, out_dir, "regression_full", "Outcome model (all predictors)")
     return {**meta, "r2": fit.r2, "aic": fit.aic}, table
 
 
 def stage_stepwise(
-    cfg: PipelineConfig, out_dir: Path
+    cfg: PipelineConfig, out_dir: Path, regions: Sequence[RegionSentiment]
 ) -> tuple[dict, str, tuple[tuple[int, str, str, float], ...]]:
     """Greedy AIC selection over the regression predictors; returns the report, the fit table and the moves."""
     from . import stats
-    design, meta = _regression_design(cfg, out_dir)
+    design, meta = _regression_design(cfg, regions)
     result = stats.stepwise(design, cfg.regression.direction, cfg.regression.start)
     write_records(out_dir / "stepwise_trace.csv", "csv", (
         (step, action, name, repr(aic)) for step, action, name, aic in result.trace
@@ -833,28 +860,29 @@ def _summary_markdown(
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise.
 
-    Writes every artifact the stage sequence writes, plus summary.md, which is
-    rendered from what the stages returned: no artifact is read back for it.
-    The located posts and the predictions go to the stages that read them in
-    memory rather than parsed back from `out_dir`. Classify still reads the
-    cleaned tokens from `clean.jsonl`: holding them from clean to classify
+    Each stage takes what the stages before it returned: the located posts,
+    the whitelist, the model, the predictions and the regions go on in memory,
+    and no artifact is read back for them or for summary.md, which is rendered
+    from the stage returns. The one exception is the cleaned tokens, which are
+    parsed from `clean.jsonl` for classify: holding them from clean to classify
     would raise the run's peak memory more than the parse costs in time.
+    Writes every artifact the stage sequence writes, plus summary.md.
     Returns the report dict of each stage but the frequency reports, by stage name.
     """
     reports: dict[str, Any] = {}
     reports["ingest"], posts, located = stage_ingest(cfg, out_dir)
-    reports["clean"], whitelist = stage_clean(cfg, out_dir, posts=posts)
-    hashtags = stage_report(cfg, out_dir, "hashtags", posts=posts).rows[:10]  # the rows the summary prints
-    emojis = stage_report(cfg, out_dir, "emojis", posts=posts).rows[:10]
+    reports["clean"], whitelist = stage_clean(cfg, out_dir, posts)
+    hashtags = stage_report(cfg, out_dir, "hashtags", posts).rows[:10]  # the rows the summary prints
+    emojis = stage_report(cfg, out_dir, "emojis", posts).rows[:10]
     del posts  # freed before train: the post texts are not needed past the reports
-    reports["train"] = stage_train(cfg, out_dir)
-    reports["classify"], predictions = stage_classify(cfg, out_dir)
-    reports["aggregate"], regions = stage_aggregate(cfg, out_dir, located=located, predictions=predictions)
+    reports["train"], model = stage_train(cfg, out_dir, whitelist)
+    reports["classify"], predictions = stage_classify(cfg, out_dir, model, _classifiable(out_dir))
+    reports["aggregate"], regions = stage_aggregate(cfg, out_dir, located, predictions)
+    del located, predictions  # freed before regress and stepwise allocate their designs
+    reports["shift"] = stage_shift_test(cfg, out_dir, regions)
+    reports["regress"], full_table = stage_regress(cfg, out_dir, regions)
+    reports["stepwise"], selected_table, moves = stage_stepwise(cfg, out_dir, regions)
     included = [region for region in regions if region.included]
-    del located, predictions, regions  # freed before regress and stepwise allocate their designs
-    reports["shift"] = stage_shift_test(cfg, out_dir)
-    reports["regress"], full_table = stage_regress(cfg, out_dir)
-    reports["stepwise"], selected_table, moves = stage_stepwise(cfg, out_dir)
     summary = _summary_markdown(reports, whitelist, hashtags, emojis, included, (full_table, selected_table), moves)
     (out_dir / "summary.md").write_text(summary, encoding="utf-8")
     return reports

@@ -7,6 +7,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLOCK_NUMPY, run_cli, run_python
-from regsent import cli, pipeline
+from regsent import cli, pipeline, sentiment
 from regsent.errors import ConfigError
 from regsent.fixtures import write_corpus_fixture
 from regsent.pipeline import PipelineConfig, load_config
@@ -554,15 +555,28 @@ class TestComposition:
         ]
         assert mismatched == []
 
-    def test_pipeline_parses_no_record_it_handed_on(self, fixture_dir, tmp_path, monkeypatch):
-        """The located posts and the predictions go from stage to stage in memory; clean.jsonl is read once.
+    def test_every_stage_takes_its_inputs_as_arguments(self):
+        """No stage input is optional: after (cfg, out_dir[, kind]) come the inputs `run_stage` reads, one each."""
+        stages = [name for name in pipeline.__all__ if name.startswith("stage_")]
+        assert len(stages) == 10
+        for name in stages:
+            params = list(inspect.signature(getattr(pipeline, name)).parameters.values())
+            assert [p for p in params if p.default is not p.empty or p.kind is not p.POSITIONAL_OR_KEYWORD] == [], name
+            fixed = ["cfg", "out_dir", "kind"] if name == "stage_report" else ["cfg", "out_dir"]
+            assert [p.name for p in params[:len(fixed)]] == fixed, name
+            assert len(params) - len(fixed) == len(pipeline._INPUTS.get(name.removeprefix("stage_"), ())), name
 
-        summary.md is rendered from the stage returns: the whitelist is read once (by train) and
-        region_sentiment.csv three times (by shift-test, regress and stepwise), and the frequency
+    def test_pipeline_parses_no_record_it_handed_on(self, fixture_dir, tmp_path, monkeypatch):
+        """Each stage takes what the stages before it returned; only clean.jsonl is parsed, once, for classify.
+
+        The located posts, the whitelist, the model, the predictions and the regions go on in memory:
+        located.jsonl, emoji_whitelist.txt, predictions.csv and region_sentiment.csv are never parsed,
+        and the model is never loaded. summary.md is rendered from the stage returns, so the frequency
         reports, the stepwise trace and the fit tables are never read back.
         """
         parsed: list[str] = []
-        read_records, read_text = pipeline.read_records, Path.read_text
+        loaded: list[Path] = []
+        read_records, read_text, load_model = pipeline.read_records, Path.read_text, sentiment.load_model
 
         def counting(path, *args, **kwargs):
             parsed.append(Path(path).name)
@@ -572,15 +586,39 @@ class TestComposition:
             parsed.append(path.name)
             return read_text(path, *args, **kwargs)
 
+        def counting_load(path):
+            loaded.append(path)
+            return load_model(path)
+
         monkeypatch.setattr(pipeline, "read_records", counting)
         monkeypatch.setattr(Path, "read_text", counting_text)
+        monkeypatch.setattr(sentiment, "load_model", counting_load)
         pipeline.run_pipeline(load_config(fixture_dir / "config.json"), tmp_path / "out")
         counts = {
-            "located.jsonl": 0, "predictions.csv": 0, "clean.jsonl": 1, "region_sentiment.csv": 3,
-            "emoji_whitelist.txt": 1, "hashtags.csv": 0, "emojis.csv": 0, "stepwise_trace.csv": 0,
+            "located.jsonl": 0, "predictions.csv": 0, "clean.jsonl": 1, "region_sentiment.csv": 0,
+            "emoji_whitelist.txt": 0, "hashtags.csv": 0, "emojis.csv": 0, "stepwise_trace.csv": 0,
             "regression_full.txt": 0, "stepwise_model.txt": 0,
         }
         assert {name: parsed.count(name) for name in counts} == counts
+        assert loaded == []
+
+    def test_imported_predictions_reproduce_the_regional_results(self, fixture_dir, pipeline_out, tmp_path, capsys):
+        """import-predictions of the pipeline's own labels, then the later stages, give the pipeline's files."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("clean.jsonl", "located.jsonl"):
+            shutil.copyfile(pipeline_out / name, out / name)
+        args = ["--config", str(fixture_dir / "config.json"), "--out", str(out),
+                "--set", f"paths.external_predictions={pipeline_out / 'predictions.csv'}"]
+        for stage in ("import-predictions", "aggregate", "shift-test", "regress", "stepwise"):
+            assert cli.main([stage, *args]) == 0, (stage, capsys.readouterr().err)
+        report = json.loads((out / "import_report.json").read_text(encoding="utf-8"))
+        classified = json.loads((pipeline_out / "classify_report.json").read_text(encoding="utf-8"))["classified"]
+        assert (report["matched"], report["unknown_ids"]) == (classified, 0)
+        names = ["region_sentiment.csv", "shift_tests.csv", "shift_summary.json", "stepwise_trace.csv", "stepwise.json",
+                 *(f"{stem}.{ext}" for stem in ("regression_full", "stepwise_model") for ext in ("csv", "txt", "json"))]
+        mismatched = [name for name in names if (out / name).read_bytes() != (pipeline_out / name).read_bytes()]
+        assert mismatched == []
 
 
 class TestStartWithoutNumpy:
@@ -668,18 +706,34 @@ class TestRegionTableFeatures:
             codes = [cli.main([stage, *args, *overrides]) for stage in stages]
         return max(codes), err.getvalue(), path
 
-    @pytest.mark.parametrize("features", ["null", '["urbanization","sentiment"]'])
+    @pytest.mark.parametrize("column, term", [
+        ("sentiment", "the sentiment predictor"), ("intercept", "the intercept term"),
+    ], ids=["sentiment", "intercept"])
+    @pytest.mark.parametrize("features", ["null", '["urbanization","{column}"]'])
     @pytest.mark.parametrize("stage", ["regress", "stepwise"])
-    def test_sentiment_column_clashes_with_the_predictor(self, fixture_dir, pipeline_out, tmp_path, features, stage):
-        def add_sentiment(rows):
+    def test_sentiment_column_clashes_with_the_predictor(
+        self, fixture_dir, pipeline_out, tmp_path, features, stage, column, term
+    ):
+        def add_column(rows):
             for i, row in enumerate(rows):
-                row["sentiment"] = str(i % 3)
+                row[column] = str(i % 3)
 
-        code, err, path = self.run_fit(
-            fixture_dir, pipeline_out, tmp_path, add_sentiment, [stage], "--set", f"regression.features={features}")
+        code, err, path = self.run_fit(fixture_dir, pipeline_out, tmp_path, add_column, [stage],
+                                       "--set", f"regression.features={features.format(column=column)}")
         assert code == 2
-        assert err == f"regsent: error[data]: {path}: feature column 'sentiment' clashes with the sentiment predictor\n"
+        assert err == f"regsent: error[data]: {path}: feature column {column!r} clashes with {term}\n"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["region_sentiment.csv"]
+
+    def test_unselected_intercept_column_is_left_alone(self, fixture_dir, pipeline_out, tmp_path):
+        def add_intercept(rows):
+            for i, row in enumerate(rows):
+                row["intercept"] = str(i % 3)
+
+        selected = ("--set", 'regression.features=["urbanization","median_age"]')
+        stages = ["regress", "stepwise"]
+        for name, edit in (("extra", add_intercept), ("plain", list)):
+            assert self.run_fit(fixture_dir, pipeline_out, tmp_path / name, edit, stages, *selected)[:2] == (0, "")
+        assert read_all(tmp_path / "extra" / "out") == read_all(tmp_path / "plain" / "out")
 
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("1e999", "inf"), ("-inf", "-inf")])
     @pytest.mark.parametrize("stage", ["regress", "stepwise"])

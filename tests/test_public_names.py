@@ -11,7 +11,7 @@ PACKAGE = Path(regsent.__file__).resolve().parent
 
 # Exported names with no caller in the package, each kept for a stated reason.
 UNCALLED_ON_PURPOSE = {
-    "stage_import_predictions": "cli._run dispatches stage subcommands by name with getattr",
+    "stage_import_predictions": "run_stage dispatches by name",
     "shift_regression": "the paper's period-dummy OLS; ROADMAP item 7 wires it into shift-test",
 }
 
