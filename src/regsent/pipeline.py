@@ -277,25 +277,25 @@ def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any] = dic
     return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name)
 
 
-def _located_post(row: dict) -> RawPost:
-    return RawPost(
-        id=row["id"],
-        text=row["text"],
-        timestamp=datetime.fromisoformat(row["timestamp"]),
-        place_name=row.get("place") or None,
-        language=row.get("lang") or None,
-    )
+def _located_fields(row: dict) -> tuple[str, str, datetime, str | None, str | None, str | None]:
+    """(id, text, timestamp, place, lang, region) of a `located.jsonl` record; an empty place, lang or region is None."""
+    fields = (row["id"], row["text"], row["timestamp"], row.get("place"), row.get("lang"), row["region"])
+    for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):
+        nullable = key in ("place", "lang")
+        if type(value) is not str and not (nullable and value is None):
+            raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
+    post_id, text, timestamp, place, lang, region = fields
+    return post_id, text, datetime.fromisoformat(timestamp), place or None, lang or None, region or None
 
 
 def _located_posts(out_dir: Path) -> list[RawPost]:
-    return _read_artifact(out_dir, "located.jsonl", _located_post)
+    return _read_artifact(out_dir, "located.jsonl", lambda row: RawPost(*_located_fields(row)[:5]))
 
 
 def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
     """Each located post's id -> (region or None, timestamp)."""
-    return dict(_read_artifact(out_dir, "located.jsonl", lambda row: (
-        row["id"], (row["region"] or None, datetime.fromisoformat(row["timestamp"]))
-    )))
+    rows = _read_artifact(out_dir, "located.jsonl", _located_fields)
+    return {post_id: (region, timestamp) for post_id, _, timestamp, _, _, region in rows}
 
 
 def _whitelist(out_dir: Path) -> frozenset[str]:

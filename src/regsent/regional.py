@@ -166,7 +166,7 @@ def shift_test(
     if any(m == 0 for m in margins):
         return ShiftTestResult(scope=scope, chi2=0.0, p_value=1.0, degenerate=True)
     chi2 = n * (a * d - b * c) ** 2 / (margins[0] * margins[1] * margins[2] * margins[3])
-    return ShiftTestResult(scope=scope, chi2=float(chi2), p_value=stats.chi2_sf(float(chi2), 1))
+    return ShiftTestResult(scope=scope, chi2=float(chi2), p_value=stats.chi2_sf(float(chi2)))
 
 
 def shift_test_for_region(rs: RegionSentiment) -> ShiftTestResult:

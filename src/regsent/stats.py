@@ -1,9 +1,10 @@
 """Least squares with full inference, AIC, stepwise predictor selection, and
 the distribution survival functions backing every p-value in the toolkit.
 
-The survival functions are self-contained (series / continued-fraction
-evaluations of the regularized incomplete gamma and beta integrals) so that
-results do not depend on an external stats stack.
+The survival functions are self-contained so that results do not depend on
+an external stats stack: t and F through a continued-fraction evaluation of
+the regularized incomplete beta integral, and chi-squared with one degree of
+freedom through math.erfc.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "gaussian_aic",
     "ols",
     "regularized_incomplete_beta",
-    "regularized_upper_gamma",
     "significance_stars",
     "standardize",
     "stepwise",
@@ -103,61 +103,13 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a, x) by power series; use for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _CONV_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericalError(f"incomplete gamma series did not converge (a={a}, x={x})")
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a, x) by continued fraction (modified Lentz); use for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CONV_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericalError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
-
-
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x), the upper regularized incomplete gamma."""
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
+def chi2_sf(x: float) -> float:
+    """Survival function of the chi-squared distribution with one degree of
+    freedom: erfc(sqrt(x / 2)) (Abramowitz & Stegun, Handbook of Mathematical
+    Functions, 26.4)."""
     if x <= 0.0:
         return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
-
-
-def chi2_sf(x: float, df: int = 1) -> float:
-    """Survival function of the chi-squared distribution."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if x <= 0.0:
-        return 1.0
-    return regularized_upper_gamma(df / 2.0, x / 2.0)
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def student_t_sf(t: float, df: int) -> float:
@@ -318,14 +270,6 @@ def _qr_rank_checked(d: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def _rss_and_aic(d: DesignMatrix) -> float:
-    """AIC of the least-squares fit; shares the QR route with ols()."""
-    Q, R = _qr_rank_checked(d)
-    beta = np.linalg.solve(R, Q.T @ d.y)
-    resid = d.y - d.X @ beta
-    return gaussian_aic(float(resid @ resid), d.n, d.k)
-
-
 def ols(d: DesignMatrix) -> OlsFit:
     """Least squares via QR with standard errors, t/p, R2, F, and AIC.
 
@@ -410,8 +354,8 @@ def stepwise(d: DesignMatrix, direction: str = "both", start: str = "full") -> S
     since [X_S, y] = Q R[:, S + y], the last diagonal entry of the QR of that
     small slice is the subset's residual norm (Bjorck, Numerical Methods for
     Least Squares Problems, SIAM 1996, section 1.3). The best candidate is
-    refitted through the route ols() uses, and that refit decides whether the
-    move is taken, so start_aic and the trace report what ols() reports.
+    refitted with ols(), and that fit decides whether the move is taken, so
+    start_aic, the trace and the returned fit are what ols() reports.
     """
     if direction not in ("backward", "forward", "both"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -425,12 +369,12 @@ def stepwise(d: DesignMatrix, direction: str = "both", start: str = "full") -> S
         idx = [0] + [i + 1 for i, name in enumerate(d.names) if name in keep]
         r = np.linalg.qr(R[:, idx + [-1]], mode="r")
         if np.any(np.abs(np.diag(r))[:-1] < _RANK_RTOL * col_norms[idx].max()):
-            return _rss_and_aic(subset_design(d, keep))  # the ols() route decides, naming the column
+            return ols(subset_design(d, keep)).aic  # ols() decides, naming the column
         return gaussian_aic(float(r[-1, -1] ** 2), d.n, len(idx) - 1)
 
     current: set[str] = set(d.names) if start == "full" else set()
-    current_aic = _rss_and_aic(subset_design(d, current))
-    start_aic = current_aic
+    current_fit = ols(subset_design(d, current))
+    start_aic = current_fit.aic
     trace: list[tuple[int, str, str, float]] = []
     step = 0
     while True:
@@ -448,17 +392,17 @@ def stepwise(d: DesignMatrix, direction: str = "both", start: str = "full") -> S
         if not candidates:
             break
         _, best_name, best_action, best_set = _best_move(candidates)
-        best_aic = _rss_and_aic(subset_design(d, best_set))
-        if best_aic >= current_aic:
+        best_fit = ols(subset_design(d, best_set))
+        if best_fit.aic >= current_fit.aic:
             break
         step += 1
-        current, current_aic = best_set, best_aic
-        trace.append((step, best_action, best_name, best_aic))
+        current, current_fit = best_set, best_fit
+        trace.append((step, best_action, best_name, best_fit.aic))
 
     selected = tuple(name for name in d.names if name in current)
     return StepwiseResult(
         selected=selected,
-        fit=ols(subset_design(d, current)),
+        fit=current_fit,
         trace=tuple(trace),
         start_aic=start_aic,
     )

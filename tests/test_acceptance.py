@@ -157,8 +157,8 @@ def test_criterion_02_stepwise_matches_bruteforce_and_exhaustive_ranking():
 
 def test_criterion_03_distribution_accuracy():
     with criterion(3, "distribution accuracy"):
-        assert 0.488 <= chi2_sf(0.477, 1) <= 0.492
-        assert abs(chi2_sf(3.841, 1) - 0.0500) <= 5e-4
+        assert 0.488 <= chi2_sf(0.477) <= 0.492
+        assert abs(chi2_sf(3.841) - 0.0500) <= 5e-4
         for df in (1, 5, 30, 125):
             assert student_t_sf(0.0, df) == 0.5
 

@@ -307,6 +307,25 @@ class TestErrorContract:
         assert err.startswith(f"regsent: error[data]: clean.jsonl:{content.count(chr(10))}: tokens must be ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("stage, key, value", [
+        ("clean", "text", 5), ("clean", "id", ["x"]), ("clean", "place", 5), ("clean", "lang", ["pl"]),
+        ("report hashtags", "text", ["a"]),
+        ("aggregate", "region", 5), ("aggregate", "region", True), ("aggregate", "id", ["x"]),
+    ])
+    def test_located_field_of_the_wrong_type_exits_two(self, fixture_dir, pipeline_out, tmp_path, capsys,
+                                                       stage, key, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "predictions.csv").write_bytes((pipeline_out / "predictions.csv").read_bytes())
+        lines = (pipeline_out / "located.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = json.dumps({**json.loads(lines[-1]), key: value}) + "\n"
+        (out / "located.jsonl").write_text("".join(lines), encoding="utf-8")
+        code = cli.main([*stage.split(), "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        kind = "a string or null" if key in ("place", "lang") else "a string"
+        assert err == f"regsent: error[data]: located.jsonl:{len(lines)}: {key} must be {kind}, got {value!r}\n"
+
     def test_duplicate_post_id_exits_two(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         posts = tmp_path / "posts.jsonl"

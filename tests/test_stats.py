@@ -15,7 +15,6 @@ from regsent.errors import RankDeficiencyError
 from regsent.stats import (
     DesignMatrix,
     _best_move,
-    _rss_and_aic,
     chi2_sf,
     design_matrix,
     f_sf,
@@ -40,9 +39,9 @@ def random_design(rng, n=None, k=None, name_prefix="x"):
 
 class TestDistributions:
     def test_chi2_sf_reference_points(self):
-        assert 0.488 <= chi2_sf(0.477, 1) <= 0.492
-        assert abs(chi2_sf(3.841, 1) - 0.05) < 5e-4
-        assert chi2_sf(0.0, 1) == 1.0
+        assert 0.488 <= chi2_sf(0.477) <= 0.492
+        assert abs(chi2_sf(3.841) - 0.05) < 5e-4
+        assert chi2_sf(0.0) == 1.0
 
     def test_student_t_sf_at_zero_is_exact_half(self):
         for df in (1, 5, 30, 125, 1000):
@@ -56,7 +55,7 @@ class TestDistributions:
         for _ in range(500):
             df = int(rng.integers(1, 250))
             x = float(rng.uniform(0, 60))
-            assert abs(chi2_sf(x, df) - scipy_stats.chi2.sf(x, df)) < 1e-10
+            assert abs(chi2_sf(x) - scipy_stats.chi2.sf(x, 1)) < 1e-10
             t = float(rng.uniform(-12, 12))
             assert abs(student_t_sf(t, df) - scipy_stats.t.sf(t, df)) < 1e-10
             f = float(rng.uniform(0, 30))
@@ -66,7 +65,14 @@ class TestDistributions:
     def test_chi2_equals_squared_normal_tail(self):
         rng = np.random.default_rng(8)
         for z in rng.uniform(-6, 6, 300):
-            assert abs(chi2_sf(z * z, 1) - 2 * scipy_stats.norm.sf(abs(z))) < 1e-8
+            assert abs(chi2_sf(z * z) - 2 * scipy_stats.norm.sf(abs(z))) < 1e-8
+
+    def test_chi2_sf_relative_error_down_the_tail(self):
+        # every value the reference can tell from zero, from p = 1 down to 1e-300 (x about 1370)
+        xs = np.linspace(0.0, 1400.0, 14001)
+        for x, reference in zip(xs, scipy_stats.chi2.sf(xs, 1)):
+            if reference >= 1e-300:
+                assert abs(chi2_sf(float(x)) - reference) <= 1e-12 * reference, x
 
     def test_monotone_and_bounded(self):
         values = [student_t_sf(t, 7) for t in np.linspace(-8, 8, 101)]
@@ -306,9 +312,9 @@ class TestStepwise:
 
 
 def reference_stepwise(d, direction, start):
-    """(trace, start_aic) of the search with every candidate fitted through _rss_and_aic."""
+    """(trace, start_aic) of the search with every candidate fitted through ols()."""
     current = set(d.names) if start == "full" else set()
-    current_aic = _rss_and_aic(subset_design(d, current))
+    current_aic = ols(subset_design(d, current)).aic
     start_aic = current_aic
     trace = []
     while True:
@@ -320,7 +326,7 @@ def reference_stepwise(d, direction, start):
         if not candidates:
             break
         best_aic, name, action, after = _best_move(
-            [(_rss_and_aic(subset_design(d, after)), name, action, after) for after, name, action in candidates])
+            [(ols(subset_design(d, after)).aic, name, action, after) for after, name, action in candidates])
         if best_aic >= current_aic:
             break
         current, current_aic = after, best_aic
@@ -356,6 +362,10 @@ class TestStepwiseScreening:
             trace, start_aic = reference_stepwise(d, direction, start)
             assert result.trace == trace, seed
             assert result.start_aic == start_aic, seed
+            refit = ols(subset_design(d, result.selected))
+            for field in ("beta", "se", "p"):
+                assert np.array_equal(getattr(result.fit, field), getattr(refit, field)), (seed, field)
+            assert result.fit.aic == refit.aic, seed
             moves += len(trace)
         assert moves > 100 or (direction, start) in (("backward", "empty"), ("forward", "full"))  # no move allowed
 
