@@ -4,6 +4,7 @@ Stage subcommand `<name>` is `pipeline.run_stage`, which reads the inputs of
 `pipeline.stage_<name>` from the artifacts in `--out` and runs it there. Only
 `ingest` creates that directory; a later stage exits 1 naming an intermediate it
 needs that is missing there, and 2 naming the artifact and line of a malformed one.
+`train` needs no intermediate, so it exits 1 only when `--out` does not exist.
 An `--out` that is, or runs through, something other than a directory exits 1
 before any subcommand runs.
 

@@ -64,8 +64,9 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
     """(line, record) for each record of a `csv`, `jsonl` or `txt` file; blank lines are skipped.
 
     `line` is the physical line the record starts on. A CSV record is a dict
-    keyed by the header, which must hold `columns`; a CSV fault such as an
-    oversized field ends the file with a DataValidationError naming `name`.
+    keyed by the header, which must hold `columns` and name no column twice; a
+    CSV fault such as an oversized field ends the file with a DataValidationError
+    naming `name`.
     A JSON-lines record is the line's JSON value, or the exception parsing it
     raised, so that a caller may skip the line and read on. A `txt` record is
     a word-list line, stripped; its lines are the ones `str.splitlines` cuts.
@@ -99,6 +100,9 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
         missing = [column for column in columns if column not in header]
         if missing:
             raise DataValidationError(f"{name}:{start or 1}: missing columns {missing}")
+        repeated = sorted({column for column in header if header.count(column) > 1})
+        if repeated:  # a dict record would keep only the last column of each name
+            raise DataValidationError(f"{name}:{start or 1}: repeated columns {repeated}")
         start = 0
         for record in reader:
             yield start, record

@@ -8,8 +8,8 @@ order, each handed what the stages before it returned. `run_stage` runs one
 stage for the CLI: it reads the stage's inputs back from `out_dir` through
 `_INPUTS`, as the records their artifacts hold, so a pipeline run and the
 equivalent sequence of subcommands produce identical bytes. Only `stage_ingest`
-creates the output directory; a missing intermediate is a ConfigError, a
-malformed one a DataValidationError naming its line.
+creates the output directory; a missing intermediate or `out_dir` is a
+ConfigError, a malformed intermediate a DataValidationError naming its line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -35,12 +34,12 @@ from .preprocess import (
     load_lemma_map, load_word_list, select_emoji_whitelist, write_frequency_csv,
 )
 
-# sentiment, regional and stats load numpy, so the stages that compute with them import
-# them when they run: ingest, clean and the reports start without numpy.
+# sentiment and stats load numpy, so the stages that compute with them import them when
+# they run: ingest, clean, the reports and aggregate start without numpy.
 if TYPE_CHECKING:
     from . import stats
-    from .regional import RegionSentiment
-    from .sentiment import LabeledExample, SentimentLabel, SentimentModel
+    from .regional import RegionSentiment, SentimentLabel
+    from .sentiment import LabeledExample, SentimentModel
 
 __all__ = [
     "ClassifierSettings",
@@ -298,17 +297,13 @@ def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
     return {post_id: (region, timestamp) for post_id, _, timestamp, _, _, region in rows}
 
 
-def _whitelist(out_dir: Path) -> frozenset[str]:
-    return frozenset(chain.from_iterable(_read_artifact(out_dir, "emoji_whitelist.txt", str.split)))
-
-
 def _model(out_dir: Path) -> SentimentModel:
     from .sentiment import load_model
     return load_model(_require_artifact(out_dir, "model.json"))
 
 
 def _predictions(out_dir: Path) -> list[tuple[str, SentimentLabel]]:
-    from .sentiment import SentimentLabel
+    from .regional import SentimentLabel
     return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
 
 
@@ -342,9 +337,9 @@ def _read_regions(out_dir: Path) -> list[RegionSentiment]:
 
 
 # The readers of each stage's inputs, in argument order: how `run_stage` gets from `out_dir` what
-# `run_pipeline` hands on in memory. A stage not listed takes no intermediate.
+# `run_pipeline` hands on in memory. A stage not listed (ingest, train) takes no intermediate.
 _INPUTS: dict[str, tuple[Callable[[Path], Any], ...]] = {
-    "clean": (_located_posts,), "report": (_located_posts,), "train": (_whitelist,),
+    "clean": (_located_posts,), "report": (_located_posts,),
     "classify": (_model, _classifiable), "import_predictions": (_classifiable,),
     "aggregate": (_located_where, _predictions),
     **dict.fromkeys(("shift_test", "regress", "stepwise"), (_read_regions,)),
@@ -354,7 +349,10 @@ _INPUTS: dict[str, tuple[Callable[[Path], Any], ...]] = {
 def run_stage(name: str, cfg: PipelineConfig, out_dir: Path, *args: Any) -> Any:
     """`stage_<name>` on `args` (the report kind) and then its inputs, read from `out_dir` through `_INPUTS`."""
     stage = globals()["stage_" + name]  # looked up on every call, so a patched stage is the one that runs
-    return stage(cfg, out_dir, *args, *[read(out_dir) for read in _INPUTS.get(name, ())])
+    inputs = [read(out_dir) for read in _INPUTS.get(name, ())]
+    if name != "ingest" and not out_dir.exists():  # a stage with no intermediate, such as train
+        raise ConfigError(f"--out {str(out_dir)!r} does not exist; run ingest first")
+    return stage(cfg, out_dir, *args, *inputs)
 
 
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
@@ -503,9 +501,9 @@ def _training_examples(
 
 
 def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
-    from .sentiment import SentimentLabel, train
+    from .sentiment import CLASS_ORDER, SentimentLabel, train
     cs = cfg.classifier
-    classes = (SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE) if cs.binary else None
+    classes = (SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE) if cs.binary else CLASS_ORDER
     return train(
         data,
         cs.kind,
@@ -517,14 +515,14 @@ def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
     )
 
 
-def stage_train(cfg: PipelineConfig, out_dir: Path, whitelist: frozenset[str]) -> tuple[dict, SentimentModel]:
-    """Train the classifier (optionally with pseudo-labeling) on text cleaned with the emoji `whitelist`.
+def stage_train(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, SentimentModel]:
+    """Train the classifier (optionally with pseudo-labeling) on the cleaned training text, words only.
 
     Evaluates it, and returns the report and the model `model.json` holds.
     """
     from .sentiment import evaluate, pseudo_label, save_model, train_test_split
     cs = cfg.classifier
-    labeled, neutral_pool = _training_examples(cfg, _clean_settings(cfg, whitelist))
+    labeled, neutral_pool = _training_examples(cfg, _clean_settings(cfg, frozenset()))  # no emoji is a token
     if not labeled:
         raise DataValidationError("no usable training examples after cleaning")
     train_part, heldout = train_test_split(labeled, cs.test_fraction, cfg.seed)
@@ -551,8 +549,8 @@ def stage_train(cfg: PipelineConfig, out_dir: Path, whitelist: frozenset[str]) -
     write_records(out_dir / "confusions.csv", "csv", (
         (model_name, dataset, true_label.value, pred_label.value, int(rep.confusion[i, j]))
         for model_name, dataset, rep in evals
-        for i, true_label in enumerate(rep.classes)
-        for j, pred_label in enumerate(rep.classes)
+        for i, true_label in enumerate(final_model.classes)  # the classes of both models: `_train_one` fixes them
+        for j, pred_label in enumerate(final_model.classes)
     ), ("model", "dataset", "true_label", "predicted_label", "count"))
     report = {
         "n_labeled": len(labeled),
@@ -578,7 +576,7 @@ def stage_classify(
     `stage_aggregate` takes them.
     """
     from .sentiment import SentimentLabel, predict
-    has_positive = SentimentLabel.POSITIVE in model.classes
+    positive = model.classes.index(SentimentLabel.POSITIVE) if SentimentLabel.POSITIVE in model.classes else None
     counts = {label.value: 0 for label in model.classes}
     n_fallback = 0
     labels: list[tuple[str, SentimentLabel]] = []
@@ -590,7 +588,7 @@ def stage_classify(
             counts[pred.label.value] += 1
             n_fallback += pred.fallback
             labels.append((post_id, pred.label))
-            p_pos = repr(pred.score_for(SentimentLabel.POSITIVE, model.classes)) if has_positive else ""
+            p_pos = "" if positive is None else repr(float(pred.scores[positive]))
             yield post_id, pred.label.value, pred.fallback, p_pos
 
     write_records(out_dir / "predictions.csv", "csv", prediction_rows(), _PREDICTIONS_HEADER)
@@ -601,15 +599,13 @@ def stage_classify(
 
 def stage_import_predictions(cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, list[str]]]) -> dict:
     """Use third-party model predictions for the classifiable (id, tokens) `posts` in place of the local classifier."""
-    from .sentiment import import_external_predictions, match_predictions
-    path = cfg.require_paths("external_predictions")["external_predictions"]
-    imported = import_external_predictions(path)
-    clean_ids = [post_id for post_id, _ in posts]
-    matched, unknown = match_predictions(imported, clean_ids)
+    from .sentiment import import_external_predictions
+    imported = import_external_predictions(cfg.require_paths("external_predictions")["external_predictions"])
+    matched = len(imported.keys() & {post_id for post_id, _ in posts})  # ids not among the posts are counted
     write_records(out_dir / "predictions.csv", "csv", (
-        (post_id, matched[post_id].value, False, "") for post_id in clean_ids if post_id in matched
+        (post_id, imported[post_id].value, False, "") for post_id, _ in posts if post_id in imported
     ), _PREDICTIONS_HEADER)
-    report = {"imported": len(imported), "matched": len(matched), "unknown_ids": unknown}
+    report = {"imported": len(imported), "matched": matched, "unknown_ids": len(imported) - matched}
     _write_json(out_dir / "import_report.json", report)
     return report
 
@@ -624,8 +620,7 @@ def stage_aggregate(
     are (id, label) pairs. Returns the report and the regions of
     `region_sentiment.csv`, as the shift test and the fits take them.
     """
-    from .regional import RegionSentiment, SentimentObservation, aggregate
-    from .sentiment import SentimentLabel
+    from .regional import RegionSentiment, SentimentLabel, SentimentObservation, aggregate
     observations: list[SentimentObservation] = []
     neutral_skipped = 0
     for post_id, label in predictions:
@@ -861,8 +856,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise.
 
     Each stage takes what the stages before it returned: the located posts,
-    the whitelist, the model, the predictions and the regions go on in memory,
-    and no artifact is read back for them or for summary.md, which is rendered
+    the model, the predictions and the regions go on in memory, and no
+    artifact is read back for them or for summary.md, which is rendered
     from the stage returns. The one exception is the cleaned tokens, which are
     parsed from `clean.jsonl` for classify: holding them from clean to classify
     would raise the run's peak memory more than the parse costs in time.
@@ -875,7 +870,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     hashtags = stage_report(cfg, out_dir, "hashtags", posts).rows[:10]  # the rows the summary prints
     emojis = stage_report(cfg, out_dir, "emojis", posts).rows[:10]
     del posts  # freed before train: the post texts are not needed past the reports
-    reports["train"], model = stage_train(cfg, out_dir, whitelist)
+    reports["train"], model = stage_train(cfg, out_dir)
     reports["classify"], predictions = stage_classify(cfg, out_dir, model, _classifiable(out_dir))
     reports["aggregate"], regions = stage_aggregate(cfg, out_dir, located, predictions)
     del located, predictions  # freed before regress and stepwise allocate their designs

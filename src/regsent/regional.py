@@ -10,16 +10,20 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import date, datetime
+from enum import Enum
 from pathlib import Path
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Mapping, Sequence
 
-from . import stats
 from .errors import DataValidationError, write_records
+
+if TYPE_CHECKING:  # stats loads numpy, so the shift test and regression import it when they run
+    from . import stats
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "RegionSentiment",
+    "SentimentLabel",
     "SentimentObservation",
     "ShiftSummary",
     "ShiftTestResult",
@@ -31,6 +35,19 @@ __all__ = [
     "shift_test_for_region",
     "write_shift_csv",
 ]
+
+
+class SentimentLabel(Enum):
+    NEGATIVE = "negative"
+    NEUTRAL = "neutral"
+    POSITIVE = "positive"
+
+    @classmethod
+    def parse(cls, raw: str) -> "SentimentLabel":
+        try:
+            return cls(raw.strip().lower())
+        except ValueError:
+            raise DataValidationError(f"unknown sentiment label {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -165,6 +182,7 @@ def shift_test(
     margins = ((a + b), (c + d), (a + c), (b + d))
     if any(m == 0 for m in margins):
         return ShiftTestResult(scope=scope, chi2=0.0, p_value=1.0, degenerate=True)
+    from . import stats
     chi2 = n * (a * d - b * c) ** 2 / (margins[0] * margins[1] * margins[2] * margins[3])
     return ShiftTestResult(scope=scope, chi2=float(chi2), p_value=stats.chi2_sf(float(chi2)))
 
@@ -208,6 +226,7 @@ def shift_regression(regions: Sequence[RegionSentiment]) -> stats.OlsFit:
     (flag 1); regions with an empty period cannot produce that period's mean
     and are skipped with a warning. Fewer than two usable regions is fatal.
     """
+    from . import stats
     rows = [r for r in regions if r.included]
     usable: list[RegionSentiment] = []
     for r in rows:

@@ -20,13 +20,13 @@ import json
 import random
 from array import array
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, NumericalError, open_input, read_records
+from .regional import SentimentLabel
 
 __all__ = [
     "EvalReport",
@@ -41,26 +41,12 @@ __all__ = [
     "load_labeled_csv",
     "load_model",
     "logistic_loss_and_grad",
-    "match_predictions",
     "predict",
     "pseudo_label",
     "save_model",
     "train",
     "train_test_split",
 ]
-
-
-class SentimentLabel(Enum):
-    NEGATIVE = "negative"
-    NEUTRAL = "neutral"
-    POSITIVE = "positive"
-
-    @classmethod
-    def parse(cls, raw: str) -> "SentimentLabel":
-        try:
-            return cls(raw.strip().lower())
-        except ValueError:
-            raise DataValidationError(f"unknown sentiment label {raw!r}") from None
 
 
 #: Canonical class order used for model class lists and tie-breaking.
@@ -94,10 +80,6 @@ class SentimentModel:
     smoothing: float
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -105,17 +87,13 @@ class Prediction:
     scores: np.ndarray  # aligned with model.classes; sums to 1
     fallback: bool      # True when no token was in the vocabulary
 
-    def score_for(self, label: SentimentLabel, classes: Sequence[SentimentLabel]) -> float:
-        return float(self.scores[classes.index(label)])
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy plus a K x K confusion matrix (rows true, columns predicted)."""
+    """Accuracy plus a K x K confusion matrix over model.classes (rows true, columns predicted)."""
 
     accuracy: float
     confusion: np.ndarray
-    classes: tuple[SentimentLabel, ...]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -308,7 +286,7 @@ def evaluate(model: SentimentModel, data: Sequence[LabeledExample]) -> EvalRepor
     if not data:
         raise DataValidationError("evaluation data is empty")
     class_index = {label: i for i, label in enumerate(model.classes)}
-    confusion = np.zeros((model.n_classes, model.n_classes), dtype=int)
+    confusion = np.zeros((len(model.classes), len(model.classes)), dtype=int)
     for example in data:
         true_i = class_index.get(example.label)
         if true_i is None:
@@ -316,7 +294,7 @@ def evaluate(model: SentimentModel, data: Sequence[LabeledExample]) -> EvalRepor
         pred = predict(model, example.tokens)
         confusion[true_i, class_index[pred.label]] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(accuracy=accuracy, confusion=confusion, classes=model.classes)
+    return EvalReport(accuracy=accuracy, confusion=confusion)
 
 
 def train_test_split(
@@ -395,20 +373,6 @@ def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:
         return row["id"], label
 
     return dict(read_records(path, "csv", to_pair, columns=("id", "label")))
-
-
-def match_predictions(
-    predictions: Mapping[str, SentimentLabel],
-    known_ids: Iterable[str],
-) -> tuple[dict[str, SentimentLabel], int]:
-    """Restrict imported predictions to known post ids.
-
-    Returns (matched, n_unknown); ids absent from the corpus are rejected and
-    counted rather than silently kept.
-    """
-    known = set(known_ids)
-    matched = {post_id: label for post_id, label in predictions.items() if post_id in known}
-    return matched, len(predictions) - len(matched)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def test_criterion_07_classifier_checks():
             "naive_bayes", smoothing=1.0,
         )
         pred = predict(model, ["good"])
-        assert abs(pred.score_for(SentimentLabel.POSITIVE, model.classes) - 2 / 3) < 1e-12
+        assert abs(float(pred.scores[model.classes.index(SentimentLabel.POSITIVE)]) - 2 / 3) < 1e-12
 
         rng = np.random.default_rng(17)
         for _ in range(20):

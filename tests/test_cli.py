@@ -61,7 +61,7 @@ _READING_STAGE = {
 def run_reading_stage(fixture_dir: Path, pipeline_out: Path, out: Path, key: str, path: Path) -> tuple[int, str]:
     """(exit code, stderr) of the stage that reads input `key`, given as `path`, after the fixture's earlier stages."""
     out.mkdir()
-    for name in ("located.jsonl", "clean.jsonl", "emoji_whitelist.txt"):
+    for name in ("located.jsonl", "clean.jsonl"):
         shutil.copyfile(pipeline_out / name, out / name)
     overrides = [f"paths.posts={path}", "posts_format=csv"] if key == "posts_csv" else [f"paths.{key}={path}"]
     err = io.StringIO()
@@ -215,7 +215,7 @@ class TestErrorContract:
         ("clean", "located.jsonl"),
         ("report hashtags", "located.jsonl"),
         ("report emojis", "located.jsonl"),
-        ("train", "emoji_whitelist.txt"),
+        ("train", None),  # takes no intermediate
         ("classify", "model.json"),
         ("import-predictions", "clean.jsonl"),
         ("aggregate", "located.jsonl"),
@@ -233,7 +233,10 @@ class TestErrorContract:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"regsent: error[config]: missing intermediate {missing}; run the producing stage first\n"
+        if missing is None:
+            assert err == f"regsent: error[config]: --out {str(out)!r} does not exist; run ingest first\n"
+        else:
+            assert err == f"regsent: error[config]: missing intermediate {missing}; run the producing stage first\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("stage, name, corrupt, reason", [
@@ -281,16 +284,20 @@ class TestErrorContract:
         assert err.startswith("regsent: error[data]: located.jsonl is not UTF-8: ")
         assert err.count("\n") == 1
 
-    def test_undecodable_whitelist_exits_two(self, fixture_dir, tmp_path, capsys):
+    def test_three_class_training_without_neutral_rows_exits_two(self, fixture_dir, tmp_path, capsys):
+        rows = [row for row in read_csv(fixture_dir / "training.csv") if row["label"] != "neutral"]
+        training = tmp_path / "training.csv"
+        with training.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
         out = tmp_path / "out"
         out.mkdir()
-        (out / "emoji_whitelist.txt").write_bytes(b"\xff")
-        code = cli.main(["train", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
-        err = capsys.readouterr().err
+        code = cli.main(["train", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                         "--set", "classifier.binary=false", "--set", f"paths.training_data={training}"])
         assert code == 2
-        assert err.startswith("regsent: error[data]: emoji_whitelist.txt is not UTF-8: ")
-        assert err.count("\n") == 1
-
+        assert capsys.readouterr().err == "regsent: error[data]: no training examples for class 'neutral'\n"
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("tokens", [3, "ab", ["a", 1], None])
     def test_clean_tokens_not_a_list_of_strings_exits_two(self, fixture_dir, pipeline_out, tmp_path, capsys, tokens):
@@ -433,6 +440,33 @@ class TestRecordReader:
         assert code == 2
         assert err.startswith(f"regsent: error[data]: {bad}:1: missing columns [") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, column", [
+        ("posts_csv", "text"), ("gazetteer", "region_id"), ("region_table", "urbanization"),
+        ("training_data", "label"), ("external_predictions", "label"), ("region_sentiment.csv", "n_pos_after"),
+    ])
+    def test_repeated_header_column_exits_two(self, fixture_dir, pipeline_out, tmp_path, capsys, key, column):
+        """A header naming a column twice would keep only the last one's values; every CSV read rejects it."""
+        artifacts = {"external_predictions": "predictions.csv", "region_sentiment.csv": "region_sentiment.csv"}
+        if key == "posts_csv":
+            write_posts_csv(source := tmp_path / "source.csv", fixture_posts(fixture_dir))
+        elif key in artifacts:
+            source = pipeline_out / artifacts[key]
+        else:
+            source = load_config(fixture_dir / "config.json").paths[key]
+        header, *rest = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = tmp_path / "input.csv"
+        bad.write_text("".join([header.rstrip("\n") + f",{column}\n", *rest]), encoding="utf-8")
+        if key.endswith(".csv"):
+            out = tmp_path / "out"
+            out.mkdir()
+            shutil.copyfile(bad, out / key)
+            code = cli.main(["shift-test", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+            err, bad = capsys.readouterr().err, key
+        else:
+            code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        assert code == 2
+        assert err == f"regsent: error[data]: {bad}:1: repeated columns [{column!r}]\n"
+
 
 class TestArtifacts:
     def test_located_schema(self, pipeline_out):
@@ -574,6 +608,15 @@ class TestComposition:
         ]
         assert mismatched == []
 
+    def test_train_needs_no_intermediate(self, fixture_dir, pipeline_out, tmp_path, capsys):
+        """`train` in an empty --out writes the pipeline's training files."""
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["train", "--config", str(fixture_dir / "config.json"), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        names = ["model.json", "eval.csv", "confusions.csv", "train_report.json"]
+        assert read_all(out) == {name: (pipeline_out / name).read_bytes() for name in names}
+
     def test_every_stage_takes_its_inputs_as_arguments(self):
         """No stage input is optional: after (cfg, out_dir[, kind]) come the inputs `run_stage` reads, one each."""
         stages = [name for name in pipeline.__all__ if name.startswith("stage_")]
@@ -639,9 +682,24 @@ class TestComposition:
         mismatched = [name for name in names if (out / name).read_bytes() != (pipeline_out / name).read_bytes()]
         assert mismatched == []
 
+    def test_imported_id_not_in_the_corpus_is_counted(self, fixture_dir, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copyfile(pipeline_out / "clean.jsonl", out / "clean.jsonl")
+        predictions = (pipeline_out / "predictions.csv").read_text(encoding="utf-8")
+        external = tmp_path / "external.csv"
+        external.write_text(predictions + "zz_not_a_post,positive,False,\n", encoding="utf-8")
+        assert cli.main(["import-predictions", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                         "--set", f"paths.external_predictions={external}"]) == 0, capsys.readouterr().err
+        report = json.loads((out / "import_report.json").read_text(encoding="utf-8"))
+        classified = predictions.count("\n") - 1
+        assert report == {"imported": classified + 1, "matched": classified, "unknown_ids": 1}
+        written = [row["id"] for row in read_csv(out / "predictions.csv")]
+        assert written == [row["id"] for row in read_csv(pipeline_out / "predictions.csv")]  # in clean.jsonl order
+
 
 class TestStartWithoutNumpy:
-    """Set-up, make-fixture, ingest, clean and both reports never import numpy."""
+    """Set-up, make-fixture, ingest, clean, both reports and aggregate never import numpy."""
 
     CLI = f"{BLOCK_NUMPY}; from regsent.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -656,12 +714,14 @@ class TestStartWithoutNumpy:
         write_corpus_fixture(tmp_path / "unblocked", seed=13)
         assert read_all(tmp_path / "fixture") == read_all(tmp_path / "unblocked")
         config, out = str(tmp_path / "fixture" / "config.json"), tmp_path / "out"
-        for stage in (["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"]):
+        for stage in (["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"], ["aggregate"]):
+            if stage == ["aggregate"]:  # the predictions of the stages that compute with numpy
+                shutil.copyfile(pipeline_out / "predictions.csv", out / "predictions.csv")
             result = run_python(["-c", self.CLI, *stage, "--config", config, "--out", str(out)])
             assert result.returncode == 0, (stage, result.stderr)
         written = read_all(out)
         assert written == {name: (pipeline_out / name).read_bytes() for name in written}
-        assert len(written) == 8
+        assert len(written) == 11
         # the control: a stage that computes with numpy cannot run in this interpreter
         result = run_python(["-c", self.CLI, "train", "--config", config, "--out", str(out)])
         assert result.returncode == 4

@@ -25,7 +25,6 @@ from regsent.sentiment import (
     import_external_predictions,
     load_model,
     logistic_loss_and_grad,
-    match_predictions,
     predict,
     pseudo_label,
     save_model,
@@ -50,8 +49,8 @@ class TestNaiveBayes:
         model = train(TWO_DOCS, "naive_bayes", smoothing=1.0)
         pred = predict(model, ["good"])
         assert pred.label is POS
-        assert abs(pred.score_for(POS, model.classes) - 2 / 3) < 1e-12
-        assert abs(pred.score_for(NEG, model.classes) - 1 / 3) < 1e-12
+        assert abs(float(pred.scores[model.classes.index(POS)]) - 2 / 3) < 1e-12
+        assert abs(float(pred.scores[model.classes.index(NEG)]) - 1 / 3) < 1e-12
 
     def test_training_is_deterministic(self):
         data = generative_corpus(80, seed=1)
@@ -220,7 +219,7 @@ class TestSparseEquivalence:
         X = encode(docs, model.vocabulary)
         dense = _dense_counts(docs, model.vocabulary)
         assert X.shape == dense.shape
-        K = model.n_classes
+        K = len(model.classes)
         y = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=len(docs), max_size=len(docs))))
         sparse_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, X, y, 0.01)
         dense_out = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, dense, y, 0.01)
@@ -317,7 +316,7 @@ class TestPredict:
         pred = predict(model, [])
         assert pred.fallback
         assert pred.label is POS  # majority prior
-        assert abs(pred.score_for(POS, model.classes) - 0.75) < 1e-9
+        assert abs(float(pred.scores[model.classes.index(POS)]) - 0.75) < 1e-9
 
     def test_all_oov_prior_fallback(self):
         model = train(TWO_DOCS, "naive_bayes")
@@ -445,12 +444,6 @@ class TestExternalPredictions:
         assert len(out) == 1000
         for post_id, label in rows:
             assert out[post_id].value == label
-
-    def test_match_predictions_counts_unknown_ids(self):
-        preds = {"a": POS, "b": NEG, "zz": POS}
-        matched, unknown = match_predictions(preds, ["a", "b", "c"])
-        assert matched == {"a": POS, "b": NEG}
-        assert unknown == 1
 
 
 class TestPersistence:
