@@ -44,7 +44,7 @@ _json_line = json.JSONEncoder(ensure_ascii=False).encode
 
 @contextmanager
 def open_input(path: str | Path, name: str | None = None) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text (newlines untranslated, as csv wants).
+    """Open an input file as UTF-8 text, a leading byte-order mark dropped (newlines untranslated, as csv wants).
 
     A directory, a file the process may not read, or bytes that are not UTF-8
     (found while the caller reads) raise a DataValidationError naming the file
@@ -52,7 +52,7 @@ def open_input(path: str | Path, name: str | None = None) -> Iterator[TextIO]:
     """
     name = name or str(path)
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{name} is not UTF-8: {exc}") from None

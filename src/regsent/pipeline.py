@@ -614,36 +614,23 @@ def stage_aggregate(
     cfg: PipelineConfig, out_dir: Path, located: Mapping[str, tuple[str | None, datetime]],
     predictions: Iterable[tuple[str, SentimentLabel]],
 ) -> tuple[dict, list[RegionSentiment]]:
-    """Join predictions with locations and fold into per-region period counts.
+    """Fold the (id, label) `predictions` of the `located` posts into `region_sentiment.csv`.
 
-    `located` maps a post id to its (region or None, timestamp); `predictions`
-    are (id, label) pairs. Returns the report and the regions of
+    `regional.aggregate` does the whole fold: see it for what `located` holds
+    and what is skipped. Returns the report and the regions of
     `region_sentiment.csv`, as the shift test and the fits take them.
     """
-    from .regional import RegionSentiment, SentimentLabel, SentimentObservation, aggregate
-    observations: list[SentimentObservation] = []
-    neutral_skipped = 0
-    for post_id, label in predictions:
-        if label is SentimentLabel.NEUTRAL:
-            neutral_skipped += 1
-            continue
-        if post_id not in located:
-            raise DataValidationError(f"prediction for unknown post id {post_id!r}")
-        region_id, timestamp = located[post_id]
-        observations.append(SentimentObservation(
-            region_id=region_id, timestamp=timestamp, positive=label is SentimentLabel.POSITIVE
-        ))
-    regions, no_region = aggregate(
-        observations, cfg.event_date, cfg.thresholds.min_region_posts, event_day=cfg.event_day
-    )
+    from .regional import RegionSentiment, aggregate
+    threshold = cfg.thresholds.min_region_posts
+    regions, neutral, no_region = aggregate(located, predictions, cfg.event_date, threshold, cfg.event_day)
     write_records(out_dir / "region_sentiment.csv", "csv", map(RegionSentiment.row, regions), RegionSentiment.COLUMNS)
     report = {
-        "observations": len(observations),
-        "neutral_skipped": neutral_skipped,
+        "observations": sum(r.total for r in regions) + no_region,
+        "neutral_skipped": neutral,
         "without_region": no_region,
         "regions": len(regions),
         "included_regions": sum(r.included for r in regions),
-        "threshold": cfg.thresholds.min_region_posts,
+        "threshold": threshold,
     }
     _write_json(out_dir / "aggregate_report.json", report)
     return report, regions

@@ -24,7 +24,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "RegionSentiment",
     "SentimentLabel",
-    "SentimentObservation",
     "ShiftSummary",
     "ShiftTestResult",
     "aggregate",
@@ -48,15 +47,6 @@ class SentimentLabel(Enum):
             return cls(raw.strip().lower())
         except ValueError:
             raise DataValidationError(f"unknown sentiment label {raw!r}") from None
-
-
-@dataclass(frozen=True)
-class SentimentObservation:
-    """One classified post reduced to what aggregation needs."""
-
-    region_id: str | None
-    timestamp: datetime
-    positive: bool
 
 
 @dataclass(frozen=True)
@@ -115,43 +105,42 @@ class RegionSentiment:
 
 
 def aggregate(
-    observations: Iterable[SentimentObservation],
+    located: Mapping[str, tuple[str | None, datetime]],
+    predictions: Iterable[tuple[str, SentimentLabel]],
     event_date: date,
-    threshold: int = 100,
-    *,
-    event_day: str = "before",
-) -> tuple[list[RegionSentiment], int]:
-    """Fold classified posts into per-region period counts.
+    threshold: int,
+    event_day: str,
+) -> tuple[list[RegionSentiment], int, int]:
+    """Fold (id, label) `predictions` into per-region period counts, in one pass.
 
-    Inclusion is strict: total > threshold. Posts dated exactly on the event
-    count as "before" by default (`event_day="after"` flips that). Posts
-    without a region are excluded and counted; returns (regions sorted by
-    region_id, n_without_region).
+    `located` maps a post id to its (region or None, timestamp). Neutral
+    labels are skipped and counted; any other label needs its id in `located`
+    (DataValidationError otherwise), and a post without a region is excluded
+    and counted. Posts dated exactly on the event count as "before" when
+    `event_day` is "before" and as "after" when it is "after". Inclusion is
+    strict: total > threshold. Returns (regions sorted by region_id,
+    n_neutral, n_without_region).
     """
     if event_day not in ("before", "after"):
         raise ValueError(f"event_day must be 'before' or 'after', got {event_day!r}")
     counts: dict[str, list[int]] = {}  # [pos_before, neg_before, pos_after, neg_after]
-    skipped = 0
-    for obs in observations:
-        if not obs.region_id:
-            skipped += 1
+    neutral = no_region = 0
+    for post_id, label in predictions:
+        if label is SentimentLabel.NEUTRAL:
+            neutral += 1
             continue
-        obs_date = obs.timestamp.date()
-        before = obs_date <= event_date if event_day == "before" else obs_date < event_date
-        slot = (0 if obs.positive else 1) if before else (2 if obs.positive else 3)
-        counts.setdefault(obs.region_id, [0, 0, 0, 0])[slot] += 1
-    regions = [
-        RegionSentiment(
-            region_id=region_id,
-            n_pos_before=c[0],
-            n_neg_before=c[1],
-            n_pos_after=c[2],
-            n_neg_after=c[3],
-            included=sum(c) > threshold,
-        )
-        for region_id, c in sorted(counts.items())
-    ]
-    return regions, skipped
+        if post_id not in located:
+            raise DataValidationError(f"prediction for unknown post id {post_id!r}")
+        region_id, timestamp = located[post_id]
+        if not region_id:
+            no_region += 1
+            continue
+        day = timestamp.date()
+        before = day <= event_date if event_day == "before" else day < event_date
+        slot = (0 if before else 2) + (label is not SentimentLabel.POSITIVE)
+        counts.setdefault(region_id, [0, 0, 0, 0])[slot] += 1
+    regions = [RegionSentiment(region_id, *c, included=sum(c) > threshold) for region_id, c in sorted(counts.items())]
+    return regions, neutral, no_region
 
 
 @dataclass(frozen=True)

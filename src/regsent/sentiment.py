@@ -5,8 +5,9 @@ Two trainable kinds share one model container: a multinomial naive Bayes
 gradient descent on cross-entropy with L2. Both are deterministic given the
 training data (vocabulary is sorted, initialization is zero). Logistic
 training stops with NumericalError naming `classifier.learning_rate` as soon
-as the loss or the weights stop being finite. Third-party model outputs can
-be imported from CSV instead of training locally.
+as the loss or the weights stop being finite, and naming it and
+`classifier.l2` when the last epoch's loss is not below the first's.
+Third-party model outputs can be imported from CSV instead of training locally.
 
 Training encodes its documents once into sparse (CSR) token counts
 (`encode` -> `TokenCounts`), and `predict` reads only the weight columns of
@@ -247,6 +248,8 @@ def train(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
             loss, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2)
+            if epoch == 1:
+                first_loss = loss  # at zero weights: ln K
             weights -= learning_rate * grad_w
             bias -= learning_rate * grad_b
             if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):
@@ -254,6 +257,9 @@ def train(
                     f"logistic training diverged at epoch {epoch} (loss or weights not finite); "
                     f"lower classifier.learning_rate (now {learning_rate!r})"
                 )
+    if epochs > 1 and not loss < first_loss:  # finite, but the steps overshoot: the fit got no better
+        raise NumericalError(f"logistic training ended at loss {loss:.4g}, not below its first {first_loss:.4g}; "
+                             f"lower classifier.learning_rate (now {learning_rate!r}) or classifier.l2 (now {l2!r})")
     return SentimentModel(
         kind=kind,
         classes=model_classes,

@@ -20,7 +20,7 @@ import replication as fixtures
 from conftest import coherent_clean_config, fuzz_post_text, generative_corpus, run_cli
 from regsent.corpus import RawPost
 from regsent.preprocess import clean_text, hashtag_report
-from regsent.regional import RegionSentiment, SentimentObservation, aggregate, shift_regression, shift_test
+from regsent.regional import RegionSentiment, aggregate, shift_regression, shift_test
 from regsent.sentiment import (
     LabeledExample,
     SentimentLabel,
@@ -349,10 +349,13 @@ def test_criterion_09_preprocessing_anchors():
 
         # strict inclusion threshold
         event = date(2019, 10, 13)
-        def obs(region, n):
+        def obs(region, n):  # (id, region, timestamp, label) of n posts
             base = datetime(2019, 10, 1, tzinfo=timezone.utc)
-            return [SentimentObservation(region, base + timedelta(minutes=i), i % 2 == 0) for i in range(n)]
-        regions, _ = aggregate(obs("at", 100) + obs("above", 101), event, threshold=100)
+            labels = (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE)
+            return [(f"{region}{i}", region, base + timedelta(minutes=i), labels[i % 2]) for i in range(n)]
+        posts = obs("at", 100) + obs("above", 101)
+        located = {post_id: (region, ts) for post_id, region, ts, _ in posts}
+        regions, _, _ = aggregate(located, [(post_id, label) for post_id, *_, label in posts], event, 100, "before")
         by_id = {r.region_id: r for r in regions}
         assert not by_id["at"].included
         assert by_id["above"].included

@@ -182,6 +182,30 @@ class TestErrorContract:
         assert (out / "emoji_whitelist.txt").exists()  # the stages before train ran
         assert not (out / "model.json").exists()
 
+    def test_logistic_training_that_ends_worse_exits_three_naming_l2(self, fixture_dir, tmp_path, capsys):
+        """l2=25 scales the weights by 1 - 0.1 * 25 each step: they stay finite while the loss grows."""
+        out = tmp_path / "out"
+        code = cli.main([
+            "pipeline", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+            "--set", "classifier.kind=logistic", "--set", "classifier.l2=25",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("regsent: error[numeric]: logistic training ended at loss ")
+        assert err.count("\n") == 1 and "classifier.l2 (now 25.0)" in err
+        assert not (out / "model.json").exists()
+
+    def test_prediction_for_unknown_post_exits_two_at_aggregate(self, fixture_dir, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copyfile(pipeline_out / "located.jsonl", out / "located.jsonl")
+        predictions = (pipeline_out / "predictions.csv").read_text(encoding="utf-8")
+        (out / "predictions.csv").write_text(predictions + "ghost,positive,False,\n", encoding="utf-8")
+        code = cli.main(["aggregate", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "regsent: error[data]: prediction for unknown post id 'ghost'\n"
+        assert not (out / "region_sentiment.csv").exists()
+
     def test_no_included_region_exits_two_naming_the_threshold(self, tmp_path, capsys):
         assert cli.main(["make-fixture", "--out", str(tmp_path / "fixture"), "--posts", "1"]) == 0
         capsys.readouterr()
@@ -369,6 +393,24 @@ class TestErrorContract:
         expected = f"{bad} is not UTF-8: " if problem == "not UTF-8" else f"cannot read {bad}: Is a directory"
         assert err.startswith("regsent: error[data]: " + expected)
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", [
+        "posts", "gazetteer", "region_table", "dictionary", "lemmas", "stop_words", "conjunctions", "emoji_polarity",
+        "training_data", "external_predictions",
+    ])
+    def test_leading_byte_order_mark_is_ignored(self, fixture_dir, pipeline_out, tmp_path, key):
+        """An input saved with a UTF-8 byte-order mark gives the artifacts of the same input without one."""
+        source = pipeline_out / "predictions.csv" if key == "external_predictions" else (
+            load_config(fixture_dir / "config.json").paths[key])
+        written = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            copy = tmp_path / name / source.name
+            copy.write_bytes(prefix + source.read_bytes())
+            code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / name / "out", key, copy)
+            assert code == 0, err
+            written.append(read_all(tmp_path / name / "out"))
+        assert written[0] == written[1]
 
 
 class TestRecordReader:

@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 from regsent.errors import DataValidationError
 from regsent.regional import (
     RegionSentiment,
-    SentimentObservation,
+    SentimentLabel,
     aggregate,
     pooled_shift_test,
     shift_regression,
@@ -27,8 +27,16 @@ EVENT = date(2019, 10, 13)
 
 
 def obs(region, day_offset, positive):
+    """A located, classified post: (region, timestamp, label)."""
     ts = datetime(2019, 10, 13, 12, 0, tzinfo=timezone.utc) + timedelta(days=day_offset)
-    return SentimentObservation(region_id=region, timestamp=ts, positive=positive)
+    return region, ts, SentimentLabel.POSITIVE if positive else SentimentLabel.NEGATIVE
+
+
+def fold(observations, threshold, event_day="before"):
+    """`aggregate` over `obs` posts, each under its own id: (regions, n_neutral, n_without_region)."""
+    located = {f"p{i}": (region, ts) for i, (region, ts, _) in enumerate(observations)}
+    predictions = [(f"p{i}", label) for i, (_, _, label) in enumerate(observations)]
+    return aggregate(located, predictions, EVENT, threshold, event_day)
 
 
 def rs(region_id, pb, nb, pa, na, included=True):
@@ -44,8 +52,8 @@ class TestAggregate:
             [obs("R1", -5, True)] * 30 + [obs("R1", -5, False)] * 20
             + [obs("R1", 5, True)] * 30 + [obs("R1", 5, False)] * 21
         )
-        regions, skipped = aggregate(observations, EVENT, threshold=100)
-        assert skipped == 0
+        regions, neutral, skipped = fold(observations, threshold=100)
+        assert neutral == skipped == 0
         (r,) = regions
         assert (r.n_pos_before, r.n_neg_before, r.n_pos_after, r.n_neg_after) == (30, 20, 30, 21)
         assert abs(r.mean_sentiment - 60 / 101) < 1e-12
@@ -54,22 +62,34 @@ class TestAggregate:
     def test_exactly_threshold_excluded_one_more_included(self):
         at_100 = [obs("A", -1, i % 2 == 0) for i in range(100)]
         at_101 = [obs("B", -1, i % 2 == 0) for i in range(101)]
-        regions, _ = aggregate(at_100 + at_101, EVENT, threshold=100)
+        regions, _, _ = fold(at_100 + at_101, threshold=100)
         by_id = {r.region_id: r for r in regions}
         assert by_id["A"].total == 100 and not by_id["A"].included
         assert by_id["B"].total == 101 and by_id["B"].included
 
-    def test_event_day_counts_as_before_by_default(self):
-        regions, _ = aggregate([obs("R", 0, True)], EVENT, threshold=0)
+    def test_event_day_counts_as_before_unless_after(self):
+        regions, _, _ = fold([obs("R", 0, True)], threshold=0, event_day="before")
         assert regions[0].n_pos_before == 1 and regions[0].n_pos_after == 0
-        regions, _ = aggregate([obs("R", 0, True)], EVENT, threshold=0, event_day="after")
+        regions, _, _ = fold([obs("R", 0, True)], threshold=0, event_day="after")
         assert regions[0].n_pos_before == 0 and regions[0].n_pos_after == 1
+
+    def test_event_day_typo_raises(self):
+        with pytest.raises(ValueError, match="event_day must be 'before' or 'after'"):
+            fold([obs("R", 0, True)], threshold=0, event_day="afterwards")
 
     def test_posts_without_region_counted(self):
         observations = [obs(None, -1, True), obs("", 1, False), obs("R", 1, False)]
-        regions, skipped = aggregate(observations, EVENT, threshold=0)
+        regions, _, skipped = fold(observations, threshold=0)
         assert skipped == 2
         assert len(regions) == 1
+
+    def test_neutral_skipped_before_its_id_is_looked_up(self):
+        located = {"p": ("R", datetime(2019, 10, 1, tzinfo=timezone.utc))}
+        predictions = [("p", SentimentLabel.POSITIVE), ("ghost", SentimentLabel.NEUTRAL)]
+        regions, neutral, _ = aggregate(located, predictions, EVENT, 0, "before")
+        assert neutral == 1 and [r.total for r in regions] == [1]
+        with pytest.raises(DataValidationError, match="^prediction for unknown post id 'ghost'$"):
+            aggregate(located, [("ghost", SentimentLabel.NEGATIVE)], EVENT, 0, "before")
 
     def test_against_recount_oracle(self):
         rng = random.Random(55)
@@ -77,18 +97,58 @@ class TestAggregate:
             obs(f"R{rng.randint(1, 5)}", rng.randint(-30, 30), rng.random() < 0.6)
             for _ in range(800)
         ]
-        regions, skipped = aggregate(observations, EVENT, threshold=50)
+        regions, _, skipped = fold(observations, threshold=50)
         assert skipped == 0
         for r in regions:
-            mine = [o for o in observations if o.region_id == r.region_id]
-            pos = sum(o.positive for o in mine)
-            before = sum(o.timestamp.date() <= EVENT for o in mine)
+            mine = [(ts, label) for region, ts, label in observations if region == r.region_id]
+            pos = sum(label is SentimentLabel.POSITIVE for _, label in mine)
+            before = sum(ts.date() <= EVENT for ts, _ in mine)
             assert r.total == len(mine)
             assert r.n_pos_before + r.n_pos_after == pos
             assert r.n_pos_before + r.n_neg_before == before
             assert abs(r.mean_sentiment - pos / len(mine)) < 1e-12
             assert r.included == (len(mine) > 50)
         assert sum(r.total for r in regions) == len(observations)
+
+    @given(
+        st.lists(st.tuples(
+            st.sampled_from([None, "", "A", "B", "C"]),  # region
+            st.integers(-2, 2),  # day offset from the event day
+            st.integers(0, 23),  # hour, so event-day posts fall at any time of that day
+            st.sampled_from(list(SentimentLabel)),
+            st.booleans(),  # whether the post has a prediction
+        ), max_size=60),
+        st.integers(0, 6),
+        st.sampled_from(["before", "after"]),
+    )
+    @settings(max_examples=200)
+    def test_matches_brute_force_count(self, posts, threshold, event_day):
+        located = {
+            f"p{i}": (region, datetime(2019, 10, 13 + offset, hour, tzinfo=timezone.utc))
+            for i, (region, offset, hour, _, _) in enumerate(posts)
+        }
+        predictions = [(f"p{i}", label) for i, (*_, label, predicted) in enumerate(posts) if predicted]
+        regions, neutral, no_region = aggregate(located, predictions, EVENT, threshold, event_day)
+
+        polar = [(*located[post_id], label) for post_id, label in predictions if label is not SentimentLabel.NEUTRAL]
+        assert neutral == len(predictions) - len(polar)
+        assert no_region == sum(not region for region, _, _ in polar)
+
+        def count(region, positive, before):
+            return sum(
+                r == region and (label is SentimentLabel.POSITIVE) == positive
+                and (ts.date() < EVENT or (ts.date() == EVENT and event_day == "before")) == before
+                for r, ts, label in polar
+            )
+
+        expected = {
+            region: tuple(count(region, positive, before) for before in (True, False) for positive in (True, False))
+            for region in {region for region, _, _ in polar if region}
+        }
+        assert [r.region_id for r in regions] == sorted(expected)
+        for r in regions:
+            assert (r.n_pos_before, r.n_neg_before, r.n_pos_after, r.n_neg_after) == expected[r.region_id]
+            assert r.included == (sum(expected[r.region_id]) > threshold)
 
 
 class TestShiftTest:

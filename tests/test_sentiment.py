@@ -144,10 +144,14 @@ class TestLogistic:
             assert np.linalg.norm(grad_w - num_w) / denom < 1e-5
             assert np.linalg.norm(grad_b - num_b) / max(1.0, float(np.linalg.norm(num_b))) < 1e-5
 
-    def test_divergence_raises_naming_learning_rate(self, recwarn):
+    @pytest.mark.parametrize("setting, pattern", [
+        ({"learning_rate": 1e6}, r"classifier\.learning_rate \(now 1000000\.0\)"),  # weights stop being finite
+        ({"l2": 25.0}, r"classifier\.l2 \(now 25\.0\)"),  # each step scales the weights by 1 - 0.1 * 25: finite, worse
+    ], ids=["learning_rate", "l2"])
+    def test_divergence_raises_naming_the_setting(self, recwarn, setting, pattern):
         data = generative_corpus(60, seed=35)
-        with pytest.raises(NumericalError, match=r"classifier\.learning_rate"):
-            train(data, "logistic", learning_rate=1e6)
+        with pytest.raises(NumericalError, match=pattern):
+            train(data, "logistic", **setting)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
