@@ -222,7 +222,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))  # a leading byte-order mark dropped, as for every input
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
@@ -307,16 +307,16 @@ def _predictions(out_dir: Path) -> list[tuple[str, SentimentLabel]]:
     return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
 
 
-def _clean_fields(row: dict) -> tuple[Any, list[str], Any]:
+def _clean_fields(row: dict) -> tuple[Any, tuple[str, ...], Any]:
     post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
     if type(tokens) is not list or not all(type(token) is str for token in tokens):
         raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
     if rejected not in (None, "too_short", "misspelled"):  # what clean_text gives
         raise ValueError(f"rejected must be null, 'too_short' or 'misspelled', got {rejected!r}")
-    return post_id, [sys.intern(token) for token in tokens], rejected  # one str object per distinct token
+    return post_id, tuple(map(sys.intern, tokens)), rejected  # one str object per distinct token
 
 
-def _classifiable(out_dir: Path) -> list[tuple[str, list[str]]]:
+def _classifiable(out_dir: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(id, tokens) of each cleaned post that was accepted and kept tokens."""
     rows = _read_artifact(out_dir, "clean.jsonl", _clean_fields)
     return [(post_id, tokens) for post_id, tokens, rejected in rows if rejected is None and tokens]
@@ -434,26 +434,33 @@ def stage_ingest(
     return report, located, where
 
 
-def stage_clean(cfg: PipelineConfig, out_dir: Path, posts: Sequence[RawPost]) -> tuple[dict, frozenset[str]]:
+def stage_clean(
+    cfg: PipelineConfig, out_dir: Path, posts: Sequence[RawPost]
+) -> tuple[dict, frozenset[str], list[tuple[str, tuple[str, ...]]]]:
     """Select the emoji whitelist, then run the normalization chain over the located `posts`.
 
-    Returns the report and the whitelist.
+    Returns the report, the whitelist and the (id, tokens) of each accepted
+    post that kept tokens: the records `_classifiable` reads back from
+    `clean.jsonl`, as `stage_classify` takes them.
     """
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
     write_records(out_dir / "emoji_whitelist.txt", "txt", sorted(whitelist))
     settings = _clean_settings(cfg, whitelist)
     outcomes: Counter = Counter()  # rejected_reason -> posts
+    classifiable: list[tuple[str, tuple[str, ...]]] = []
 
     def clean_records():
         for post in posts:
             cp = clean_text(post.id, post.text, settings)
             outcomes[cp.rejected_reason] += 1
-            yield {
+            if cp.accepted and cp.tokens:
+                classifiable.append((cp.id, tuple(map(sys.intern, cp.tokens))))
+            yield {  # json writes the token and emoji tuples as lists
                 "id": cp.id,
-                "tokens": list(cp.tokens),
-                "kept_emojis": list(cp.kept_emojis),
-                "removed": dict(cp.removed),
+                "tokens": cp.tokens,
+                "kept_emojis": cp.kept_emojis,
+                "removed": cp.removed,
                 "rejected": cp.rejected_reason,
             }
 
@@ -466,7 +473,7 @@ def stage_clean(cfg: PipelineConfig, out_dir: Path, posts: Sequence[RawPost]) ->
         "emoji_whitelist_size": len(whitelist),
     }
     _write_json(out_dir / "clean_report.json", report)
-    return report, whitelist
+    return report, whitelist, classifiable
 
 
 def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, posts: Sequence[RawPost]) -> FrequencyReport:
@@ -567,15 +574,20 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, SentimentMode
     return report, final_model
 
 
+# Posts per `predict_batch` call in classify: large enough to amortise the call, small enough
+# that one chunk's gathered weights and predictions take about a MiB.
+_CLASSIFY_CHUNK = 4096
+
+
 def stage_classify(
-    cfg: PipelineConfig, out_dir: Path, model: SentimentModel, posts: Sequence[tuple[str, list[str]]]
+    cfg: PipelineConfig, out_dir: Path, model: SentimentModel, posts: Sequence[tuple[str, Sequence[str]]]
 ) -> tuple[dict, list[tuple[str, SentimentLabel]]]:
-    """Predict each classifiable (id, tokens) post with the trained `model`.
+    """Predict each classifiable (id, tokens) post with the trained `model`, `_CLASSIFY_CHUNK` posts per batch.
 
     Returns the report and the (id, label) records of `predictions.csv`, as
     `stage_aggregate` takes them.
     """
-    from .sentiment import SentimentLabel, predict
+    from .sentiment import SentimentLabel, predict_batch
     positive = model.classes.index(SentimentLabel.POSITIVE) if SentimentLabel.POSITIVE in model.classes else None
     counts = {label.value: 0 for label in model.classes}
     n_fallback = 0
@@ -583,13 +595,15 @@ def stage_classify(
 
     def prediction_rows():  # rows are formatted as they are written; only (id, label) is kept
         nonlocal n_fallback
-        for post_id, tokens in posts:
-            pred = predict(model, tokens)
-            counts[pred.label.value] += 1
-            n_fallback += pred.fallback
-            labels.append((post_id, pred.label))
-            p_pos = "" if positive is None else repr(float(pred.scores[positive]))
-            yield post_id, pred.label.value, pred.fallback, p_pos
+        for start in range(0, len(posts), _CLASSIFY_CHUNK):
+            chunk = posts[start:start + _CLASSIFY_CHUNK]
+            for (post_id, _), pred in zip(chunk, predict_batch(model, [tokens for _, tokens in chunk])):
+                label = pred.label.value
+                counts[label] += 1
+                n_fallback += pred.fallback
+                labels.append((post_id, pred.label))
+                p_pos = "" if positive is None else repr(float(pred.scores[positive]))
+                yield post_id, label, pred.fallback, p_pos
 
     write_records(out_dir / "predictions.csv", "csv", prediction_rows(), _PREDICTIONS_HEADER)
     report = {"classified": len(posts), "fallback": n_fallback, "predicted": counts}
@@ -597,7 +611,7 @@ def stage_classify(
     return report, labels
 
 
-def stage_import_predictions(cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, list[str]]]) -> dict:
+def stage_import_predictions(cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, Sequence[str]]]) -> dict:
     """Use third-party model predictions for the classifiable (id, tokens) `posts` in place of the local classifier."""
     from .sentiment import import_external_predictions
     imported = import_external_predictions(cfg.require_paths("external_predictions")["external_predictions"])
@@ -843,22 +857,21 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise.
 
     Each stage takes what the stages before it returned: the located posts,
-    the model, the predictions and the regions go on in memory, and no
-    artifact is read back for them or for summary.md, which is rendered
-    from the stage returns. The one exception is the cleaned tokens, which are
-    parsed from `clean.jsonl` for classify: holding them from clean to classify
-    would raise the run's peak memory more than the parse costs in time.
-    Writes every artifact the stage sequence writes, plus summary.md.
+    the classifiable tokens, the model, the predictions and the regions go on
+    in memory, and no artifact is read back for them or for summary.md, which
+    is rendered from the stage returns. Writes every artifact the stage
+    sequence writes, plus summary.md.
     Returns the report dict of each stage but the frequency reports, by stage name.
     """
     reports: dict[str, Any] = {}
     reports["ingest"], posts, located = stage_ingest(cfg, out_dir)
-    reports["clean"], whitelist = stage_clean(cfg, out_dir, posts)
+    reports["clean"], whitelist, classifiable = stage_clean(cfg, out_dir, posts)
     hashtags = stage_report(cfg, out_dir, "hashtags", posts).rows[:10]  # the rows the summary prints
     emojis = stage_report(cfg, out_dir, "emojis", posts).rows[:10]
     del posts  # freed before train: the post texts are not needed past the reports
     reports["train"], model = stage_train(cfg, out_dir)
-    reports["classify"], predictions = stage_classify(cfg, out_dir, model, _classifiable(out_dir))
+    reports["classify"], predictions = stage_classify(cfg, out_dir, model, classifiable)
+    del classifiable  # freed once classified: only the labels go on
     reports["aggregate"], regions = stage_aggregate(cfg, out_dir, located, predictions)
     del located, predictions  # freed before regress and stepwise allocate their designs
     reports["shift"] = stage_shift_test(cfg, out_dir, regions)

@@ -10,9 +10,10 @@ as the loss or the weights stop being finite, and naming it and
 Third-party model outputs can be imported from CSV instead of training locally.
 
 Training encodes its documents once into sparse (CSR) token counts
-(`encode` -> `TokenCounts`), and `predict` reads only the weight columns of
-a document's known tokens, so both cost time and memory in proportion to the
-number of tokens, never documents x vocabulary.
+(`encode` -> `TokenCounts`), and `predict_batch`, the one scorer, gathers the
+weight columns of its documents' known tokens in one pass (`predict` is a
+batch of one), so both cost time and memory in proportion to the number of
+tokens, never documents x vocabulary.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "load_model",
     "logistic_loss_and_grad",
     "predict",
+    "predict_batch",
     "pseudo_label",
     "save_model",
     "train",
@@ -271,20 +273,33 @@ def train(
     )
 
 
-def predict(model: SentimentModel, tokens: Iterable[str]) -> Prediction:
-    """Class scores (normalized to sum 1) and the argmax label.
+def predict_batch(model: SentimentModel, docs: Iterable[Iterable[str]]) -> list[Prediction]:
+    """The prediction of each document: class scores (normalized to sum 1) and the argmax label.
 
-    Only the weight columns of the document's known tokens are read, so the
-    cost grows with the document, not with the vocabulary. Out-of-vocabulary
-    tokens are ignored; if nothing remains the prediction falls back to the
-    prior/bias argmax and is flagged. Score ties resolve to the earlier class
-    in model.classes.
+    One gather reads the weight columns of all the documents' known tokens and one
+    `np.add.reduceat` sums them per document, so the cost grows with the tokens, not
+    the vocabulary. Unknown tokens are ignored; a document with none left is a flagged
+    fallback, scored on the prior/bias alone. Ties resolve to the earlier model class.
     """
-    columns = [j for j in map(model.vocabulary.get, tokens) if j is not None]
-    logits = model.class_log_prior + model.feature_weights.take(columns, axis=1).sum(axis=1)
+    columns, starts, fallback = array("q"), array("q"), []
+    for doc in docs:
+        known = [j for j in map(model.vocabulary.get, doc) if j is not None]
+        starts.append(len(columns))
+        columns.extend(known)
+        fallback.append(not known)
+    logits = np.tile(model.class_log_prior, (len(starts), 1))
+    scored = np.flatnonzero(~np.array(fallback, dtype=bool))  # each one starts a non-empty run of columns
+    if scored.size:
+        gathered = model.feature_weights.take(np.frombuffer(columns, dtype=np.int64), axis=1)
+        logits[scored] += np.add.reduceat(gathered, np.frombuffer(starts, dtype=np.int64)[scored], axis=1).T
     scores = _softmax(logits)
-    label = model.classes[int(np.argmax(scores))]
-    return Prediction(label=label, scores=scores, fallback=not columns)
+    return [Prediction(label=model.classes[i], scores=row, fallback=flag)
+            for i, row, flag in zip(scores.argmax(axis=1).tolist(), scores, fallback)]
+
+
+def predict(model: SentimentModel, tokens: Iterable[str]) -> Prediction:
+    """`predict_batch` of the one document `tokens`."""
+    return predict_batch(model, [tokens])[0]
 
 
 def evaluate(model: SentimentModel, data: Sequence[LabeledExample]) -> EvalReport:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCK_NUMPY, run_cli, run_python
+from conftest import BLOCK_NUMPY, generative_corpus, run_cli, run_python
 from regsent import cli, pipeline, sentiment
 from regsent.errors import ConfigError
 from regsent.fixtures import write_corpus_fixture
@@ -412,6 +412,15 @@ class TestErrorContract:
             written.append(read_all(tmp_path / name / "out"))
         assert written[0] == written[1]
 
+    def test_config_with_a_byte_order_mark_is_read(self, fixture_dir, pipeline_out, tmp_path, capsys):
+        """A config saved with a UTF-8 byte-order mark gives the artifacts of the same config without one."""
+        shutil.copytree(fixture_dir, tmp_path / "fixture")  # the config's paths are relative to it
+        config = tmp_path / "fixture" / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 0, \
+            capsys.readouterr().err
+        assert read_all(tmp_path / "out") == read_all(pipeline_out)
+
 
 class TestRecordReader:
     """Every CSV input names the line a bad record starts on, and an oversized field is one data error."""
@@ -671,12 +680,13 @@ class TestComposition:
             assert len(params) - len(fixed) == len(pipeline._INPUTS.get(name.removeprefix("stage_"), ())), name
 
     def test_pipeline_parses_no_record_it_handed_on(self, fixture_dir, tmp_path, monkeypatch):
-        """Each stage takes what the stages before it returned; only clean.jsonl is parsed, once, for classify.
+        """Each stage takes what the stages before it returned, so no intermediate is parsed.
 
-        The located posts, the whitelist, the model, the predictions and the regions go on in memory:
-        located.jsonl, emoji_whitelist.txt, predictions.csv and region_sentiment.csv are never parsed,
-        and the model is never loaded. summary.md is rendered from the stage returns, so the frequency
-        reports, the stepwise trace and the fit tables are never read back.
+        The located posts, the whitelist, the classifiable tokens, the model, the predictions and the
+        regions go on in memory: located.jsonl, emoji_whitelist.txt, clean.jsonl, predictions.csv and
+        region_sentiment.csv are never parsed, and the model is never loaded. summary.md is rendered
+        from the stage returns, so the frequency reports, the stepwise trace and the fit tables are
+        never read back.
         """
         parsed: list[str] = []
         loaded: list[Path] = []
@@ -699,12 +709,29 @@ class TestComposition:
         monkeypatch.setattr(sentiment, "load_model", counting_load)
         pipeline.run_pipeline(load_config(fixture_dir / "config.json"), tmp_path / "out")
         counts = {
-            "located.jsonl": 0, "predictions.csv": 0, "clean.jsonl": 1, "region_sentiment.csv": 0,
+            "located.jsonl": 0, "predictions.csv": 0, "clean.jsonl": 0, "region_sentiment.csv": 0,
             "emoji_whitelist.txt": 0, "hashtags.csv": 0, "emojis.csv": 0, "stepwise_trace.csv": 0,
             "regression_full.txt": 0, "stepwise_model.txt": 0,
         }
         assert {name: parsed.count(name) for name in counts} == counts
         assert loaded == []
+
+    def test_classify_chunks_write_the_rows_of_one_batch(self, fixture_dir, tmp_path):
+        """Classify scores its posts in chunks; across a chunk boundary its rows are those of one batch."""
+        model = sentiment.train(generative_corpus(200, seed=4), "naive_bayes")
+        n = pipeline._CLASSIFY_CHUNK + 905
+        posts = [(f"p{i}", [*example.tokens, "unseen"] if i % 97 else ["unseen"])  # every 97th post a fallback
+                 for i, example in enumerate(generative_corpus(n, seed=9))]
+        report, labels = pipeline.stage_classify(load_config(fixture_dir / "config.json"), tmp_path, model, posts)
+        positive = model.classes.index(sentiment.SentimentLabel.POSITIVE)
+        batch = sentiment.predict_batch(model, [tokens for _, tokens in posts])
+        assert read_csv(tmp_path / "predictions.csv") == [
+            {"id": post_id, "label": pred.label.value, "fallback": str(pred.fallback),
+             "p_positive": repr(float(pred.scores[positive]))}
+            for (post_id, _), pred in zip(posts, batch)
+        ]
+        assert labels == [(post_id, pred.label) for (post_id, _), pred in zip(posts, batch)]
+        assert report["classified"] == n and report["fallback"] == sum(pred.fallback for pred in batch) > 0
 
     def test_imported_predictions_reproduce_the_regional_results(self, fixture_dir, pipeline_out, tmp_path, capsys):
         """import-predictions of the pipeline's own labels, then the later stages, give the pipeline's files."""

@@ -26,6 +26,7 @@ from regsent.sentiment import (
     load_model,
     logistic_loss_and_grad,
     predict,
+    predict_batch,
     pseudo_label,
     save_model,
     train,
@@ -210,12 +211,18 @@ class TestSparseEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(model=_random_model(), docs=_DOCS)
     def test_predict_matches_dense_reference(self, model, docs):
-        for tokens in docs:
-            pred = predict(model, iter(tokens))
+        # an empty, an all-unknown and a repeated-token document in every batch
+        docs = [*docs, [], ["unk0", "unk1", "unk0"], [next(iter(model.vocabulary))] * 3]
+        batch = predict_batch(model, (iter(tokens) for tokens in docs))
+        assert len(batch) == len(docs)
+        for tokens, pred in zip(docs, batch):
             label, scores, fallback = _dense_predict(model, tokens)
             assert pred.label is label
             assert pred.fallback == fallback
             assert np.abs(pred.scores - scores).max() <= 1e-12
+            alone = predict(model, iter(tokens))  # a batch of one: the row does not depend on its batch
+            assert (alone.label, alone.fallback) == (pred.label, pred.fallback)
+            assert np.array_equal(alone.scores, pred.scores)
 
     @settings(max_examples=200, deadline=None)
     @given(model=_random_model(), docs=_DOCS, data=st.data())
@@ -306,6 +313,9 @@ class TestMemoryBound:
 
 
 class TestPredict:
+    def test_empty_batch(self):
+        assert predict_batch(train(TWO_DOCS, "naive_bayes"), []) == []
+
     def test_scores_sum_to_one(self):
         model = train(generative_corpus(50, seed=5), "naive_bayes")
         rng = random.Random(6)
