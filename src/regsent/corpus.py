@@ -9,7 +9,9 @@ File formats (all UTF-8):
 Every file is read through `errors.iter_records`, so the line a message names
 is the physical line the record starts on, also after a quoted line break.
 Malformed posts are skipped and counted; a malformed gazetteer or region row
-is fatal: one DataValidationError `<path>:<line>: <reason>`.
+is fatal: one DataValidationError `<path>:<line>: <reason>`. So is a repeated
+post id, gazetteer (place_name, region_id) or region table region_id, with the
+one message of `errors.unique_key`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import logging
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MALFORMED, DataValidationError, iter_records, open_input, read_records
+from .errors import MALFORMED, iter_records, open_input, read_records, unique_key
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +38,7 @@ __all__ = [
     "load_posts",
     "load_region_table",
     "normalize_place",
+    "parse_timestamp",
     "region_counts",
     "resolve_region",
 ]
@@ -79,7 +83,8 @@ class RegionRecord:
     features: Mapping[str, float]
 
 
-def _parse_timestamp(raw: str) -> datetime:
+def parse_timestamp(raw: str) -> datetime:
+    """An RFC-3339 timestamp in UTC; a time with no offset is read as UTC."""
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)  # naive timestamps read as UTC
@@ -101,7 +106,7 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
     return RawPost(
         id=str(post_id),
         text=text,
-        timestamp=_parse_timestamp(ts),
+        timestamp=parse_timestamp(ts),
         place_name=place or None,
         language=lang or None,
     )
@@ -119,7 +124,7 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown posts format {fmt!r}")
     posts: list[RawPost] = []
-    first_line: dict[str, int] = {}
+    check = unique_key(str(path), "post id", attrgetter("id"))
     skipped = 0
     with open_input(path) as handle:
         for line_no, record in iter_records(handle, fmt, str(path), columns=("id", "text", "timestamp")):
@@ -130,12 +135,8 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int
             if post is None:
                 skipped += 1
                 logger.warning("skipping malformed post record at %s:%d", path, line_no)
-            elif post.id in first_line:
-                raise DataValidationError(
-                    f"{path}:{line_no}: duplicate post id {post.id!r}, first used at line {first_line[post.id]}"
-                )
             else:
-                first_line[post.id] = line_no
+                check(line_no, post)
                 posts.append(post)
     return posts, skipped
 
@@ -158,8 +159,6 @@ def normalize_place(name: str) -> str:
 
 
 def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
-    seen: set[tuple[str, str]] = set()
-
     def to_entry(row: dict[str, str]) -> GazetteerEntry:
         entry = GazetteerEntry(
             place_name=row["place_name"],
@@ -173,13 +172,9 @@ def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
             raise ValueError(f"importance {entry.importance} outside [0, 1]")
         if entry.population < 0:
             raise ValueError("negative population")
-        key = (entry.place_name, entry.region_id)
-        if key in seen:
-            raise ValueError(f"duplicate (place_name, region_id) {key}")
-        seen.add(key)
         return entry
 
-    return read_records(path, "csv", to_entry)
+    return read_records(path, "csv", to_entry, key=("(place_name, region_id)", attrgetter("place_name", "region_id")))
 
 
 def resolve_region(place_name: str, gazetteer: Sequence[GazetteerEntry]) -> str | None:
@@ -239,7 +234,6 @@ _REGION_TABLE_FIXED = ("region_id", "population", "outcome")
 
 def load_region_table(path: str | Path) -> list[RegionRecord]:
     """Region table rows; every non-fixed column becomes a named feature."""
-    seen: set[str] = set()
 
     def to_record(row: dict[str, str]) -> RegionRecord:
         region_id = row["region_id"]
@@ -251,9 +245,6 @@ def load_region_table(path: str | Path) -> list[RegionRecord]:
             raise ValueError(f"outcome {outcome} outside [0, 1]")
         if population <= 0:
             raise ValueError("population must be positive")
-        if region_id in seen:
-            raise ValueError(f"duplicate region_id {region_id!r}")
-        seen.add(region_id)
         return RegionRecord(region_id=region_id, population=population, outcome=outcome, features=features)
 
-    return read_records(path, "csv", to_record, columns=_REGION_TABLE_FIXED)
+    return read_records(path, "csv", to_record, columns=_REGION_TABLE_FIXED, key=("region_id", attrgetter("region_id")))

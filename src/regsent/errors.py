@@ -3,8 +3,10 @@
 `open_input` maps an unreadable file onto the taxonomy; `iter_records` and
 `read_records` read every CSV, JSON-lines and word-list file, configured input
 or intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
-whose line is the physical line the record starts on. `write_records` writes
-every CSV, JSON-lines and word-list file the toolkit produces.
+whose line is the physical line the record starts on. A key used twice in a
+keyed file fails the same way (`unique_key`), as `<name>:<line>: duplicate
+<what> <value!r>, first used at line <n>`. `write_records` writes every CSV,
+JSON-lines and word-list file the toolkit produces.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -111,15 +113,32 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
         raise DataValidationError(f"{name}:{start}: {exc}") from None
 
 
+def unique_key(name: str, what: str, key: Callable[[Any], Any]) -> Callable[[int, Any], None]:
+    """The check that no two records of the file `name` share a `key`: call it with each record's line and the record.
+
+    A repeat raises DataValidationError `<name>:<line>: duplicate <what> <value!r>, first used at line <n>`.
+    """
+    first_line: dict[Any, int] = {}
+
+    def check(line: int, record: Any) -> None:
+        value = key(record)
+        first = first_line.setdefault(value, line)
+        if first != line:
+            raise DataValidationError(f"{name}:{line}: duplicate {what} {value!r}, first used at line {first}")
+
+    return check
+
+
 def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name: str | None = None,
-                 columns: Sequence[str] = ()) -> list:
+                 columns: Sequence[str] = (), key: tuple[str, Callable[[Any], Any]] | None = None) -> list:
     """`convert` of each record of the record file at `path` (see `iter_records`).
 
     A record that does not parse, or that `convert` rejects with one of
     MALFORMED, raises DataValidationError `<name>:<line>: <reason>`; `name` is
-    the path by default.
+    the path by default. A (what, getter) `key` is `unique_key` of each result.
     """
     name = name or str(path)
+    check = unique_key(name, *key) if key else lambda line, record: None
     out = []
     with open_input(path, name) as handle:
         for line, record in iter_records(handle, fmt, name, columns):
@@ -130,6 +149,7 @@ def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name
             except MALFORMED as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise DataValidationError(f"{name}:{line}: {reason}") from None
+            check(line, out[-1])
     return out
 
 

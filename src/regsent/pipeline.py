@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, ge
 
 from .corpus import (
     GazetteerEntry, RawPost, filter_located, load_gazetteer, load_posts, load_region_table, normalize_place,
-    region_counts, resolve_region,
+    parse_timestamp, region_counts, resolve_region,
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
@@ -271,9 +271,10 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
     return path
 
 
-def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any] = dict) -> list:
-    """`convert` of each record of the intermediate `name`: JSON-lines, a CSV keyed by its header, or a word list."""
-    return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name)
+def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any],
+                   key: tuple[str, Callable[[Any], Any]] = ("id", operator.itemgetter(0))) -> list:
+    """`convert` of each record of the intermediate `name`, each `key` once; the default key is the leading post id."""
+    return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name, key=key)
 
 
 def _located_fields(row: dict) -> tuple[str, str, datetime, str | None, str | None, str | None]:
@@ -284,11 +285,11 @@ def _located_fields(row: dict) -> tuple[str, str, datetime, str | None, str | No
         if type(value) is not str and not (nullable and value is None):
             raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
     post_id, text, timestamp, place, lang, region = fields
-    return post_id, text, datetime.fromisoformat(timestamp), place or None, lang or None, region or None
+    return post_id, text, parse_timestamp(timestamp), place or None, lang or None, region or None
 
 
 def _located_posts(out_dir: Path) -> list[RawPost]:
-    return _read_artifact(out_dir, "located.jsonl", lambda row: RawPost(*_located_fields(row)[:5]))
+    return [RawPost(*fields[:5]) for fields in _read_artifact(out_dir, "located.jsonl", _located_fields)]
 
 
 def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
@@ -307,8 +308,10 @@ def _predictions(out_dir: Path) -> list[tuple[str, SentimentLabel]]:
     return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
 
 
-def _clean_fields(row: dict) -> tuple[Any, tuple[str, ...], Any]:
+def _clean_fields(row: dict) -> tuple[str, tuple[str, ...], Any]:
     post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
+    if type(post_id) is not str:
+        raise TypeError(f"id must be a string, got {post_id!r}")
     if type(tokens) is not list or not all(type(token) is str for token in tokens):
         raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
     if rejected not in (None, "too_short", "misspelled"):  # what clean_text gives
@@ -324,16 +327,8 @@ def _classifiable(out_dir: Path) -> list[tuple[str, tuple[str, ...]]]:
 
 def _read_regions(out_dir: Path) -> list[RegionSentiment]:
     from .regional import RegionSentiment
-    seen: set[str] = set()
-
-    def to_region(row: dict[str, str]) -> RegionSentiment:
-        region = RegionSentiment.from_row(row)
-        if region.region_id in seen:
-            raise ValueError(f"duplicate region_id {region.region_id!r}")
-        seen.add(region.region_id)
-        return region
-
-    return _read_artifact(out_dir, "region_sentiment.csv", to_region)
+    return _read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row,
+                          ("region_id", operator.attrgetter("region_id")))
 
 
 # The readers of each stage's inputs, in argument order: how `run_stage` gets from `out_dir` what

@@ -22,6 +22,7 @@ import json
 import random
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -384,16 +385,8 @@ def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:
 
     Unknown label strings and duplicate ids are fatal, with the line number.
     """
-    seen: set[str] = set()
-
-    def to_pair(row: dict[str, str]) -> tuple[str, SentimentLabel]:
-        label = SentimentLabel.parse(row["label"] or "")
-        if row["id"] in seen:
-            raise ValueError(f"duplicate id {row['id']!r}")
-        seen.add(row["id"])
-        return row["id"], label
-
-    return dict(read_records(path, "csv", to_pair, columns=("id", "label")))
+    return dict(read_records(path, "csv", lambda row: (row["id"], SentimentLabel.parse(row["label"] or "")),
+                             columns=("id", "label"), key=("id", itemgetter(0))))
 
 
 # ---------------------------------------------------------------------------

@@ -279,16 +279,29 @@ class TestErrorContract:
         ("classify", "clean.jsonl", lambda clean: clean + json.dumps(
             {"id": "p9", "tokens": ["city"], "kept_emojis": [], "removed": {}, "rejected": 5}) + "\n",
          "rejected must be null, 'too_short' or 'misspelled', got 5"),
+        ("classify", "clean.jsonl", lambda clean: clean + json.dumps(
+            {"id": ["p9"], "tokens": ["city"], "kept_emojis": [], "removed": {}, "rejected": None}) + "\n",
+         "id must be a string, got ['p9']"),
         *[(stage, "region_sentiment.csv", lambda sentiment: sentiment + sentiment.splitlines()[1] + "\n",
-           "duplicate region_id 'R01'") for stage in ("shift-test", "regress", "stepwise")],
+           "duplicate region_id 'R01', first used at line 2\n") for stage in ("shift-test", "regress", "stepwise")],
+        *[(stage, name, lambda records: records + records.splitlines()[0] + "\n",
+           "duplicate id 'p000000', first used at line 1\n")
+          for stage, name in (("clean", "located.jsonl"), ("aggregate", "located.jsonl"),
+                              ("classify", "clean.jsonl"), ("import-predictions", "clean.jsonl"))],
+        ("aggregate", "predictions.csv", lambda predictions: predictions + predictions.splitlines()[1] + "\n",
+         "duplicate id 'p000000', first used at line 2\n"),
     ], ids=["count-not-int", "column-missing", "counts-all-zero", "count-negative", "included-not-bool",
-            "jsonl-line-invalid", "rejected-not-a-reason",
-            "region-repeated-shift-test", "region-repeated-regress", "region-repeated-stepwise"])
+            "jsonl-line-invalid", "rejected-not-a-reason", "clean-id-not-a-string",
+            "region-repeated-shift-test", "region-repeated-regress", "region-repeated-stepwise",
+            "located-id-repeated-clean", "located-id-repeated-aggregate",
+            "clean-id-repeated-classify", "clean-id-repeated-import-predictions", "prediction-id-repeated"])
     def test_malformed_intermediate_exits_two_naming_line(self, fixture_dir, pipeline_out, tmp_path, capsys,
                                                           stage, name, corrupt, reason):
         out = tmp_path / "out"
         out.mkdir()
-        shutil.copyfile(pipeline_out / "model.json", out / "model.json")  # classify reads it before clean.jsonl
+        # classify reads model.json before clean.jsonl, and aggregate located.jsonl before predictions.csv
+        for intermediate in ("model.json", "located.jsonl"):
+            shutil.copyfile(pipeline_out / intermediate, out / intermediate)
         content = corrupt((pipeline_out / name).read_text(encoding="utf-8"))
         (out / name).write_text(content, encoding="utf-8")
         bad_line = content.count("\n")  # each probe corrupts the last line
@@ -658,6 +671,26 @@ class TestComposition:
             if (pipeline_out / name).read_bytes() != (out / name).read_bytes()
         ]
         assert mismatched == []
+
+    def test_located_time_falls_on_its_utc_day_as_ingest_files_it(self, fixture_dir, tmp_path, capsys):
+        """A hand-written located.jsonl time with an offset is read in UTC, as ingest reads a post's time.
+
+        The event day is 2019-10-13 and counts as before it: 01:30 at +02:00 on the 14th is the 13th
+        in UTC, 23:30 at -02:00 on the 13th is the 14th, and a trailing Z is UTC.
+        """
+        out = tmp_path / "out"
+        out.mkdir()
+        times = {"a": "2019-10-14T01:30:00+02:00", "b": "2019-10-13T23:30:00-02:00", "c": "2019-10-13T23:30:00Z"}
+        (out / "located.jsonl").write_text("".join(
+            json.dumps({"id": post_id, "text": "x", "timestamp": timestamp, "place": "p", "lang": "pl", "region": "R"})
+            + "\n" for post_id, timestamp in times.items()), encoding="utf-8")
+        (out / "predictions.csv").write_text(
+            "id,label,fallback,p_positive\na,positive,False,\nb,negative,False,\nc,negative,False,\n", encoding="utf-8")
+        assert cli.main(["aggregate", "--config", str(fixture_dir / "config.json"), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        [region] = read_csv(out / "region_sentiment.csv")
+        counts = [region[column] for column in ("n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after")]
+        assert counts == ["1", "1", "0", "1"]
 
     def test_train_needs_no_intermediate(self, fixture_dir, pipeline_out, tmp_path, capsys):
         """`train` in an empty --out writes the pipeline's training files."""

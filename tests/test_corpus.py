@@ -389,7 +389,8 @@ class TestTableLoaders:
             "alpha,c,R1,p,0.5,10\nalpha,c,R1,p,0.6,10\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataValidationError, match="duplicate"):
+        with pytest.raises(DataValidationError,
+                           match=r":3: duplicate \(place_name, region_id\) \('alpha', 'R1'\), first used at line 2$"):
             load_gazetteer(path)
 
     def test_gazetteer_importance_range(self, tmp_path):
@@ -421,5 +422,5 @@ class TestTableLoaders:
     def test_region_table_duplicate_id(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text("region_id,population,outcome\nR1,10,0.5\nR1,11,0.4\n", encoding="utf-8")
-        with pytest.raises(DataValidationError, match="duplicate"):
+        with pytest.raises(DataValidationError, match=r":3: duplicate region_id 'R1', first used at line 2$"):
             load_region_table(path)

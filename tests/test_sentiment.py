@@ -443,7 +443,7 @@ class TestExternalPredictions:
     def test_duplicate_id_fatal(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("id,label\na,positive\na,negative\n", encoding="utf-8")
-        with pytest.raises(DataValidationError, match="duplicate"):
+        with pytest.raises(DataValidationError, match=r":3: duplicate id 'a', first used at line 2$"):
             import_external_predictions(path)
 
     def test_thousand_row_roundtrip(self, tmp_path):
