@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -242,13 +243,14 @@ def _pair(line: str, expected: str, values: tuple[str, ...] = ()) -> list[str]:
 
 
 def load_lemma_map(path: str | Path) -> dict[str, str]:
-    """Lemma file: `word lemma` per line (whitespace separated)."""
+    """Lemma file: `word lemma` per line (whitespace separated), each word (lowercased, NFC) on one line."""
     return dict(read_records(path, "txt", lambda line: [
         unicodedata.normalize("NFC", part.lower()) for part in _pair(line, "word lemma")
-    ]))
+    ], key=("word", itemgetter(0))))
 
 
 def load_emoji_polarity(path: str | Path) -> dict[str, str]:
-    """Polarity file: `emoji polarity` per line, polarity in pos|neg|ambiguous."""
+    """Polarity file: `emoji polarity` per line, polarity in pos|neg|ambiguous, each emoji on one line."""
     polarities = ("pos", "neg", "ambiguous")
-    return dict(read_records(path, "txt", lambda line: _pair(line, "emoji pos|neg|ambiguous", polarities)))
+    return dict(read_records(path, "txt", lambda line: _pair(line, "emoji pos|neg|ambiguous", polarities),
+                             key=("emoji", itemgetter(0))))

@@ -9,11 +9,11 @@ as the loss or the weights stop being finite, and naming it and
 `classifier.l2` when the last epoch's loss is not below the first's.
 Third-party model outputs can be imported from CSV instead of training locally.
 
-Training encodes its documents once into sparse (CSR) token counts
-(`encode` -> `TokenCounts`), and `predict_batch`, the one scorer, gathers the
-weight columns of its documents' known tokens in one pass (`predict` is a
-batch of one), so both cost time and memory in proportion to the number of
-tokens, never documents x vocabulary.
+Training and scoring share one encoding: `encode` turns documents into the
+vocabulary columns of their known tokens (`TokenCounts`, one entry per token,
+repeats kept), training multiplies it with the weights, and `predict_batch`,
+the one scorer, does the same (`predict` is a batch of one), so both cost time
+and memory in proportion to the number of tokens, never documents x vocabulary.
 """
 
 from __future__ import annotations
@@ -107,58 +107,45 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class TokenCounts:
-    """Sparse n x V token-count matrix in CSR form.
+    """Sparse n x V token-count matrix: each document's known tokens as vocabulary columns.
 
-    Row i holds `counts[indptr[i]:indptr[i + 1]]` at the columns
-    `indices[indptr[i]:indptr[i + 1]]`, ascending and without repeats. Only
-    the two products the classifiers need are defined, `X @ dense` and
-    `dense @ X`; numpy ufuncs defer to them (`__array_ufunc__ = None`).
+    Row i holds one entry per known token of document i, in document order and
+    with repeats kept, at the columns `indices[indptr[i]:indptr[i + 1]]`; a
+    column listed twice adds twice. Only the two products the classifiers need
+    are defined, `X @ dense` and `dense @ X`, each one `np.bincount` per class;
+    numpy ufuncs defer to them (`__array_ufunc__ = None`).
     """
 
     __array_ufunc__ = None
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray, n_words: int):
-        self.indptr, self.indices, self.counts = indptr, indices, counts
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n_words: int):
+        self.indptr, self.indices = indptr, indices
         self.shape = (len(indptr) - 1, n_words)
-        self._rows = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+        self._rows = np.repeat(np.arange(self.shape[0]), indptr[1:] - indptr[:-1])
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         """(n, V) @ (V, K) -> (n, K)."""
         other = np.asarray(other)
         if other.shape[0] != self.shape[1]:
             raise ValueError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
-        return np.stack([self._sum(self._rows, col[self.indices], self.shape[0]) for col in other.T], axis=1)
+        return np.stack([np.bincount(self._rows, weights=col[self.indices], minlength=self.shape[0])
+                         for col in other.T], axis=1)
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
         """(K, n) @ (n, V) -> (K, V)."""
         other = np.asarray(other)
         if other.shape[1] != self.shape[0]:
             raise ValueError(f"matmul shape mismatch: {other.shape} @ {self.shape}")
-        return np.stack([self._sum(self.indices, row[self._rows], self.shape[1]) for row in other])
-
-    def _sum(self, bins: np.ndarray, gathered: np.ndarray, length: int) -> np.ndarray:
-        """Sum of gathered * counts per bin, one pass over the entries."""
-        gathered *= self.counts
-        return np.bincount(bins, weights=gathered, minlength=length)
+        return np.stack([np.bincount(self.indices, weights=row[self._rows], minlength=self.shape[1]) for row in other])
 
 
 def encode(docs: Iterable[Iterable[str]], vocabulary: Mapping[str, int]) -> TokenCounts:
-    """Token counts of each document over the vocabulary; unknown tokens are dropped."""
-    columns, lengths = array("q"), array("q")
+    """The vocabulary columns of each document's tokens, in order and with repeats; unknown tokens are dropped."""
+    columns, indptr = array("q"), array("q", [0])
     for doc in docs:
-        known = [j for j in map(vocabulary.get, doc) if j is not None]
-        columns.extend(known)
-        lengths.append(len(known))
-    n, n_words = len(lengths), len(vocabulary)
-    base = max(n_words, 1)
-    # one row-major key per known token; np.unique sorts them and counts repeats
-    keys = np.repeat(np.arange(0, n * base, base, dtype=np.int64), np.asarray(lengths))
-    keys += np.asarray(columns)
-    del columns  # freed before np.unique copies the keys
-    keys, counts = np.unique(keys, return_counts=True)
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * base)
-    keys %= base
-    return TokenCounts(indptr, keys, counts, n_words)
+        columns.extend([j for j in map(vocabulary.get, doc) if j is not None])
+        indptr.append(len(columns))
+    return TokenCounts(np.asarray(indptr), np.asarray(columns), len(vocabulary))
 
 
 def logistic_loss_and_grad(
@@ -172,7 +159,7 @@ def logistic_loss_and_grad(
 
     Returns (loss, grad_weights, grad_bias); kept separate from the training
     loop so the gradient can be checked against finite differences. `X` is a
-    dense n x V count matrix or the same counts as `TokenCounts`.
+    dense n x V count matrix or the same matrix as `TokenCounts`.
     """
     n = X.shape[0]
     logits = X @ weights.T + bias
@@ -233,10 +220,10 @@ def train(
             raise ValueError("smoothing must be positive")
         membership = np.zeros((K, len(data)))
         membership[y_idx, np.arange(len(data))] = 1.0
-        counts = membership @ X
+        word_counts = membership @ X
         docs = np.bincount(y_idx, minlength=K)
         class_log_prior = np.log(docs / docs.sum())
-        feature_log_prob = np.log((counts + smoothing) / (counts.sum(axis=1, keepdims=True) + smoothing * V))
+        feature_log_prob = np.log((word_counts + smoothing) / (word_counts.sum(axis=1, keepdims=True) + smoothing * V))
         return SentimentModel(
             kind=kind,
             classes=model_classes,
@@ -277,23 +264,14 @@ def train(
 def predict_batch(model: SentimentModel, docs: Iterable[Iterable[str]]) -> list[Prediction]:
     """The prediction of each document: class scores (normalized to sum 1) and the argmax label.
 
-    One gather reads the weight columns of all the documents' known tokens and one
-    `np.add.reduceat` sums them per document, so the cost grows with the tokens, not
-    the vocabulary. Unknown tokens are ignored; a document with none left is a flagged
-    fallback, scored on the prior/bias alone. Ties resolve to the earlier model class.
+    The documents are encoded as training encodes them (`encode`) and scored with one
+    product against the weights, so the cost grows with the tokens, not the vocabulary.
+    Unknown tokens are ignored; a document with none left is a flagged fallback, scored
+    on the prior/bias alone. Ties resolve to the earlier model class.
     """
-    columns, starts, fallback = array("q"), array("q"), []
-    for doc in docs:
-        known = [j for j in map(model.vocabulary.get, doc) if j is not None]
-        starts.append(len(columns))
-        columns.extend(known)
-        fallback.append(not known)
-    logits = np.tile(model.class_log_prior, (len(starts), 1))
-    scored = np.flatnonzero(~np.array(fallback, dtype=bool))  # each one starts a non-empty run of columns
-    if scored.size:
-        gathered = model.feature_weights.take(np.frombuffer(columns, dtype=np.int64), axis=1)
-        logits[scored] += np.add.reduceat(gathered, np.frombuffer(starts, dtype=np.int64)[scored], axis=1).T
-    scores = _softmax(logits)
+    X = encode(docs, model.vocabulary)
+    scores = _softmax(X @ model.feature_weights.T + model.class_log_prior)
+    fallback = (X.indptr[1:] == X.indptr[:-1]).tolist()  # the empty rows
     return [Prediction(label=model.classes[i], scores=row, fallback=flag)
             for i, row, flag in zip(scores.argmax(axis=1).tolist(), scores, fallback)]
 

@@ -482,15 +482,20 @@ class TestRecordReader:
     @pytest.mark.parametrize("key, bad_line, reason", [
         ("lemmas", "a b c", "expected 'word lemma', got 'a b c'"),
         ("emoji_polarity", "\U0001F600 happy", "expected 'emoji pos|neg|ambiguous', got '\U0001F600 happy'"),
+        ("lemmas", "koty kot\nkoty pies", "duplicate word 'koty', first used at line {first}"),
+        ("lemmas", "Koty kot\nkoty kot", "duplicate word 'koty', first used at line {first}"),
+        ("emoji_polarity", "\U0001F642 pos\n\U0001F642 neg", "duplicate emoji '\U0001F642', first used at line {first}"),
     ])
     def test_word_list_line_is_named(self, fixture_dir, pipeline_out, tmp_path, key, bad_line, reason):
+        """`bad_line` may span lines; the error names the last, and a repeat also the first."""
         source = load_config(fixture_dir / "config.json").paths[key]
         lines = source.read_text(encoding="utf-8").splitlines()
         bad = tmp_path / "input.txt"
         bad.write_text("\n".join([*lines, "", bad_line]) + "\n", encoding="utf-8")  # a blank line still counts
         code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        first, last = len(lines) + 2, len(lines) + 2 + bad_line.count("\n")
         assert code == 2
-        assert err == f"regsent: error[data]: {bad}:{len(lines) + 2}: {reason}\n"
+        assert err == f"regsent: error[data]: {bad}:{last}: {reason.format(first=first)}\n"
 
     @pytest.mark.parametrize("key, header", [
         ("posts_csv", "id,body,timestamp,place,lang"),

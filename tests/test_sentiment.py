@@ -157,7 +157,7 @@ class TestLogistic:
 
 
 # The dense bag-of-words path the sparse core replaced, kept here as the
-# reference the CSR encoding and the sparse prediction must reproduce.
+# reference the sparse encoding and the sparse prediction must reproduce.
 
 def _dense_softmax(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -206,7 +206,7 @@ def _random_model(draw):
 
 
 class TestSparseEquivalence:
-    """CSR encoding and sparse prediction against the dense reference above."""
+    """Sparse encoding and sparse prediction against the dense reference above."""
 
     @settings(max_examples=200, deadline=None)
     @given(model=_random_model(), docs=_DOCS)
@@ -226,7 +226,7 @@ class TestSparseEquivalence:
 
     @settings(max_examples=200, deadline=None)
     @given(model=_random_model(), docs=_DOCS, data=st.data())
-    def test_loss_and_grad_on_csr_equal_dense(self, model, docs, data):
+    def test_loss_and_grad_on_encoding_equal_dense(self, model, docs, data):
         X = encode(docs, model.vocabulary)
         dense = _dense_counts(docs, model.vocabulary)
         assert X.shape == dense.shape
@@ -253,7 +253,7 @@ class TestSparseEquivalence:
         expected = np.log((counts + 0.5) / (counts.sum(axis=1, keepdims=True) + 0.5 * V))
         assert np.array_equal(model.feature_weights, expected)
 
-    def test_gradient_on_csr_matches_finite_differences(self):
+    def test_gradient_on_encoding_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         vocabulary = {w: i for i, w in enumerate(_KNOWN_WORDS[:7])}
         for _ in range(20):
@@ -282,12 +282,12 @@ class TestSparseEquivalence:
             assert np.linalg.norm(grad_w - num_w) / max(1.0, float(np.linalg.norm(num_w))) < 1e-5
             assert np.linalg.norm(grad_b - num_b) / max(1.0, float(np.linalg.norm(num_b))) < 1e-5
 
-    def test_csr_layout(self):
+    def test_encoding_layout(self):
+        # one entry per known token, in document order, repeats kept
         X = encode([["b", "a", "b", "zzz"], [], ["zzz"], ["a"]], {"a": 0, "b": 1})
         assert X.shape == (4, 2)
-        assert X.indptr.tolist() == [0, 2, 2, 2, 3]
-        assert X.indices.tolist() == [0, 1, 0]
-        assert X.counts.tolist() == [1.0, 2.0, 1.0]
+        assert X.indptr.tolist() == [0, 3, 3, 3, 4]
+        assert X.indices.tolist() == [1, 0, 1, 0]
 
 
 class TestMemoryBound:
