@@ -2,8 +2,10 @@
 
 File formats (all UTF-8):
   posts        JSON lines {"id","text","timestamp","place","lang"} or CSV with
-               the same columns; timestamps RFC-3339.
-  gazetteer    CSV place_name,commune,region_id,province,importance,population
+               the same columns; a timestamp is an RFC 3339 date-time or a
+               bare date (`_TIMESTAMP`).
+  gazetteer    CSV place_name,commune,region_id,province,importance,population;
+               commune and population are not read.
   region table CSV region_id,population,outcome,<feature columns...>
 
 Every file is read through `errors.iter_records`, so the line a message names
@@ -12,14 +14,18 @@ Malformed posts are skipped and counted; a malformed gazetteer or region row
 is fatal: one DataValidationError `<path>:<line>: <reason>`. So is a repeated
 post id, gazetteer (place_name, region_id) or region table region_id, with the
 one message of `errors.unique_key`.
+
+Place matching lives here alone: `load_gazetteer` files each entry under its
+`normalize_place` name, and `resolve_region` looks a place up in that index.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +44,7 @@ __all__ = [
     "load_posts",
     "load_region_table",
     "normalize_place",
+    "parse_date",
     "parse_timestamp",
     "region_counts",
     "resolve_region",
@@ -60,11 +67,9 @@ class GazetteerEntry:
     """Place name -> administrative region, with a disambiguation score."""
 
     place_name: str
-    commune: str
     region_id: str
     province: str
     importance: float
-    population: int
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,25 @@ class RegionRecord:
     features: Mapping[str, float]
 
 
+# The timestamps `datetime.fromisoformat` reads alike on Python 3.10 and 3.11 (3.11 takes more): an
+# RFC 3339 date-time whose offset may be left out and whose fraction has 3 or 6 digits, or a bare date.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?P<time>[Tt ][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?(?:Z|[+-][0-9]{2}:[0-9]{2})?)?"
+)
+
+
+def parse_date(raw: str) -> date:
+    """A `YYYY-MM-DD` date."""
+    if not (match := _TIMESTAMP.fullmatch(raw)) or match["time"]:
+        raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
+    return date.fromisoformat(raw)
+
+
 def parse_timestamp(raw: str) -> datetime:
-    """An RFC-3339 timestamp in UTC; a time with no offset is read as UTC."""
+    """A `_TIMESTAMP` in UTC; a time with no offset is read as UTC."""
+    if not _TIMESTAMP.fullmatch(raw):
+        raise ValueError(f"not an RFC 3339 timestamp: {raw!r}")
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)  # naive timestamps read as UTC
@@ -101,7 +123,7 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
         return None  # `type`, not isinstance: a JSON true is not the post id 'True'
     if not all(value is None or type(value) is str for value in (place, lang)):
         return None
-    if post_id == "" or not text.strip() or not ts:
+    if post_id == "" or not text.strip():
         return None
     return RawPost(
         id=str(post_id),
@@ -158,55 +180,36 @@ def normalize_place(name: str) -> str:
     return unicodedata.normalize("NFC", name).casefold().strip()
 
 
-def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
+def load_gazetteer(path: str | Path) -> dict[str, list[GazetteerEntry]]:
+    """The gazetteer as its name index: each `normalize_place` name -> the entries filed under it, in file order."""
+
     def to_entry(row: dict[str, str]) -> GazetteerEntry:
-        entry = GazetteerEntry(
-            place_name=row["place_name"],
-            commune=row["commune"],
-            region_id=row["region_id"],
-            province=row["province"],
-            importance=float(row["importance"]),
-            population=int(row["population"]),
-        )
-        if not (0.0 <= entry.importance <= 1.0):
-            raise ValueError(f"importance {entry.importance} outside [0, 1]")
-        if entry.population < 0:
-            raise ValueError("negative population")
-        return entry
+        importance = float(row["importance"])
+        if not (0.0 <= importance <= 1.0):
+            raise ValueError(f"importance {importance} outside [0, 1]")
+        return GazetteerEntry(row["place_name"], row["region_id"], row["province"], importance)
 
-    return read_records(path, "csv", to_entry, key=("(place_name, region_id)", attrgetter("place_name", "region_id")))
+    index: dict[str, list[GazetteerEntry]] = {}
+    for entry in read_records(path, "csv", to_entry,
+                              columns=("place_name", "commune", "region_id", "province", "importance", "population"),
+                              key=("(place_name, region_id)", attrgetter("place_name", "region_id"))):
+        index.setdefault(normalize_place(entry.place_name), []).append(entry)
+    return index
 
 
-def resolve_region(place_name: str, gazetteer: Sequence[GazetteerEntry]) -> str | None:
-    """Region of the maximum-importance gazetteer entry matching the name.
+def resolve_region(place_name: str, gazetteer: Mapping[str, Sequence[GazetteerEntry]]) -> str | None:
+    """Region of the top-importance entry filed under the place in the name index `gazetteer`; None if none is.
 
-    Matching is exact on the normalized name and skips other entries, so a
-    caller may pass only the entries filed under it. Importance ties go to the
-    lexicographically smallest region_id, whatever the order; a tie warns.
+    Among regions tied at the top importance the smallest region_id wins, whatever the file order, and the tie warns.
     """
-    key = normalize_place(place_name)
-    best: GazetteerEntry | None = None
-    tied = False
-    for entry in gazetteer:
-        if normalize_place(entry.place_name) != key:
-            continue
-        if best is None:
-            best = entry
-            continue
-        if entry.importance > best.importance:
-            best = entry
-            tied = False
-        elif entry.importance == best.importance and entry.region_id != best.region_id:
-            tied = True
-            if entry.region_id < best.region_id:
-                best = entry
-    if best is None:
+    candidates = gazetteer.get(normalize_place(place_name), ())
+    if not candidates:
         return None
-    if tied:
-        logger.warning(
-            "importance tie for place %r resolved to region %s", place_name, best.region_id
-        )
-    return best.region_id
+    top = max(entry.importance for entry in candidates)
+    regions = sorted({entry.region_id for entry in candidates if entry.importance == top})
+    if len(regions) > 1:
+        logger.warning("importance tie for place %r resolved to region %s", place_name, regions[0])
+    return regions[0]
 
 
 def region_counts(

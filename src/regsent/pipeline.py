@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .corpus import (
-    GazetteerEntry, RawPost, filter_located, load_gazetteer, load_posts, load_region_table, normalize_place,
-    parse_timestamp, region_counts, resolve_region,
+    RawPost, filter_located, load_gazetteer, load_posts, load_region_table, parse_date, parse_timestamp,
+    region_counts, resolve_region,
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
@@ -140,7 +140,7 @@ class PipelineConfig:
 # Field types a document value can have; fields of other types (cleaning
 # resources, resolved paths) are not config keys.
 _EXPECTED = {bool: "true or false", int: "an integer within float range", float: "a finite number",
-             str: "a string", date: "an ISO date string", tuple: "a list of distinct strings"}
+             str: "a string", date: "a YYYY-MM-DD date string", tuple: "a list of distinct strings"}
 _BOUNDS = {"min": (">=", operator.ge), "max": ("<=", operator.le), "gt": (">", operator.gt), "lt": ("<", operator.lt)}
 
 
@@ -158,7 +158,7 @@ def _convert(kind, value: Any) -> Any:
             raise ValueError(value)
         return kind(value)
     if kind is date:
-        return date.fromisoformat(value)
+        return parse_date(value)
     if (kind is tuple and type(value) is list and all(type(item) is str for item in value)
             and len(set(value)) == len(value)):  # each name is one regression predictor
         return tuple(value)
@@ -380,22 +380,16 @@ def stage_ingest(
     paths = cfg.require_paths("posts", "gazetteer")
     posts, skipped = load_posts(paths["posts"], cfg.posts_format)
     located = filter_located(posts, cfg.language)
-    by_name: dict[str, list[GazetteerEntry]] = {}  # each row normalised once, not once per place
-    for entry in load_gazetteer(paths["gazetteer"]):
-        by_name.setdefault(normalize_place(entry.place_name), []).append(entry)
+    gazetteer = load_gazetteer(paths["gazetteer"])
     cache: dict[str, str | None] = {}
-    resolved_ids: list[str] = []
     where: dict[str, tuple[str | None, datetime]] = {}
 
     def located_records():
         for post in located:
-            place = post.place_name or ""
-            if place not in cache:
+            if post.place_name not in cache:
                 # an empty region id is no region, as `located.jsonl` reads back
-                cache[place] = resolve_region(place, by_name.get(normalize_place(place), ())) or None
-            region = cache[place]
-            if region:
-                resolved_ids.append(region)
+                cache[post.place_name] = resolve_region(post.place_name, gazetteer) or None
+            region = cache[post.place_name]
             where[post.id] = (region, post.timestamp)
             yield {
                 "id": post.id,
@@ -411,18 +405,19 @@ def stage_ingest(
     populations: dict[str, int] = {}
     if cfg.paths.get("region_table"):
         populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
-    counts = region_counts(resolved_ids, populations)
+    counts = region_counts((region for region, _ in where.values() if region), populations)
     write_records(out_dir / "region_counts.csv", "csv", (
         (region_id, rc.count, "" if rc.per_capita is None else repr(rc.per_capita))
         for region_id, rc in counts.items()
     ), ("region_id", "count", "per_capita"))
 
+    resolved = sum(rc.count for rc in counts.values())
     report = {
         "loaded": len(posts),
         "skipped_records": skipped,
         "located": len(located),
-        "resolved": len(resolved_ids),
-        "unresolved": len(located) - len(resolved_ids),
+        "resolved": resolved,
+        "unresolved": len(located) - resolved,
         "regions": len(counts),
     }
     _write_json(out_dir / "ingest_report.json", report)

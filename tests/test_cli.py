@@ -370,6 +370,46 @@ class TestErrorContract:
         kind = "a string or null" if key in ("place", "lang") else "a string"
         assert err == f"regsent: error[data]: located.jsonl:{len(lines)}: {key} must be {kind}, got {value!r}\n"
 
+    @pytest.mark.parametrize("form, is_timestamp, is_date", [
+        ("2019-10-13T01:30:00+02:00", True, False),
+        ("2019-10-13t01:30:00.123Z", True, False),
+        ("2019-10-13 01:30:00.123456", True, False),
+        ("2019-10-13", True, True),
+        # Python 3.11's fromisoformat reads these and 3.10's does not
+        ("20191013T013000+0200", False, False),
+        ("20191013", False, False),
+        ("2019-W41-7T01:30", False, False),
+        ("2019-W41-7", False, False),
+        ("2019-10-13T01:30:00.123456789+00:00", False, False),
+        ("2019-10-13T01:30:00+0200", False, False),
+        # both read these, but they are not RFC 3339
+        ("2019-10-13T01:30", False, False),
+        ("2019-10-13T01", False, False),
+        ("2019-10-13X01:30:00", False, False),
+        ("\uff12\uff10\uff11\uff19-10-13", False, False),
+    ])
+    def test_one_timestamp_and_date_grammar(self, fixture_dir, tmp_path, capsys, form, is_timestamp, is_date):
+        """A post's time, a located.jsonl time and event_date read `form` alike on every supported Python.
+
+        A post whose time is not a timestamp is skipped and counted, a located.jsonl time exits 2, and an
+        event_date that is not a YYYY-MM-DD date exits 1.
+        """
+        config, out, posts = str(fixture_dir / "config.json"), tmp_path / "out", tmp_path / "posts.jsonl"
+        record = {"id": "p", "text": "x", "timestamp": form, "place": "p", "lang": "pl"}
+        posts.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert cli.main(["ingest", "--config", config, "--out", str(out), "--set", f"paths.posts={posts}"]) == 0
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        assert report["skipped_records"] == (0 if is_timestamp else 1)
+        (out / "located.jsonl").write_text(json.dumps({**record, "region": "R"}) + "\n", encoding="utf-8")
+        (out / "predictions.csv").write_text("id,label,fallback,p_positive\np,positive,False,\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["aggregate", "--config", config, "--out", str(out)]) == (0 if is_timestamp else 2)
+        if not is_timestamp:
+            reason = f"not an RFC 3339 timestamp: {form!r}"
+            assert capsys.readouterr().err == f"regsent: error[data]: located.jsonl:1: {reason}\n"
+        event_date = ["--set", f"event_date={json.dumps(form)}"]
+        assert cli.main(["ingest", "--config", config, "--out", str(out), *event_date]) == (0 if is_date else 1)
+
     def test_duplicate_post_id_exits_two(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         posts = tmp_path / "posts.jsonl"
@@ -499,6 +539,7 @@ class TestRecordReader:
 
     @pytest.mark.parametrize("key, header", [
         ("posts_csv", "id,body,timestamp,place,lang"),
+        ("gazetteer", "place_name,commune,region_id,province,importance"),
         ("region_table", "region_id,population"),
         ("external_predictions", "id,prediction"),
     ])

@@ -21,6 +21,7 @@ from regsent.corpus import (
     load_gazetteer,
     load_posts,
     load_region_table,
+    normalize_place,
     region_counts,
     resolve_region,
 )
@@ -232,38 +233,58 @@ class TestFilterLocated:
         assert filter_located(once, "pl") == once
 
 
-def entry(name, region, importance, population=1000):
-    return GazetteerEntry(
-        place_name=name, commune=f"{name} c", region_id=region,
-        province="prov", importance=importance, population=population,
-    )
+def entry(name, region, importance):
+    return GazetteerEntry(place_name=name, region_id=region, province="prov", importance=importance)
+
+
+def index(entries):
+    """The name index `load_gazetteer` returns for a gazetteer of `entries`."""
+    out = {}
+    for e in entries:
+        out.setdefault(normalize_place(e.place_name), []).append(e)
+    return out
+
+
+def full_scan(place_name, entries):
+    """(region or None, whether regions tied) of the top-importance entry whose normalised name matches, by one scan
+    of every entry: the reference the name index must agree with."""
+    key = normalize_place(place_name)
+    best, tied = None, False
+    for e in entries:
+        if normalize_place(e.place_name) != key:
+            continue
+        if best is None or e.importance > best.importance:
+            best, tied = e, False
+        elif e.importance == best.importance and e.region_id != best.region_id:
+            tied = True
+            if e.region_id < best.region_id:
+                best = e
+    return (best and best.region_id), tied
 
 
 class TestResolveRegion:
     def test_unique_name(self):
-        assert resolve_region("alpha", [entry("alpha", "R1", 0.5)]) == "R1"
+        assert resolve_region("alpha", index([entry("alpha", "R1", 0.5)])) == "R1"
 
     def test_highest_importance_wins(self):
         gaz = [entry("york", "R1", 0.7), entry("york", "R2", 0.4)]
-        assert resolve_region("york", gaz) == "R1"
-        assert resolve_region("york", list(reversed(gaz))) == "R1"
+        assert resolve_region("york", index(gaz)) == "R1"
+        assert resolve_region("york", index(reversed(gaz))) == "R1"
 
     def test_case_and_unicode_normalization(self):
-        gaz = [entry("Łódź", "R9", 0.9)]
+        gaz = index([entry("Łódź", "R9", 0.9)])
         assert resolve_region("łódź", gaz) == "R9"
         assert resolve_region("ŁÓDŹ", gaz) == "R9"
 
     def test_no_match_returns_none(self):
-        assert resolve_region("nowhere", [entry("alpha", "R1", 0.5)]) is None
+        assert resolve_region("nowhere", index([entry("alpha", "R1", 0.5)])) is None
 
     def test_tie_breaks_to_smallest_region_id(self, caplog):
-        import logging
-
         gaz = [entry("twin", "R7", 0.6), entry("twin", "R2", 0.6)]
         with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
-            assert resolve_region("twin", gaz) == "R2"
+            assert resolve_region("twin", index(gaz)) == "R2"
         assert any("tie" in record.message for record in caplog.records)
-        assert resolve_region("twin", list(reversed(gaz))) == "R2"
+        assert resolve_region("twin", index(reversed(gaz))) == "R2"
 
     def test_against_exhaustive_argmax_oracle(self):
         rng = random.Random(20)
@@ -273,7 +294,7 @@ class TestResolveRegion:
             name = rng.choice(names) if i < 15 else f"solo{i}"
             gaz.append(entry(name, f"R{rng.randint(1, 9)}", round(rng.random(), 3)))
         for name in names + ["solo15", "missing"]:
-            got = resolve_region(name, gaz)
+            got = resolve_region(name, index(gaz))
             matches = [e for e in gaz if e.place_name == name]
             if not matches:
                 assert got is None
@@ -289,24 +310,25 @@ class TestResolveRegion:
             entry("q", "R4", 0.2), entry("other", "R5", 1.0), entry("p", "R6", 0.1),
         ]
         shuffled = [base[i] for i in order]
-        assert resolve_region("p", shuffled) == "R2"
-        assert resolve_region("q", shuffled) == "R4"
+        assert resolve_region("p", index(shuffled)) == "R2"
+        assert resolve_region("q", index(shuffled)) == "R4"
 
 
 class TestIngestGazetteerIndex:
     SPELLINGS = (str, str.upper, str.lower, str.title, lambda name: unicodedata.normalize("NFD", name))
 
     def test_stage_ingest_resolves_as_a_full_scan(self, tmp_path, caplog):
-        """Case, NFC/NFD and importance-tie variants resolve as resolve_region over the whole gazetteer."""
+        """Case, NFC/NFD and importance-tie variants resolve, and ties warn, as a scan of the whole gazetteer."""
         rng = random.Random(61)
         names = ["Łódź", "Kraków", "Zielona Góra", "Großdorf", "Bielsko-Biała", "Ærøskøbing", "York"]
+        entries = [  # importances from a small set, so ties are common
+            entry(rng.choice(self.SPELLINGS)(name), f"R{i}{j}", rng.choice([0.2, 0.5, 0.5, 0.9]))
+            for i, name in enumerate(names) for j in range(rng.randint(1, 4))
+        ]
         with (tmp_path / "gazetteer.csv").open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["place_name", "commune", "region_id", "province", "importance", "population"])
-            for i, name in enumerate(names):
-                for j in range(rng.randint(1, 4)):  # importances from a small set, so ties are common
-                    writer.writerow([rng.choice(self.SPELLINGS)(name), name, f"R{i}{j}", "P",
-                                     rng.choice([0.2, 0.5, 0.5, 0.9]), 100])
+            writer.writerows([e.place_name, "", e.region_id, e.province, e.importance, 100] for e in entries)
         places = [rng.choice(self.SPELLINGS)(rng.choice(names + ["Nowhere"])) for _ in range(80)]
         places += [" york ", "KRAKÓW", unicodedata.normalize("NFD", "łódź")]
         write_jsonl(tmp_path / "posts.jsonl", [
@@ -316,18 +338,16 @@ class TestIngestGazetteerIndex:
         (tmp_path / "config.json").write_text(json.dumps({
             "paths": {"posts": "posts.jsonl", "gazetteer": "gazetteer.csv"},
         }), encoding="utf-8")
-        gazetteer = load_gazetteer(tmp_path / "gazetteer.csv")
+        # one scan per distinct raw place, as ingest's cache makes one call
+        scans = {place: full_scan(place, entries) for place in dict.fromkeys(places)}
+        expected = {place: region for place, (region, _) in scans.items()}
         with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
-            # one call per distinct raw place, as ingest's cache makes
-            expected = {place: resolve_region(place, gazetteer) for place in dict.fromkeys(places)}
-            full_scan_ties = sum("importance tie" in r.message for r in caplog.records)
-            caplog.clear()
             stage_ingest(load_config(tmp_path / "config.json"), tmp_path / "out")
             ingest_ties = sum("importance tie" in r.message for r in caplog.records)
         with (tmp_path / "out" / "located.jsonl").open(encoding="utf-8") as handle:
             got = [(row["place"], row["region"]) for row in map(json.loads, handle)]
         assert got == [(place, expected[place] or "") for place in places]
-        assert ingest_ties == full_scan_ties > 0
+        assert ingest_ties == sum(tied for _, tied in scans.values()) > 0
         assert None in expected.values() and len(set(expected.values())) > len(names) / 2
 
 
@@ -351,7 +371,7 @@ class TestRegionCounts:
         gaz = [entry("alpha", "R1", 0.5), entry("beta", "R2", 0.5)]
         places = ["alpha", "beta", "alpha", "gamma", None]
         posts = [make_post(i, place=p) for i, p in enumerate(places)]
-        resolved = [resolve_region(p.place_name, gaz) if p.place_name else None for p in posts]
+        resolved = [resolve_region(p.place_name, index(gaz)) if p.place_name else None for p in posts]
         region_ids = [r for r in resolved if r]
         counts = region_counts(region_ids, {})
         unresolved = sum(1 for r in resolved if r is None)
@@ -379,8 +399,7 @@ class TestTableLoaders:
             "alpha,alpha c,R2,prov,0.4,500\n",
             encoding="utf-8",
         )
-        gaz = load_gazetteer(path)
-        assert len(gaz) == 2 and gaz[0].importance == 0.5
+        assert load_gazetteer(path) == {"alpha": [entry("alpha", "R1", 0.5), entry("alpha", "R2", 0.4)]}
 
     def test_gazetteer_duplicate_pair_fatal(self, tmp_path):
         path = tmp_path / "gaz.csv"
