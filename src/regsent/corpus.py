@@ -25,7 +25,8 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -88,28 +89,36 @@ class RegionRecord:
     features: Mapping[str, float]
 
 
-# The timestamps `datetime.fromisoformat` reads alike on Python 3.10 and 3.11 (3.11 takes more): an
-# RFC 3339 date-time whose offset may be left out and whose fraction has 3 or 6 digits, or a bare date.
+# An RFC 3339 date-time (T and Z in either case, a fraction of any length, an offset that may be left out) or a bare
+# date. The parsers below build the value from these groups, so every supported Python reads a timestamp alike.
 _TIMESTAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
-    r"(?P<time>[Tt ][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?(?:Z|[+-][0-9]{2}:[0-9]{2})?)?"
+    r"(?P<year>[0-9]{4})-(?P<month>[0-9]{2})-(?P<day>[0-9]{2})"
+    r"(?:[Tt ](?P<hour>[0-9]{2}):(?P<minute>[0-9]{2}):(?P<second>[0-9]{2})(?:\.(?P<fraction>[0-9]+))?"
+    r"(?:[Zz]|(?P<sign>[+-])(?P<offset_hour>[01][0-9]|2[0-3]):(?P<offset_minute>[0-5][0-9]))?)?"
 )
 
 
 def parse_date(raw: str) -> date:
     """A `YYYY-MM-DD` date."""
-    if not (match := _TIMESTAMP.fullmatch(raw)) or match["time"]:
+    if not (match := _TIMESTAMP.fullmatch(raw)) or match["hour"]:
         raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
-    return date.fromisoformat(raw)
+    return date(int(match["year"]), int(match["month"]), int(match["day"]))
+
+
+@lru_cache(maxsize=None)  # at most 2 * 24 * 60 offsets pass `_TIMESTAMP`
+def _utc_offset(sign: str, hours: str, minutes: str) -> timezone:
+    offset = timedelta(hours=int(hours), minutes=int(minutes))
+    return timezone(-offset if sign == "-" else offset)
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """A `_TIMESTAMP` in UTC; a time with no offset is read as UTC."""
-    if not _TIMESTAMP.fullmatch(raw):
+    """A `_TIMESTAMP` in UTC: a time with no offset and a bare date are read as UTC, a fraction is cut to microseconds."""
+    if not (match := _TIMESTAMP.fullmatch(raw)):
         raise ValueError(f"not an RFC 3339 timestamp: {raw!r}")
-    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)  # naive timestamps read as UTC
+    year, month, day, hour, minute, second, fraction, sign, offset_hour, offset_minute = match.groups()
+    ts = datetime(int(year), int(month), int(day), int(hour or 0), int(minute or 0), int(second or 0),
+                  int(fraction[:6].ljust(6, "0")) if fraction else 0,
+                  _utc_offset(sign, offset_hour, offset_minute) if sign else timezone.utc)
     return ts.astimezone(timezone.utc)
 
 

@@ -1,15 +1,18 @@
 """Post normalization chain and corpus-level hashtag/emoji diagnostics.
 
-Cleaning applies a fixed step order: links, mentions, hashtags, emoji
-filtering, non-word stripping, whitespace collapse, short-post rejection,
-misspelling rejection, lemmatization, stop-word removal. Rejection
-short-circuits the remaining steps and is a value, not an error.
+Cleaning is `clean_text` alone, one fixed step order run top to bottom:
+links, mentions, hashtags, emoji filtering, non-word stripping, whitespace
+collapse, short-post rejection, misspelling rejection, lemmatization,
+stop-word removal. The spell gate reads the tokens before lemmatization, and
+stop words are dropped after it. A gate that fails sets the rejection reason
+and the post keeps no tokens; rejection is a value, not an error.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -26,12 +29,10 @@ __all__ = [
     "clean_text",
     "emoji_report",
     "hashtag_report",
-    "lemmatize_and_stop",
     "load_emoji_polarity",
     "load_lemma_map",
     "load_word_list",
     "select_emoji_whitelist",
-    "spell_gate",
     "write_frequency_csv",
 ]
 
@@ -94,31 +95,6 @@ class CleanPost:
         return self.rejected_reason is None
 
 
-def spell_gate(tokens: Iterable[str], dictionary: frozenset[str] | set[str]) -> bool:
-    """True when every token is in the dictionary; one miss fails the post."""
-    return all(token in dictionary for token in tokens)
-
-
-def lemmatize_and_stop(
-    tokens: Iterable[str],
-    lemma_map: Mapping[str, str],
-    stops: frozenset[str] | set[str],
-) -> list[str]:
-    """Replace tokens with lemmas (identity fallback), then drop stop words."""
-    lemmas = (lemma_map.get(t, t) for t in tokens)
-    return [t for t in lemmas if t not in stops]
-
-
-def _reject(post_id: str, kept: list[str], removed: dict[str, int], reason: str) -> CleanPost:
-    return CleanPost(
-        id=post_id,
-        tokens=(),
-        kept_emojis=tuple(kept),
-        removed=dict(removed),
-        rejected_reason=reason,
-    )
-
-
 def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
     removed = {"links": 0, "mentions": 0, "hashtags": 0, "nonword": 0, "emojis_dropped": 0}
     text = unicodedata.normalize("NFC", raw_text)
@@ -127,7 +103,7 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
     text, removed["hashtags"] = HASHTAG_RE.subn(" ", text)
 
     found = EMOJI_RE.findall(text)
-    kept_emojis = [ch for ch in found if ch in config.emoji_whitelist]
+    kept_emojis = tuple(ch for ch in found if ch in config.emoji_whitelist)
     removed["emojis_dropped"] = len(found) - len(kept_emojis)
     text = EMOJI_RE.sub(" ", text)
 
@@ -140,18 +116,15 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
             chars.append(" ")
     tokens = "".join(chars).lower().split()
 
-    content = [t for t in tokens if t not in config.conjunctions]
-    if len(content) <= config.min_words:
-        return _reject(post_id, kept_emojis, removed, "too_short")
-    if not spell_gate(tokens, config.dictionary):
-        return _reject(post_id, kept_emojis, removed, "misspelled")
-
-    return CleanPost(
-        id=post_id,
-        tokens=tuple(lemmatize_and_stop(tokens, config.lemma_map, config.stop_words)),
-        kept_emojis=tuple(kept_emojis),
-        removed=removed,
-    )
+    reason = None
+    if sum(token not in config.conjunctions for token in tokens) <= config.min_words:
+        reason, tokens = "too_short", []
+    elif not all(token in config.dictionary for token in tokens):
+        reason, tokens = "misspelled", []
+    else:
+        lemmas = (config.lemma_map.get(token, token) for token in tokens)
+        tokens = [lemma for lemma in lemmas if lemma not in config.stop_words]
+    return CleanPost(id=post_id, tokens=tuple(tokens), kept_emojis=kept_emojis, removed=removed, rejected_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +146,8 @@ class FrequencyReport:
     total: int
 
 
-def _frequency_report(counts: Mapping[str, int]) -> FrequencyReport:
-    total = sum(counts.values())
+def _frequency_report(counts: Counter[str]) -> FrequencyReport:
+    total = counts.total()
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = tuple(
         FrequencyRow(item=item, count=count, share=count / total) for item, count in ordered
@@ -184,21 +157,12 @@ def _frequency_report(counts: Mapping[str, int]) -> FrequencyReport:
 
 def hashtag_report(posts: Iterable[RawPost]) -> FrequencyReport:
     """Occurrence counts of `#word` hashtags (lowercased, '#' stripped)."""
-    counts: dict[str, int] = {}
-    for post in posts:
-        for match in HASHTAG_RE.findall(post.text):
-            tag = match[1:].lower()
-            counts[tag] = counts.get(tag, 0) + 1
-    return _frequency_report(counts)
+    return _frequency_report(Counter(match[1:].lower() for post in posts for match in HASHTAG_RE.findall(post.text)))
 
 
 def emoji_report(posts: Iterable[RawPost]) -> FrequencyReport:
     """Occurrence counts of emoji codepoints across the corpus."""
-    counts: dict[str, int] = {}
-    for post in posts:
-        for ch in EMOJI_RE.findall(post.text):
-            counts[ch] = counts.get(ch, 0) + 1
-    return _frequency_report(counts)
+    return _frequency_report(Counter(ch for post in posts for ch in EMOJI_RE.findall(post.text)))
 
 
 def select_emoji_whitelist(
@@ -211,12 +175,9 @@ def select_emoji_whitelist(
     Polarity values are "pos", "neg", or "ambiguous"; only pos/neg qualify.
     An emoji-free corpus yields an empty set.
     """
-    report = emoji_report(posts)
-    if report.total == 0:
-        return frozenset()
     return frozenset(
         row.item
-        for row in report.rows
+        for row in emoji_report(posts).rows
         if polarity.get(row.item) in ("pos", "neg") and row.share >= min_share
     )
 

@@ -347,15 +347,15 @@ def pseudo_label(
 # ---------------------------------------------------------------------------
 
 def load_labeled_csv(path: str | Path) -> list[tuple[str, SentimentLabel, str]]:
-    """Training data CSV `id,label,text`; labels negative|neutral|positive."""
+    """Training data CSV `id,label,text`; labels negative|neutral|positive, each id once."""
 
     def to_row(row: dict[str, str]) -> tuple[str, SentimentLabel, str]:
         label = SentimentLabel.parse(row["label"] or "")
-        if not row.get("id") or row.get("text") is None:
+        if not row["id"] or row["text"] is None:
             raise ValueError("missing id or text")
         return row["id"], label, row["text"]
 
-    return read_records(path, "csv", to_row)
+    return read_records(path, "csv", to_row, columns=("id", "label", "text"), key=("id", itemgetter(0)))
 
 
 def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:

@@ -375,13 +375,20 @@ class TestErrorContract:
         ("2019-10-13t01:30:00.123Z", True, False),
         ("2019-10-13 01:30:00.123456", True, False),
         ("2019-10-13", True, True),
+        # RFC 3339 forms 3.10's fromisoformat does not read: a lower-case z, a fraction of other than 3 or 6 digits
+        ("2019-10-13T01:30:00z", True, False),
+        ("2019-10-13T01:30:00.1Z", True, False),
+        ("2019-10-13T01:30:00.1234567Z", True, False),
+        ("2019-10-13T01:30:00.123456789+00:00", True, False),
         # Python 3.11's fromisoformat reads these and 3.10's does not
         ("20191013T013000+0200", False, False),
         ("20191013", False, False),
         ("2019-W41-7T01:30", False, False),
         ("2019-W41-7", False, False),
-        ("2019-10-13T01:30:00.123456789+00:00", False, False),
         ("2019-10-13T01:30:00+0200", False, False),
+        # offsets out of range: minutes above 59, hours of 24 or more
+        ("2019-10-13T01:30:00+02:60", False, False),
+        ("2019-10-13T01:30:00+24:00", False, False),
         # both read these, but they are not RFC 3339
         ("2019-10-13T01:30", False, False),
         ("2019-10-13T01", False, False),
@@ -504,6 +511,17 @@ class TestRecordReader:
         assert err == (f"regsent: error[data]: {posts}:{len(records) + 2}: "
                        f"duplicate post id {records[2]['id']!r}, first used at line 5\n")
 
+    def test_training_duplicate_id_names_both_lines(self, fixture_dir, pipeline_out, tmp_path):
+        source = load_config(fixture_dir / "config.json").paths["training_data"]
+        header, *rows = source.read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "training.csv"
+        bad.write_text("\n".join([header, *rows, rows[1]]) + "\n", encoding="utf-8")
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", "training_data", bad)
+        assert code == 2
+        train_id = rows[1].split(",")[0]
+        assert err == (f"regsent: error[data]: {bad}:{len(rows) + 2}: "
+                       f"duplicate id {train_id!r}, first used at line 3\n")
+
     @pytest.mark.parametrize("key, header", [
         ("posts_csv", "id,text,timestamp,place,lang"),
         ("gazetteer", "place_name,commune,region_id,province,importance,population"),
@@ -541,6 +559,7 @@ class TestRecordReader:
         ("posts_csv", "id,body,timestamp,place,lang"),
         ("gazetteer", "place_name,commune,region_id,province,importance"),
         ("region_table", "region_id,population"),
+        ("training_data", "id,label,body"),
         ("external_predictions", "id,prediction"),
     ])
     def test_missing_header_columns_exit_two(self, fixture_dir, pipeline_out, tmp_path, key, header):

@@ -34,12 +34,10 @@ from regsent.preprocess import (
     clean_text,
     emoji_report,
     hashtag_report,
-    lemmatize_and_stop,
     load_emoji_polarity,
     load_lemma_map,
     load_word_list,
     select_emoji_whitelist,
-    spell_gate,
 )
 
 GRIN = "\U0001F600"   # whitelisted
@@ -287,36 +285,76 @@ class TestEmojiWhitelist:
 
 
 class TestSpellGate:
+    """The misspelling gate, through clean_text with no short-post, conjunction or stop-word rule in the way."""
+
     DICT = frozenset({"good", "day", "walk", "sun"})
+    CONFIG = CleanConfig(dictionary=DICT, min_words=0)
 
     def test_all_known_passes(self):
-        assert spell_gate(["good", "day"], self.DICT)
+        cp = clean_text("s", "good day", self.CONFIG)
+        assert cp.accepted and cp.tokens == ("good", "day")
 
     def test_one_unknown_fails(self):
-        assert not spell_gate(["good", "dey"], self.DICT)
+        cp = clean_text("s", "good dey", self.CONFIG)
+        assert cp.rejected_reason == "misspelled" and cp.tokens == ()
 
-    @given(st.lists(st.sampled_from(["good", "day", "walk", "sun", "xyz", "qq"]), max_size=12))
+    @given(st.lists(st.sampled_from(["good", "day", "walk", "sun", "xyz", "qq"]), min_size=1, max_size=12))
     def test_iff_subset_property(self, tokens):
-        assert spell_gate(tokens, self.DICT) == set(tokens).issubset(self.DICT)
+        cp = clean_text("s", " ".join(tokens), self.CONFIG)
+        assert cp.accepted == set(tokens).issubset(self.DICT)
+        assert cp.rejected_reason in (None, "misspelled")
+
+    def test_gate_reads_the_tokens_before_lemmatization(self):
+        lemma_map = {"walked": "walk"}
+        inflection_known = CleanConfig(dictionary=frozenset({"walked"}), lemma_map=lemma_map, min_words=0)
+        assert clean_text("s", "walked walked", inflection_known).tokens == ("walk", "walk")
+        lemma_known = CleanConfig(dictionary=frozenset({"walk"}), lemma_map=lemma_map, min_words=0)
+        assert clean_text("s", "walked walked", lemma_known).rejected_reason == "misspelled"
+
+
+class TestShortPostGate:
+    CONFIG = CleanConfig(dictionary=frozenset({"good", "day", "sun", "and", "or"}),
+                         conjunctions=frozenset({"and", "or"}), min_words=2)
+
+    def test_conjunctions_do_not_count_towards_min_words(self):
+        assert clean_text("s", "good and day or", self.CONFIG).rejected_reason == "too_short"
+        assert clean_text("s", "good and day sun", self.CONFIG).accepted
+
+    def test_short_gate_comes_before_the_spell_gate(self):
+        assert clean_text("s", "xyz qq", self.CONFIG).rejected_reason == "too_short"
 
 
 class TestLemmatizeAndStop:
+    """Lemmas and stop words, through clean_text with a dictionary that knows every token and no short-post rule."""
+
+    VOCAB = ["walk", "walked", "walks", "city", "cities", "the", "a", "an", "run"]
+    LEMMAS = {"walked": "walk", "walks": "walk", "cities": "city", "an": "a"}
+    STOPS = frozenset({"the", "a"})
+    CONFIG = CleanConfig(dictionary=frozenset(VOCAB), lemma_map=LEMMAS, stop_words=STOPS, min_words=0)
+
     def test_inflections_map_to_lemma(self):
-        out = lemmatize_and_stop(["walked", "walks"], {"walked": "walk", "walks": "walk"}, frozenset())
-        assert out == ["walk", "walk"]
+        assert clean_text("s", "walked walks", self.CONFIG).tokens == ("walk", "walk")
+
+    def test_lemma_that_is_a_stop_word_is_dropped(self):
+        assert clean_text("s", "an city", self.CONFIG).tokens == ("city",)
 
     def test_empty(self):
-        assert lemmatize_and_stop([], {}, frozenset()) == []
+        cp = clean_text("s", "the a an", self.CONFIG)
+        assert cp.accepted and cp.tokens == ()
 
     def test_matches_map_then_filter_oracle(self):
         rng = random.Random(11)
-        vocab = ["walk", "walked", "walks", "city", "cities", "the", "a", "run"]
-        lemma_map = {"walked": "walk", "walks": "walk", "cities": "city"}
-        stops = frozenset({"the", "a"})
-        tokens = [rng.choice(vocab) for _ in range(100)]
-        expected = [lemma_map.get(t, t) for t in tokens]
-        expected = [t for t in expected if t not in stops]
-        assert lemmatize_and_stop(tokens, lemma_map, stops) == expected
+        tokens = [rng.choice(self.VOCAB) for _ in range(100)]
+        expected = [self.LEMMAS.get(t, t) for t in tokens]
+        expected = [t for t in expected if t not in self.STOPS]
+        assert clean_text("s", " ".join(tokens), self.CONFIG).tokens == tuple(expected)
+
+
+def test_removed_keys_in_fixed_order():
+    """clean.jsonl writes `removed` in its key order, accepted or rejected."""
+    keys = ["links", "mentions", "hashtags", "nonword", "emojis_dropped"]
+    for text, *_ in HAND_TRACE:
+        assert list(clean_text("id", text, TRACE_CONFIG).removed) == keys
 
 
 def _split_lines_oracle(text: str, path: Path, kind: str):
