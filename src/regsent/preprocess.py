@@ -6,6 +6,12 @@ collapse, short-post rejection, misspelling rejection, lemmatization,
 stop-word removal. The spell gate reads the tokens before lemmatization, and
 stop words are dropped after it. A gate that fails sets the rejection reason
 and the post keeps no tokens; rejection is a value, not an error.
+
+Non-word stripping works a whitespace-split word at a time: a word that is all
+letters (most of them) is kept whole, and only the others are tested a
+character at a time, each non-letter becoming a space and counted. Whitespace
+never takes part in the lowercasing context of a final sigma, so rejoining the
+words with single spaces gives the tokens of stripping the whole text.
 """
 
 from __future__ import annotations
@@ -105,21 +111,20 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
     found = EMOJI_RE.findall(text)
     kept_emojis = tuple(ch for ch in found if ch in config.emoji_whitelist)
     removed["emojis_dropped"] = len(found) - len(kept_emojis)
-    text = EMOJI_RE.sub(" ", text)
+    if found:
+        text = EMOJI_RE.sub(" ", text)
 
-    chars: list[str] = []
-    for ch in text:
-        if ch.isalpha() or ch.isspace():
-            chars.append(ch)
-        else:
-            removed["nonword"] += 1
-            chars.append(" ")
-    tokens = "".join(chars).lower().split()
+    words = text.split()
+    for i, word in enumerate(words):
+        if not word.isalpha():
+            words[i] = "".join([ch if ch.isalpha() else " " for ch in word])
+            removed["nonword"] += words[i].count(" ")  # a word holds no whitespace, so every space is a replacement
+    tokens = " ".join(words).lower().split()
 
     reason = None
     if sum(token not in config.conjunctions for token in tokens) <= config.min_words:
         reason, tokens = "too_short", []
-    elif not all(token in config.dictionary for token in tokens):
+    elif not config.dictionary.issuperset(tokens):
         reason, tokens = "misspelled", []
     else:
         lemmas = (config.lemma_map.get(token, token) for token in tokens)

@@ -113,9 +113,9 @@ def aggregate(
 ) -> tuple[list[RegionSentiment], int, int]:
     """Fold (id, label) `predictions` into per-region period counts, in one pass.
 
-    `located` maps a post id to its (region or None, timestamp). Neutral
-    labels are skipped and counted; any other label needs its id in `located`
-    (DataValidationError otherwise), and a post without a region is excluded
+    `located` maps a post id to its (region or None, timestamp). Every label
+    needs its id in `located` (DataValidationError otherwise); neutral labels
+    are then skipped and counted, and a post without a region is excluded
     and counted. Posts dated exactly on the event count as "before" when
     `event_day` is "before" and as "after" when it is "after". Inclusion is
     strict: total > threshold. Returns (regions sorted by region_id,
@@ -126,11 +126,11 @@ def aggregate(
     counts: dict[str, list[int]] = {}  # [pos_before, neg_before, pos_after, neg_after]
     neutral = no_region = 0
     for post_id, label in predictions:
+        if post_id not in located:
+            raise DataValidationError(f"prediction for unknown post id {post_id!r}")
         if label is SentimentLabel.NEUTRAL:
             neutral += 1
             continue
-        if post_id not in located:
-            raise DataValidationError(f"prediction for unknown post id {post_id!r}")
         region_id, timestamp = located[post_id]
         if not region_id:
             no_region += 1

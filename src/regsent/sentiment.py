@@ -11,9 +11,10 @@ Third-party model outputs can be imported from CSV instead of training locally.
 
 Training and scoring share one encoding: `encode` turns documents into the
 vocabulary columns of their known tokens (`TokenCounts`, one entry per token,
-repeats kept), training multiplies it with the weights, and `predict_batch`,
-the one scorer, does the same (`predict` is a batch of one), so both cost time
-and memory in proportion to the number of tokens, never documents x vocabulary.
+repeats kept), and training and `predict_batch`, the one scorer (`predict` is a
+batch of one), multiply it with the weights: time and memory grow with the tokens,
+never documents x vocabulary. The product is class-major, so the softmax reduces
+whole class columns, not a short row per document, adding terms in the same order.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class TokenCounts:
     Row i holds one entry per known token of document i, in document order and
     with repeats kept, at the columns `indices[indptr[i]:indptr[i + 1]]`; a
     column listed twice adds twice. Only the two products the classifiers need
-    are defined, `X @ dense` and `dense @ X`, each one `np.bincount` per class;
-    numpy ufuncs defer to them (`__array_ufunc__ = None`).
+    are defined, `X @ dense` (class-major: F-ordered) and `dense @ X`, each one
+    `np.bincount` per class; numpy ufuncs defer to them (`__array_ufunc__ = None`).
     """
 
     __array_ufunc__ = None
@@ -124,12 +125,11 @@ class TokenCounts:
         self._rows = np.repeat(np.arange(self.shape[0]), indptr[1:] - indptr[:-1])
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        """(n, V) @ (V, K) -> (n, K)."""
+        """(n, V) @ (V, K) -> (n, K), class-major."""
         other = np.asarray(other)
         if other.shape[0] != self.shape[1]:
             raise ValueError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
-        return np.stack([np.bincount(self._rows, weights=col[self.indices], minlength=self.shape[0])
-                         for col in other.T], axis=1)
+        return np.stack([np.bincount(self._rows, weights=col[self.indices], minlength=self.shape[0]) for col in other.T]).T
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
         """(K, n) @ (n, V) -> (K, V)."""

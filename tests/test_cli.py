@@ -195,12 +195,13 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "classifier.l2 (now 25.0)" in err
         assert not (out / "model.json").exists()
 
-    def test_prediction_for_unknown_post_exits_two_at_aggregate(self, fixture_dir, pipeline_out, tmp_path, capsys):
+    @pytest.mark.parametrize("row", ["ghost,positive,False,", "ghost,neutral,False,"])
+    def test_prediction_for_unknown_post_exits_two_at_aggregate(self, fixture_dir, pipeline_out, tmp_path, capsys, row):
         out = tmp_path / "out"
         out.mkdir()
         shutil.copyfile(pipeline_out / "located.jsonl", out / "located.jsonl")
         predictions = (pipeline_out / "predictions.csv").read_text(encoding="utf-8")
-        (out / "predictions.csv").write_text(predictions + "ghost,positive,False,\n", encoding="utf-8")
+        (out / "predictions.csv").write_text(predictions + row + "\n", encoding="utf-8")
         code = cli.main(["aggregate", "--config", str(fixture_dir / "config.json"), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "regsent: error[data]: prediction for unknown post id 'ghost'\n"

@@ -208,6 +208,58 @@ class TestEmojiScanner:
         assert report.total == sum(counts.values())
 
 
+def per_character_clean(raw_text: str) -> tuple[list[str], dict[str, int]]:
+    """The tokens and removal counts of clean_text's chain, non-word characters stripped one at a time.
+
+    The oracle for clean_text's word-level pass: every character that is
+    neither a letter nor whitespace becomes a space and is counted, the text
+    is lowercased whole and split. No emoji is whitelisted.
+    """
+    text = unicodedata.normalize("NFC", raw_text)
+    removed = {}
+    for key, pattern in (("links", URL_RE), ("mentions", MENTION_RE), ("hashtags", HASHTAG_RE)):
+        text, removed[key] = pattern.subn(" ", text)
+    text, removed["emojis_dropped"] = EMOJI_RE.subn(" ", text)
+    chars = []
+    removed["nonword"] = 0
+    for ch in text:
+        if ch.isalpha() or ch.isspace():
+            chars.append(ch)
+        else:
+            removed["nonword"] += 1
+            chars.append(" ")
+    return "".join(chars).lower().split(), removed
+
+
+def word_level_clean(text: str) -> tuple[list[str], dict[str, int]]:
+    """clean_text's tokens and counts, with gates that pass every token the oracle finds."""
+    tokens, _ = per_character_clean(text)
+    cp = clean_text("w", text, CleanConfig(dictionary=frozenset(tokens), min_words=0))
+    return list(cp.tokens), dict(cp.removed)
+
+
+_SPACES = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+# letters whose lowercasing depends on context (final sigma) or grows (İ), a titlecase
+# letter, non-letters that str.isalnum or \w accept, and every whitespace character
+_NONWORD_ALPHABET = (
+    list("azAZąćęłńóśźżĄĆĘŁŃÓŚŹŻΣİǅ") + list("09½_.,!?'-@#:/") + ["\x00", GRIN] + _SPACES
+)
+
+
+class TestNonWordPass:
+    """clean_text strips non-word characters word by word; the per-character loop is the reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(st.sampled_from(_NONWORD_ALPHABET), max_size=30).map("".join))
+    def test_matches_per_character_loop(self, text):
+        assert word_level_clean(text) == per_character_clean(text)
+
+    def test_final_sigma_beside_every_whitespace_character(self):
+        for ch in _SPACES:
+            for text in (f"aΣ{ch}b", f"Σ{ch}Σ", f"x.Σ{ch}b"):
+                assert word_level_clean(text) == per_character_clean(text), (text, hex(ord(ch)))
+
+
 class TestHashtagReport:
     def test_single_hashtag_full_share(self):
         posts = [RawPost("1", "only #one here", datetime(2019, 1, 1, tzinfo=timezone.utc))]
@@ -358,9 +410,13 @@ def test_removed_keys_in_fixed_order():
 
 
 def _split_lines_oracle(text: str, path: Path, kind: str):
-    """A word-list file read line by line over `str.splitlines`, as each loader is specified."""
+    """A word-list file read line by line over `str.splitlines`, as each loader is specified.
+
+    A word or emoji that a lemma or polarity file lists twice fails at its second line.
+    """
     words: set[str] = set()
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -372,12 +428,14 @@ def _split_lines_oracle(text: str, path: Path, kind: str):
         if kind == "lemmas":
             if len(parts) != 2:
                 return f"{path}:{number}: expected 'word lemma', got {line!r}"
-            word, lemma = (unicodedata.normalize("NFC", part.lower()) for part in parts)
-            mapping[word] = lemma
+            (key, value), what = (unicodedata.normalize("NFC", part.lower()) for part in parts), "word"
         else:
             if len(parts) != 2 or parts[1] not in ("pos", "neg", "ambiguous"):
                 return f"{path}:{number}: expected 'emoji pos|neg|ambiguous', got {line!r}"
-            mapping[parts[0]] = parts[1]
+            (key, value), what = parts, "emoji"
+        if first_line.setdefault(key, number) != number:
+            return f"{path}:{number}: duplicate {what} {key!r}, first used at line {first_line[key]}"
+        mapping[key] = value
     return frozenset(words) if kind == "words" else mapping
 
 

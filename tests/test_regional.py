@@ -83,13 +83,13 @@ class TestAggregate:
         assert skipped == 2
         assert len(regions) == 1
 
-    def test_neutral_skipped_before_its_id_is_looked_up(self):
+    @pytest.mark.parametrize("label", list(SentimentLabel))
+    def test_every_label_needs_a_located_id(self, label):
         located = {"p": ("R", datetime(2019, 10, 1, tzinfo=timezone.utc))}
-        predictions = [("p", SentimentLabel.POSITIVE), ("ghost", SentimentLabel.NEUTRAL)]
-        regions, neutral, _ = aggregate(located, predictions, EVENT, 0, "before")
-        assert neutral == 1 and [r.total for r in regions] == [1]
+        regions, neutral, _ = aggregate(located, [("p", SentimentLabel.NEUTRAL)], EVENT, 0, "before")
+        assert neutral == 1 and regions == []
         with pytest.raises(DataValidationError, match="^prediction for unknown post id 'ghost'$"):
-            aggregate(located, [("ghost", SentimentLabel.NEGATIVE)], EVENT, 0, "before")
+            aggregate(located, [("p", SentimentLabel.POSITIVE), ("ghost", label)], EVENT, 0, "before")
 
     def test_against_recount_oracle(self):
         rng = random.Random(55)

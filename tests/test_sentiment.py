@@ -4,6 +4,7 @@ interfaces."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -288,6 +289,72 @@ class TestSparseEquivalence:
         assert X.shape == (4, 2)
         assert X.indptr.tolist() == [0, 3, 3, 3, 4]
         assert X.indices.tolist() == [1, 0, 1, 0]
+
+
+# Row-major arithmetic: the product stacked one row per document, and the loss,
+# gradient and training loop on it. The class-major product must give the same
+# bits, so these are compared with ==, never with a tolerance.
+
+def _row_major_product(X, weights):
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    return np.stack([np.bincount(rows, weights=w[X.indices], minlength=X.shape[0]) for w in weights], axis=1)
+
+
+def _row_major_loss_and_grad(weights, bias, X, y_idx, l2):
+    n = X.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(X.indptr))
+    probs = _dense_softmax(_row_major_product(X, weights) + bias)
+    assert probs.flags.c_contiguous
+    loss = float(-np.log(probs[np.arange(n), y_idx] + 1e-12).sum() / n)
+    loss += 0.5 * l2 * float((weights * weights).sum())
+    delta = probs.copy()
+    delta[np.arange(n), y_idx] -= 1.0
+    delta *= 1.0 / n
+    grad_w = np.stack([np.bincount(X.indices, weights=d[rows], minlength=X.shape[1]) for d in delta.T]) + l2 * weights
+    return loss, grad_w, delta.sum(axis=0)
+
+
+class TestClassMajorBitIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(model=_random_model(), docs=_DOCS, data=st.data())
+    def test_loss_and_grad_equal_row_major(self, model, docs, data):
+        X = encode(docs, model.vocabulary)
+        y = np.array(data.draw(st.lists(st.integers(0, len(model.classes) - 1), min_size=len(docs), max_size=len(docs))))
+        loss, grad_w, grad_b = logistic_loss_and_grad(model.feature_weights, model.class_log_prior, X, y, 0.01)
+        ref_loss, ref_grad_w, ref_grad_b = _row_major_loss_and_grad(
+            model.feature_weights, model.class_log_prior, X, y, 0.01)
+        assert loss == ref_loss
+        assert np.array_equal(grad_w, ref_grad_w) and np.array_equal(grad_b, ref_grad_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=_random_model(), docs=_DOCS)
+    def test_predict_batch_scores_equal_row_major(self, model, docs):
+        # ties: a document with no known token against equal biases, and repeats of one document
+        model = dataclasses.replace(model, class_log_prior=np.round(model.class_log_prior))
+        docs = [*docs, [], docs[0], docs[0]]
+        X = encode(docs, model.vocabulary)
+        expected = _dense_softmax(_row_major_product(X, model.feature_weights) + model.class_log_prior)
+        batch = predict_batch(model, docs)
+        assert np.array_equal(np.array([pred.scores for pred in batch]), expected)
+        assert [pred.label for pred in batch] == [model.classes[i] for i in expected.argmax(axis=1)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(model=_random_model(), docs=_DOCS, data=st.data())
+    def test_training_equals_row_major_loop(self, model, docs, data):
+        labels = [data.draw(st.sampled_from(model.classes)) for _ in docs]
+        examples = [ex(d, label) for d, label in zip(docs, labels) if d]
+        # every class present, each with a word of its own, so the first step moves the loss
+        examples += [ex([f"only{i}"], label) for i, label in enumerate(model.classes)]
+        trained = train(examples, "logistic", epochs=20, learning_rate=0.01)
+        X = encode((e.tokens for e in examples), trained.vocabulary)
+        y = np.array([model.classes.index(e.label) for e in examples])
+        weights, bias = np.zeros(trained.feature_weights.shape), np.zeros(len(model.classes))
+        for _ in range(20):
+            _, grad_w, grad_b = _row_major_loss_and_grad(weights, bias, X, y, 1e-4)
+            weights -= 0.01 * grad_w
+            bias -= 0.01 * grad_b
+        assert trained.classes == model.classes
+        assert np.array_equal(trained.feature_weights, weights) and np.array_equal(trained.class_log_prior, bias)
 
 
 class TestMemoryBound:
