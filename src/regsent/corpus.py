@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawPost:
     """One ingested micro-post."""
 
@@ -61,6 +62,10 @@ class RawPost:
     timestamp: datetime
     place_name: str | None = None
     language: str | None = None
+
+    def __post_init__(self) -> None:  # one string object per distinct place and language, however many posts
+        object.__setattr__(self, "place_name", self.place_name and sys.intern(self.place_name))
+        object.__setattr__(self, "language", self.language and sys.intern(self.language))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ or intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
 whose line is the physical line the record starts on. A key used twice in a
 keyed file fails the same way (`unique_key`), as `<name>:<line>: duplicate
 <what> <value!r>, first used at line <n>`. `write_records` writes every CSV,
-JSON-lines and word-list file the toolkit produces.
+JSON-lines and word-list file the toolkit produces, a JSON-lines line through
+one encoder built at import, as `json.dumps` builds one per record.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -40,8 +41,19 @@ class RankDeficiencyError(NumericalError):
 # what parsing or converting a malformed record raises
 MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
-# the encoder json.dumps(..., ensure_ascii=False) builds for every call, built once
-_json_line = json.JSONEncoder(ensure_ascii=False).encode
+
+def _line_encoder(make_encoder: Callable | None = json.encoder.c_make_encoder) -> Callable[[Any], str]:
+    """`json.dumps(value, ensure_ascii=False)` through one encoder, `make_encoder` building it once if given."""
+    encoder = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+    if make_encoder is None:  # a Python without the `_json` accelerator
+        return encoder.encode
+    # private to `json.encoder`, but the only way to keep the C encoder that `encode` builds anew for every value
+    chunks = make_encoder(None, encoder.default, json.encoder.encode_basestring, None, encoder.key_separator,
+                          encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+    return lambda value: "".join(chunks(value, 0))
+
+
+_json_line = _line_encoder()
 
 
 @contextmanager

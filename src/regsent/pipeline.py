@@ -445,7 +445,7 @@ def stage_clean(
             cp = clean_text(post.id, post.text, settings)
             outcomes[cp.rejected_reason] += 1
             if cp.accepted and cp.tokens:
-                classifiable.append((cp.id, tuple(map(sys.intern, cp.tokens))))
+                classifiable.append((cp.id, cp.tokens))  # `clean_text` interns every token
             yield {  # json writes the token and emoji tuples as lists
                 "id": cp.id,
                 "tokens": cp.tokens,

@@ -11,15 +11,19 @@ Non-word stripping works a whitespace-split word at a time: a word that is all
 letters (most of them) is kept whole, and only the others are tested a
 character at a time, each non-letter becoming a space and counted. Whitespace
 never takes part in the lowercasing context of a final sigma, so rejoining the
-words with single spaces gives the tokens of stripping the whole text.
+words with single spaces gives the tokens of stripping the whole text. Each
+`CleanConfig` memoizes what the later steps make of each dictionary token it
+meets, and of no other token, so the memo holds at most the dictionary.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -80,6 +84,10 @@ class CleanConfig:
     emoji_whitelist: frozenset[str] = frozenset()
     min_words: int = field(default=3, metadata={"min": 0})  # reject posts with <= min_words non-conjunction tokens
 
+    @cached_property
+    def _spellings(self) -> dict[str, tuple[str, ...]]:  # clean_text's memo: a dictionary token -> what it leaves
+        return {}
+
 
 @dataclass(frozen=True)
 class CleanPost:
@@ -119,16 +127,21 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
         if not word.isalpha():
             words[i] = "".join([ch if ch.isalpha() else " " for ch in word])
             removed["nonword"] += words[i].count(" ")  # a word holds no whitespace, so every space is a replacement
-    tokens = " ".join(words).lower().split()
-
+    memo, content, spelled, tokens = config._spellings, 0, True, []
+    for token in " ".join(words).lower().split():
+        content += token not in config.conjunctions
+        if (kept := memo.get(token)) is None:
+            if token not in config.dictionary:  # the post is rejected, so its tokens are never needed
+                spelled = False
+                continue
+            lemma = config.lemma_map.get(token, token)
+            kept = memo[token] = () if lemma in config.stop_words else (sys.intern(lemma),)
+        tokens += kept
     reason = None
-    if sum(token not in config.conjunctions for token in tokens) <= config.min_words:
+    if content <= config.min_words:
         reason, tokens = "too_short", []
-    elif not config.dictionary.issuperset(tokens):
+    elif not spelled:
         reason, tokens = "misspelled", []
-    else:
-        lemmas = (config.lemma_map.get(token, token) for token in tokens)
-        tokens = [lemma for lemma in lemmas if lemma not in config.stop_words]
     return CleanPost(id=post_id, tokens=tuple(tokens), kept_emojis=kept_emojis, removed=removed, rejected_reason=reason)
 
 

@@ -438,10 +438,10 @@ def load_model(path: str | Path) -> SentimentModel:
         smoothing=smoothing,
         metadata=metadata,
     )
+    if not np.all(np.isfinite(model.feature_weights)):
+        raise DataValidationError("model weights are not finite")
     if model.kind == "naive_bayes":
         row_sums = np.exp(model.feature_weights).sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-8):
             raise DataValidationError("class-conditional probabilities do not sum to 1")
-    if not np.all(np.isfinite(model.feature_weights)):
-        raise DataValidationError("model weights are not finite")
     return model

@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import random
+import sys
 import unicodedata
 from datetime import datetime, timezone
 
@@ -26,7 +27,9 @@ from regsent.corpus import (
     resolve_region,
 )
 from regsent.errors import DataValidationError
-from regsent.pipeline import load_config, stage_ingest
+from regsent import pipeline
+from regsent.fixtures import write_corpus_fixture
+from regsent.pipeline import load_config, stage_clean, stage_ingest
 from regsent.stats import design_matrix, ols
 
 TS = "2019-10-01T12:00:00+00:00"
@@ -349,6 +352,40 @@ class TestIngestGazetteerIndex:
         assert got == [(place, expected[place] or "") for place in places]
         assert ingest_ties == sum(tied for _, tied in scans.values()) > 0
         assert None in expected.values() and len(set(expected.values())) > len(names) / 2
+
+
+class TestPostRepresentation:
+    """Posts are slotted, posts naming one place share its string, and cleaned tokens are interned."""
+
+    def test_raw_post_has_no_dict(self):
+        assert not hasattr(RawPost("p", "text", datetime(2019, 1, 1, tzinfo=timezone.utc)), "__dict__")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_load_posts_shares_place_and_language(self, tmp_path, fmt):
+        records = [{"id": f"p{i}", "text": "hello", "timestamp": TS, "place": "Zielona Góra", "lang": "pl-PL"}
+                   for i in range(2)]
+        path = tmp_path / f"posts.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(path, records)
+        else:
+            with path.open("w", encoding="utf-8", newline="") as handle:
+                writer = csv.DictWriter(handle, list(records[0]))
+                writer.writeheader()
+                writer.writerows(records)
+        first, second = load_posts(path, fmt)[0]
+        assert first.place_name is second.place_name and first.language is second.language
+
+    def test_located_posts_and_clean_tokens_are_shared(self, tmp_path):
+        config = load_config(write_corpus_fixture(tmp_path / "fixture", n_posts=60))
+        stage_ingest(config, tmp_path / "out")
+        posts = pipeline._located_posts(tmp_path / "out")
+        by_place = {}
+        for post in posts:
+            assert by_place.setdefault(post.place_name, post.place_name) is post.place_name
+            assert post.language is posts[0].language
+        assert len(by_place) < len(posts)
+        _, _, classifiable = stage_clean(config, tmp_path / "out", posts)
+        assert classifiable and all(sys.intern(token) is token for _, tokens in classifiable for token in tokens)
 
 
 class TestRegionCounts:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 import re
-import unicodedata
+import sys
 import tempfile
+import unicodedata
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -407,6 +408,58 @@ def test_removed_keys_in_fixed_order():
     keys = ["links", "mentions", "hashtags", "nonword", "emojis_dropped"]
     for text, *_ in HAND_TRACE:
         assert list(clean_text("id", text, TRACE_CONFIG).removed) == keys
+
+
+class TestTokenMemo:
+    """`clean_text` looks each dictionary token up once per `CleanConfig`; a shared config cleans as fresh ones."""
+
+    RESOURCES = dict(
+        dictionary=frozenset({"good", "day", "walked", "walk", "the", "and", "οδος", "οδοσ", "i\u0307stanbul", "ok"}),
+        lemma_map={"walked": "walk"},
+        stop_words=frozenset({"the", "and"}),
+        conjunctions=frozenset({"and"}),
+        emoji_whitelist=frozenset({GRIN}),
+        min_words=2,
+    )
+    # dictionary words, their case and punctuation variants, final sigma (ΟΔΟΣ lowercases to οδος, ΟΔΟΣΑ to
+    # οδοσα), İ (lowercases to i + a combining dot), misspellings, digits-only words and emoji
+    WORDS = ["good", "Good", "GOOD!", "day", "day,", "walked", "Walked.", "the", "and", "ΟΔΟΣ", "ΟΔΟΣ.", "Σ",
+             "ΟΔΟΣΑ", "İstanbul", "İSTANBUL", "ok", "o.k", "dey", "goood", "2019", "12:30", "--", GRIN, THINK,
+             f"good{GRIN}", "#day", "@good"]
+
+    def assert_bound(self, config):
+        """Every memo key is a dictionary token, mapped to what lemmas and stop words leave of it, interned."""
+        for token, kept in config._spellings.items():
+            assert token in config.dictionary, token
+            lemma = config.lemma_map.get(token, token)
+            assert kept == (() if lemma in config.stop_words else (lemma,))
+            assert all(sys.intern(piece) is piece for piece in kept)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join), max_size=12))
+    def test_shared_config_cleans_as_a_fresh_one(self, texts):
+        shared = CleanConfig(**self.RESOURCES)
+        for i, text in enumerate(texts):
+            assert clean_text(str(i), text, shared) == clean_text(str(i), text, CleanConfig(**self.RESOURCES))
+        self.assert_bound(shared)
+
+    def test_a_word_in_accepted_and_rejected_posts(self):
+        config = CleanConfig(**self.RESOURCES)
+        texts = ["good day ΟΔΟΣ", "good dey ΟΔΟΣ", "good", "Good day walked İstanbul 2019", "good day ΟΔΟΣ"]
+        got = [clean_text("s", text, config) for text in texts]
+        assert got == [clean_text("s", text, CleanConfig(**self.RESOURCES)) for text in texts]
+        assert [cp.rejected_reason for cp in got] == [None, "misspelled", "too_short", None, None]
+        assert got[0].tokens == ("good", "day", "οδος")
+        assert set(config._spellings) == {"good", "day", "οδος", "walked", "i\u0307stanbul"}
+
+    def test_memo_grows_with_the_dictionary_not_the_corpus(self):
+        config = CleanConfig(**self.RESOURCES)
+        words = [f"{case}{n}{mark}" for n in range(500) for case in ("good", "Good", "GoOd", "GOOD")
+                 for mark in ("", "!", ",")] + [f"good{n}x{n}" for n in range(500)] + [f"typo{n}" for n in range(500)]
+        for i in range(0, len(words), 4):
+            clean_text(str(i), " ".join(words[i:i + 4]), config)
+        assert set(config._spellings) == {"good"}
+        self.assert_bound(config)
 
 
 def _split_lines_oracle(text: str, path: Path, kind: str):

@@ -576,6 +576,13 @@ def _nan_prior(doc):
     doc["class_log_prior"][0] = float("nan")
 
 
+def _feature_weight(kind, value):
+    def probe(doc):
+        doc["kind"] = kind  # a naive-Bayes model's weights are valid logistic weights
+        doc["feature_weights"][0][0] = value
+    return probe
+
+
 def test_load_model_rejects_invalid_json(tmp_path):
     path = tmp_path / "model.json"
     for text in ('{"format_version": 1', "[]"):
@@ -603,6 +610,8 @@ def test_load_model_rejects_invalid_json(tmp_path):
     pytest.param(_set("smoothing", True), "smoothing", id="smoothing-bool"),
     pytest.param(_set("smoothing", 10**400), "double range", id="smoothing-beyond-double"),
     pytest.param(_set("metadata", []), "metadata", id="metadata-not-an-object"),
+    *(pytest.param(_feature_weight(kind, value), "weights are not finite", id=f"feature-weights-{name}-{kind}")
+      for kind in ("naive_bayes", "logistic") for name, value in (("nan", float("nan")), ("inf", float("inf")))),
 ])
 def test_load_model_rejects_malformed(tmp_path, probe, message):
     path, doc = _saved_model(tmp_path)
