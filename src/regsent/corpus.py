@@ -17,6 +17,7 @@ one message of `errors.unique_key`.
 
 Place matching lives here alone: `load_gazetteer` files each entry under its
 `normalize_place` name, and `resolve_region` looks a place up in that index.
+`region_counts` maps each region_id to a plain (count, per_capita) pair.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import logging
 import re
 import sys
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
@@ -39,7 +41,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "GazetteerEntry",
     "RawPost",
-    "RegionCount",
     "RegionRecord",
     "filter_located",
     "load_gazetteer",
@@ -76,12 +77,6 @@ class GazetteerEntry:
     region_id: str
     province: str
     importance: float
-
-
-@dataclass(frozen=True)
-class RegionCount:
-    count: int
-    per_capita: float | None  # count / population; None when population unknown
 
 
 @dataclass(frozen=True)
@@ -229,21 +224,15 @@ def resolve_region(place_name: str, gazetteer: Mapping[str, Sequence[GazetteerEn
 def region_counts(
     region_ids: Iterable[str],
     populations: Mapping[str, int],
-) -> dict[str, RegionCount]:
-    """Post counts per region and the population-weighted count (count/pop).
+) -> dict[str, tuple[int, float | None]]:
+    """Each region_id, in sorted order -> (its post count, the population-weighted count count/pop).
 
     A region missing from `populations` reports per_capita as None, not zero.
     """
-    counts: dict[str, int] = {}
-    for region_id in region_ids:
-        counts[region_id] = counts.get(region_id, 0) + 1
-    out: dict[str, RegionCount] = {}
-    for region_id in sorted(counts):
-        count = counts[region_id]
-        pop = populations.get(region_id)
-        per_capita = count / pop if pop else None
-        out[region_id] = RegionCount(count=count, per_capita=per_capita)
-    return out
+    return {
+        region_id: (count, count / pop if (pop := populations.get(region_id)) else None)
+        for region_id, count in sorted(Counter(region_ids).items())
+    }
 
 
 _REGION_TABLE_FIXED = ("region_id", "population", "outcome")

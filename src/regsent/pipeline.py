@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
-    CleanConfig, FrequencyReport, FrequencyRow, clean_text, emoji_report, hashtag_report, load_emoji_polarity,
+    CleanConfig, FrequencyRow, clean_text, emoji_report, hashtag_report, load_emoji_polarity,
     load_lemma_map, load_word_list, select_emoji_whitelist, write_frequency_csv,
 )
 
@@ -376,11 +376,14 @@ def stage_ingest(
     None, timestamp): the records of `located.jsonl`, as `stage_clean`,
     `stage_report` and `stage_aggregate` take them.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out
     paths = cfg.require_paths("posts", "gazetteer")
     posts, skipped = load_posts(paths["posts"], cfg.posts_format)
     located = filter_located(posts, cfg.language)
     gazetteer = load_gazetteer(paths["gazetteer"])
+    populations: dict[str, int] = {}
+    if cfg.paths.get("region_table"):
+        populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
+    out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out; every input is read
     cache: dict[str, str | None] = {}
     where: dict[str, tuple[str | None, datetime]] = {}
 
@@ -401,17 +404,13 @@ def stage_ingest(
             }
 
     write_records(out_dir / "located.jsonl", "jsonl", located_records())
-
-    populations: dict[str, int] = {}
-    if cfg.paths.get("region_table"):
-        populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
     counts = region_counts((region for region, _ in where.values() if region), populations)
     write_records(out_dir / "region_counts.csv", "csv", (
-        (region_id, rc.count, "" if rc.per_capita is None else repr(rc.per_capita))
-        for region_id, rc in counts.items()
+        (region_id, count, "" if per_capita is None else repr(per_capita))
+        for region_id, (count, per_capita) in counts.items()
     ), ("region_id", "count", "per_capita"))
 
-    resolved = sum(rc.count for rc in counts.values())
+    resolved = sum(count for count, _ in counts.values())
     report = {
         "loaded": len(posts),
         "skipped_records": skipped,
@@ -435,19 +434,19 @@ def stage_clean(
     """
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
     whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
+    settings = _clean_settings(cfg, whitelist)  # every resource read before the first write
     write_records(out_dir / "emoji_whitelist.txt", "txt", sorted(whitelist))
-    settings = _clean_settings(cfg, whitelist)
     outcomes: Counter = Counter()  # rejected_reason -> posts
     classifiable: list[tuple[str, tuple[str, ...]]] = []
 
     def clean_records():
         for post in posts:
-            cp = clean_text(post.id, post.text, settings)
+            cp = clean_text(post.text, settings)
             outcomes[cp.rejected_reason] += 1
             if cp.accepted and cp.tokens:
-                classifiable.append((cp.id, cp.tokens))  # `clean_text` interns every token
+                classifiable.append((post.id, cp.tokens))  # `clean_text` interns every token
             yield {  # json writes the token and emoji tuples as lists
-                "id": cp.id,
+                "id": post.id,
                 "tokens": cp.tokens,
                 "kept_emojis": cp.kept_emojis,
                 "removed": cp.removed,
@@ -466,16 +465,18 @@ def stage_clean(
     return report, whitelist, classifiable
 
 
-def stage_report(cfg: PipelineConfig, out_dir: Path, kind: str, posts: Sequence[RawPost]) -> FrequencyReport:
-    """Corpus frequency diagnostics over the located `posts`; returns the report."""
+def stage_report(
+    cfg: PipelineConfig, out_dir: Path, kind: str, posts: Sequence[RawPost]
+) -> tuple[FrequencyRow, ...]:
+    """Corpus frequency diagnostics over the located `posts`; returns the rows `<kind>.csv` holds."""
     if kind == "hashtags":
-        report = hashtag_report(posts)
+        rows = hashtag_report(posts)
     elif kind == "emojis":
-        report = emoji_report(posts)
+        rows = emoji_report(posts)
     else:
         raise ConfigError(f"unknown report kind {kind!r} (expected hashtags or emojis)")
-    write_frequency_csv(report, out_dir / f"{kind}.csv")
-    return report
+    write_frequency_csv(rows, out_dir / f"{kind}.csv")
+    return rows
 
 
 def _training_examples(
@@ -486,8 +487,8 @@ def _training_examples(
     rows = load_labeled_csv(cfg.require_paths("training_data")["training_data"])
     labeled: list[LabeledExample] = []
     neutral_pool: list[tuple[str, ...]] = []
-    for row_id, label, text in rows:
-        cp = clean_text(row_id, text, settings)
+    for _, label, text in rows:
+        cp = clean_text(text, settings)
         if not cp.accepted or not cp.tokens:
             continue
         if cfg.classifier.binary and label is SentimentLabel.NEUTRAL:
@@ -648,13 +649,10 @@ def stage_shift_test(cfg: PipelineConfig, out_dir: Path, regions: Sequence[Regio
     }
     global_test = regional.pooled_shift_test(regions)
     regional.write_shift_csv(regions, per_region, out_dir / "shift_tests.csv")
-    summary = regional.shift_summary(per_region.values(), cfg.alpha)
     payload = {
         "global": {"chi2": global_test.chi2, "p": global_test.p_value, "degenerate": global_test.degenerate},
         "alpha": cfg.alpha,
-        "n_tested": summary.n_tested,
-        "n_significant": summary.n_significant,
-        "significant_regions": list(summary.significant_regions),
+        **regional.shift_summary(per_region, cfg.alpha),
     }
     _write_json(out_dir / "shift_summary.json", payload)
     return payload
@@ -856,8 +854,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     reports: dict[str, Any] = {}
     reports["ingest"], posts, located = stage_ingest(cfg, out_dir)
     reports["clean"], whitelist, classifiable = stage_clean(cfg, out_dir, posts)
-    hashtags = stage_report(cfg, out_dir, "hashtags", posts).rows[:10]  # the rows the summary prints
-    emojis = stage_report(cfg, out_dir, "emojis", posts).rows[:10]
+    hashtags = stage_report(cfg, out_dir, "hashtags", posts)[:10]  # the rows the summary prints
+    emojis = stage_report(cfg, out_dir, "emojis", posts)[:10]
     del posts  # freed before train: the post texts are not needed past the reports
     reports["train"], model = stage_train(cfg, out_dir)
     reports["classify"], predictions = stage_classify(cfg, out_dir, model, classifiable)

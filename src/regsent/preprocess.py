@@ -5,7 +5,8 @@ links, mentions, hashtags, emoji filtering, non-word stripping, whitespace
 collapse, short-post rejection, misspelling rejection, lemmatization,
 stop-word removal. The spell gate reads the tokens before lemmatization, and
 stop words are dropped after it. A gate that fails sets the rejection reason
-and the post keeps no tokens; rejection is a value, not an error.
+and the post keeps no tokens; rejection is a value, not an error. `clean_text`
+takes the text alone: the caller keeps the post's id.
 
 Non-word stripping works a whitespace-split word at a time: a word that is all
 letters (most of them) is kept whole, and only the others are tested a
@@ -14,6 +15,10 @@ never takes part in the lowercasing context of a final sigma, so rejoining the
 words with single spaces gives the tokens of stripping the whole text. Each
 `CleanConfig` memoizes what the later steps make of each dictionary token it
 meets, and of no other token, so the memo holds at most the dictionary.
+
+The frequency reports return their `FrequencyRow`s, sorted. The hashtag report
+matches the NFC text, as `clean_text` does: a combining mark is not a regex
+word character, so a decomposed tag would otherwise be cut at its first one.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .errors import read_records, write_records
 __all__ = [
     "CleanConfig",
     "CleanPost",
-    "FrequencyReport",
     "FrequencyRow",
     "clean_text",
     "emoji_report",
@@ -98,7 +102,6 @@ class CleanPost:
     characters for nonword; emojis_dropped counts non-whitelisted emoji.
     """
 
-    id: str
     tokens: tuple[str, ...]
     kept_emojis: tuple[str, ...]
     removed: Mapping[str, int]
@@ -109,7 +112,8 @@ class CleanPost:
         return self.rejected_reason is None
 
 
-def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
+def clean_text(raw_text: str, config: CleanConfig) -> CleanPost:
+    """`raw_text` through the chain of the module docstring; the caller keeps the text's id."""
     removed = {"links": 0, "mentions": 0, "hashtags": 0, "nonword": 0, "emojis_dropped": 0}
     text = unicodedata.normalize("NFC", raw_text)
     text, removed["links"] = URL_RE.subn(" ", text)
@@ -142,7 +146,7 @@ def clean_text(post_id: str, raw_text: str, config: CleanConfig) -> CleanPost:
         reason, tokens = "too_short", []
     elif not spelled:
         reason, tokens = "misspelled", []
-    return CleanPost(id=post_id, tokens=tuple(tokens), kept_emojis=kept_emojis, removed=removed, rejected_reason=reason)
+    return CleanPost(tokens=tuple(tokens), kept_emojis=kept_emojis, removed=removed, rejected_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +160,23 @@ class FrequencyRow:
     share: float
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
-    """Item counts sorted by count desc then item asc; share = count / total."""
-
-    rows: tuple[FrequencyRow, ...]
-    total: int
-
-
-def _frequency_report(counts: Counter[str]) -> FrequencyReport:
+def _frequency_rows(counts: Counter[str]) -> tuple[FrequencyRow, ...]:
+    """Item counts sorted by count desc then item asc; share = count / the total count."""
     total = counts.total()
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    rows = tuple(
-        FrequencyRow(item=item, count=count, share=count / total) for item, count in ordered
-    )
-    return FrequencyReport(rows=rows, total=total)
+    return tuple(FrequencyRow(item, count, count / total) for item, count in ordered)
 
 
-def hashtag_report(posts: Iterable[RawPost]) -> FrequencyReport:
-    """Occurrence counts of `#word` hashtags (lowercased, '#' stripped)."""
-    return _frequency_report(Counter(match[1:].lower() for post in posts for match in HASHTAG_RE.findall(post.text)))
+def hashtag_report(posts: Iterable[RawPost]) -> tuple[FrequencyRow, ...]:
+    """Occurrence counts of `#word` hashtags in the NFC text (lowercased, '#' stripped), as `clean_text` finds them."""
+    return _frequency_rows(Counter(
+        match[1:].lower() for post in posts for match in HASHTAG_RE.findall(unicodedata.normalize("NFC", post.text))
+    ))
 
 
-def emoji_report(posts: Iterable[RawPost]) -> FrequencyReport:
+def emoji_report(posts: Iterable[RawPost]) -> tuple[FrequencyRow, ...]:
     """Occurrence counts of emoji codepoints across the corpus."""
-    return _frequency_report(Counter(ch for post in posts for ch in EMOJI_RE.findall(post.text)))
+    return _frequency_rows(Counter(ch for post in posts for ch in EMOJI_RE.findall(post.text)))
 
 
 def select_emoji_whitelist(
@@ -195,14 +191,13 @@ def select_emoji_whitelist(
     """
     return frozenset(
         row.item
-        for row in emoji_report(posts).rows
+        for row in emoji_report(posts)
         if polarity.get(row.item) in ("pos", "neg") and row.share >= min_share
     )
 
 
-def write_frequency_csv(report: FrequencyReport, path: str | Path) -> None:
-    rows = ((row.item, row.count, repr(row.share)) for row in report.rows)
-    write_records(path, "csv", rows, ("item", "count", "share"))
+def write_frequency_csv(rows: Iterable[FrequencyRow], path: str | Path) -> None:
+    write_records(path, "csv", ((row.item, row.count, repr(row.share)) for row in rows), ("item", "count", "share"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Binary labels are encoded negative=0 / positive=1, so a region's mean
 sentiment is exactly its positive share. Regions enter the analysis only when
-their classified-post total strictly exceeds the threshold.
+their classified-post total strictly exceeds the threshold. The per-region
+shift tests are a mapping region_id -> `ShiftTestResult`, as `shift_summary`
+and `write_shift_csv` take them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import DataValidationError, write_records
 
@@ -24,7 +26,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "RegionSentiment",
     "SentimentLabel",
-    "ShiftSummary",
     "ShiftTestResult",
     "aggregate",
     "pooled_shift_test",
@@ -147,7 +148,6 @@ def aggregate(
 class ShiftTestResult:
     """Chi-squared test of equal positive share before vs after (df = 1)."""
 
-    scope: str  # "global" or a region_id
     chi2: float
     p_value: float
     degenerate: bool = False  # a zero margin forced the chi2=0, p=1 convention
@@ -158,8 +158,6 @@ def shift_test(
     n_neg_before: int,
     n_pos_after: int,
     n_neg_after: int,
-    *,
-    scope: str = "global",
 ) -> ShiftTestResult:
     """2x2 period-by-polarity test: chi2 = N (ad - bc)^2 / product of margins.
 
@@ -170,14 +168,14 @@ def shift_test(
     n = a + b + c + d
     margins = ((a + b), (c + d), (a + c), (b + d))
     if any(m == 0 for m in margins):
-        return ShiftTestResult(scope=scope, chi2=0.0, p_value=1.0, degenerate=True)
+        return ShiftTestResult(chi2=0.0, p_value=1.0, degenerate=True)
     from . import stats
     chi2 = n * (a * d - b * c) ** 2 / (margins[0] * margins[1] * margins[2] * margins[3])
-    return ShiftTestResult(scope=scope, chi2=float(chi2), p_value=stats.chi2_sf(float(chi2)))
+    return ShiftTestResult(chi2=float(chi2), p_value=stats.chi2_sf(float(chi2)))
 
 
 def shift_test_for_region(rs: RegionSentiment) -> ShiftTestResult:
-    return shift_test(rs.n_pos_before, rs.n_neg_before, rs.n_pos_after, rs.n_neg_after, scope=rs.region_id)
+    return shift_test(rs.n_pos_before, rs.n_neg_before, rs.n_pos_after, rs.n_neg_after)
 
 
 def pooled_shift_test(regions: Sequence[RegionSentiment]) -> ShiftTestResult:
@@ -191,21 +189,10 @@ def pooled_shift_test(regions: Sequence[RegionSentiment]) -> ShiftTestResult:
     )
 
 
-@dataclass(frozen=True)
-class ShiftSummary:
-    n_tested: int
-    n_significant: int
-    significant_regions: tuple[str, ...]
-
-
-def shift_summary(results: Iterable[ShiftTestResult], alpha: float = 0.05) -> ShiftSummary:
-    results = list(results)
-    significant = sorted(r.scope for r in results if r.p_value < alpha)
-    return ShiftSummary(
-        n_tested=len(results),
-        n_significant=len(significant),
-        significant_regions=tuple(significant),
-    )
+def shift_summary(per_region: Mapping[str, ShiftTestResult], alpha: float) -> dict[str, Any]:
+    """The per-region fields of `shift_summary.json`: how many region_id-keyed tests, and which have p < alpha."""
+    significant = sorted(region_id for region_id, result in per_region.items() if result.p_value < alpha)
+    return {"n_tested": len(per_region), "n_significant": len(significant), "significant_regions": significant}
 
 
 def shift_regression(regions: Sequence[RegionSentiment]) -> stats.OlsFit:

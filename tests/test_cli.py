@@ -455,6 +455,38 @@ class TestErrorContract:
         assert err.startswith("regsent: error[data]: " + expected)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out", "earlier-out"])
+    def test_ingest_failing_on_an_input_writes_nothing(self, fixture_dir, tmp_path, capsys, monkeypatch, fresh):
+        """Every input is read before --out is made or written, and the region table once."""
+        out = tmp_path / "out"
+        if not fresh:
+            out.mkdir()
+            (out / "located.jsonl").write_text("from an earlier run\n", encoding="utf-8")
+        before = None if fresh else read_all(out)
+        table = tmp_path / "table"
+        table.mkdir()
+        calls: list[Path] = []
+        load_region_table = pipeline.load_region_table
+        monkeypatch.setattr(pipeline, "load_region_table", lambda path: calls.append(path) or load_region_table(path))
+        code = cli.main(["ingest", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                         "--set", f"paths.region_table={table}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"regsent: error[data]: cannot read {table}: ") and err.count("\n") == 1
+        assert calls == [table]
+        assert not out.exists() if fresh else read_all(out) == before
+
+    def test_clean_failing_on_a_resource_writes_nothing(self, fixture_dir, pipeline_out, tmp_path):
+        lemmas = tmp_path / "lemmas.txt"
+        lines = load_config(fixture_dir / "config.json").paths["lemmas"].read_text(encoding="utf-8").splitlines()
+        lemmas.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run_reading_stage(fixture_dir, pipeline_out, out, "lemmas", lemmas)
+        assert code == 2
+        assert err.startswith(f"regsent: error[data]: {lemmas}:{len(lines) + 1}: duplicate word ")
+        assert err.count("\n") == 1
+        assert read_all(out) == {name: (pipeline_out / name).read_bytes() for name in ("located.jsonl", "clean.jsonl")}
+
     @pytest.mark.parametrize("key", [
         "posts", "gazetteer", "region_table", "dictionary", "lemmas", "stop_words", "conjunctions", "emoji_polarity",
         "training_data", "external_predictions",

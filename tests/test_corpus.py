@@ -391,18 +391,17 @@ class TestPostRepresentation:
 class TestRegionCounts:
     def test_single_region(self):
         counts = region_counts(["R1"] * 10, {"R1": 1000})
-        assert counts["R1"].count == 10
-        assert counts["R1"].per_capita == 0.01
+        assert counts["R1"] == (10, 0.01)
 
     def test_counts_conserved(self):
         ids = ["R1"] * 6 + ["R2"] * 4
         counts = region_counts(ids, {})
-        assert sum(c.count for c in counts.values()) == 10
+        assert sum(count for count, _ in counts.values()) == 10
 
     def test_missing_population_reports_none(self):
         counts = region_counts(["R1", "R2"], {"R1": 10})
-        assert counts["R1"].per_capita == 0.1
-        assert counts["R2"].per_capita is None
+        assert counts["R1"] == (1, 0.1)
+        assert counts["R2"] == (1, None)
 
     def test_resolvable_plus_unresolvable_sums_to_input(self):
         gaz = [entry("alpha", "R1", 0.5), entry("beta", "R2", 0.5)]
@@ -412,7 +411,7 @@ class TestRegionCounts:
         region_ids = [r for r in resolved if r]
         counts = region_counts(region_ids, {})
         unresolved = sum(1 for r in resolved if r is None)
-        assert sum(c.count for c in counts.values()) + unresolved == len(posts)
+        assert sum(count for count, _ in counts.values()) + unresolved == len(posts)
 
     def test_count_scales_with_population(self):
         # counts built as an affine function of population plus noise; the fit

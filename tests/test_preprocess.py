@@ -109,7 +109,7 @@ class TestCleanHandTrace:
     @pytest.mark.parametrize("case", HAND_TRACE, ids=[f"post{i:02d}" for i in range(len(HAND_TRACE))])
     def test_matches_hand_trace(self, case):
         text, tokens, emojis, removed, reason = case
-        cp = clean_text("id", text, TRACE_CONFIG)
+        cp = clean_text(text, TRACE_CONFIG)
         assert cp.tokens == tokens
         assert cp.kept_emojis == emojis
         assert dict(cp.removed) == removed
@@ -117,7 +117,7 @@ class TestCleanHandTrace:
 
     def test_rejected_posts_have_empty_tokens(self):
         for text, _, _, _, reason in HAND_TRACE:
-            cp = clean_text("id", text, TRACE_CONFIG)
+            cp = clean_text(text, TRACE_CONFIG)
             if reason is not None:
                 assert cp.tokens == ()
                 assert not cp.accepted
@@ -129,8 +129,8 @@ class TestCleanProperties:
         rng = random.Random(99)
         accepted = 0
         for _ in range(200):
-            cp = clean_text("f", fuzz_post_text(rng), config)
-            again = clean_text("f", " ".join(cp.tokens + cp.kept_emojis), config)
+            cp = clean_text(fuzz_post_text(rng), config)
+            again = clean_text(" ".join(cp.tokens + cp.kept_emojis), config)
             assert again.tokens == cp.tokens
             accepted += cp.accepted
         assert accepted > 20  # the fuzzer must exercise the accept path
@@ -139,7 +139,7 @@ class TestCleanProperties:
         config = coherent_clean_config()
         rng = random.Random(5)
         for _ in range(300):
-            cp = clean_text("f", fuzz_post_text(rng), config)
+            cp = clean_text(fuzz_post_text(rng), config)
             for token in cp.tokens:
                 assert not token.startswith(("@", "#"))
                 assert "http" not in token or token in config.dictionary
@@ -149,7 +149,7 @@ class TestCleanProperties:
     def test_short_rule_counts_before_stop_removal(self):
         # five tokens, two of them conjunctions: three content words is too few
         config = coherent_clean_config()
-        cp = clean_text("s", "the city and river bridge", config)
+        cp = clean_text("the city and river bridge", config)
         assert cp.rejected_reason == "too_short"
 
 
@@ -157,7 +157,7 @@ def is_emoji(ch: str) -> bool:
     return any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
 
 
-def reference_clean_text(post_id: str, raw_text: str, config: CleanConfig):
+def reference_clean_text(raw_text: str, config: CleanConfig):
     """clean_text with its emoji step done one character at a time.
 
     The link, mention and hashtag removals run here first, so the emoji scan
@@ -172,7 +172,7 @@ def reference_clean_text(post_id: str, raw_text: str, config: CleanConfig):
     kept = [ch for ch in text if is_emoji(ch) and ch in config.emoji_whitelist]
     removed["emojis_dropped"] = sum(is_emoji(ch) for ch in text) - len(kept)
     text = "".join(" " if is_emoji(ch) else ch for ch in text)
-    rest = clean_text(post_id, text, config)
+    rest = clean_text(text, config)
     return rest.tokens, tuple(kept), {**rest.removed, **removed}, rest.rejected_reason
 
 
@@ -195,9 +195,9 @@ class TestEmojiScanner:
     @given(text=_TEXTS)
     def test_clean_text_matches_per_character_reference(self, text):
         config = coherent_clean_config()
-        cp = clean_text("h", text, config)
+        cp = clean_text(text, config)
         assert (cp.tokens, cp.kept_emojis, dict(cp.removed), cp.rejected_reason) == \
-            reference_clean_text("h", text, config)
+            reference_clean_text(text, config)
 
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(_TEXTS, max_size=6))
@@ -205,8 +205,8 @@ class TestEmojiScanner:
         posts = [RawPost(str(i), text, datetime(2019, 1, 1, tzinfo=timezone.utc)) for i, text in enumerate(texts)]
         counts = Counter(ch for text in texts for ch in text if is_emoji(ch))
         report = emoji_report(posts)
-        assert [(row.item, row.count) for row in report.rows] == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert report.total == sum(counts.values())
+        assert [(row.item, row.count) for row in report] == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert sum(row.count for row in report) == sum(counts.values())
 
 
 def per_character_clean(raw_text: str) -> tuple[list[str], dict[str, int]]:
@@ -235,7 +235,7 @@ def per_character_clean(raw_text: str) -> tuple[list[str], dict[str, int]]:
 def word_level_clean(text: str) -> tuple[list[str], dict[str, int]]:
     """clean_text's tokens and counts, with gates that pass every token the oracle finds."""
     tokens, _ = per_character_clean(text)
-    cp = clean_text("w", text, CleanConfig(dictionary=frozenset(tokens), min_words=0))
+    cp = clean_text(text, CleanConfig(dictionary=frozenset(tokens), min_words=0))
     return list(cp.tokens), dict(cp.removed)
 
 
@@ -265,9 +265,17 @@ class TestHashtagReport:
     def test_single_hashtag_full_share(self):
         posts = [RawPost("1", "only #one here", datetime(2019, 1, 1, tzinfo=timezone.utc))]
         report = hashtag_report(posts)
-        assert report.total == 1
-        assert report.rows[0].item == "one"
-        assert report.rows[0].share == 1.0
+        assert sum(row.count for row in report) == 1
+        assert report[0].item == "one"
+        assert report[0].share == 1.0
+
+    def test_decomposed_hashtag_counts_as_its_composed_form(self):
+        """`\\w` does not match a combining mark, so the report reads the NFC text, as clean_text does."""
+        text = "#PiSświętuje #Łódź #PiSświętuje"
+        ts = datetime(2019, 1, 1, tzinfo=timezone.utc)
+        composed = hashtag_report([RawPost("1", unicodedata.normalize("NFC", text), ts)])
+        assert hashtag_report([RawPost("1", unicodedata.normalize("NFD", text), ts)]) == composed
+        assert [(row.item, row.count) for row in composed] == [("pisświętuje", 2), ("łódź", 1)]
 
     def test_counts_match_naive_scan(self):
         rng = random.Random(7)
@@ -280,13 +288,13 @@ class TestHashtagReport:
         oracle = Counter()
         for post in posts:
             oracle.update(match.lower() for match in re.findall(r"#(\w+)", post.text))
-        assert report.total == sum(oracle.values())
-        assert {r.item: r.count for r in report.rows} == dict(oracle)
+        assert sum(row.count for row in report) == sum(oracle.values())
+        assert {r.item: r.count for r in report} == dict(oracle)
 
     def test_sorted_by_count_then_item(self):
         posts = [RawPost("1", "#b #a #a #c #b #d", datetime(2019, 1, 1, tzinfo=timezone.utc))]
         report = hashtag_report(posts)
-        assert [r.item for r in report.rows] == ["a", "b", "c", "d"]
+        assert [r.item for r in report] == ["a", "b", "c", "d"]
 
     def test_shares_sum_to_one_before_truncation(self):
         rng = random.Random(3)
@@ -296,7 +304,7 @@ class TestHashtagReport:
             for i in range(50)
         ]
         report = hashtag_report(posts)
-        assert abs(sum(r.share for r in report.rows) - 1.0) < 1e-12
+        assert abs(sum(r.share for r in report) - 1.0) < 1e-12
 
 
 def emoji_posts(counts_by_emoji: dict[str, int]) -> list[RawPost]:
@@ -319,7 +327,7 @@ class TestEmojiWhitelist:
         posts = emoji_posts({GRIN: 1228, THINK: 2000, self.UMBRELLA: 6772})
         polarity = {GRIN: "pos", THINK: "ambiguous"}
         report = emoji_report(posts)
-        assert abs(dict((r.item, r.share) for r in report.rows)[GRIN] - 0.1228) < 1e-12
+        assert abs(dict((r.item, r.share) for r in report)[GRIN] - 0.1228) < 1e-12
         assert select_emoji_whitelist(posts, polarity) == {GRIN}
 
     def test_ambiguous_excluded_even_with_large_share(self):
@@ -344,25 +352,25 @@ class TestSpellGate:
     CONFIG = CleanConfig(dictionary=DICT, min_words=0)
 
     def test_all_known_passes(self):
-        cp = clean_text("s", "good day", self.CONFIG)
+        cp = clean_text("good day", self.CONFIG)
         assert cp.accepted and cp.tokens == ("good", "day")
 
     def test_one_unknown_fails(self):
-        cp = clean_text("s", "good dey", self.CONFIG)
+        cp = clean_text("good dey", self.CONFIG)
         assert cp.rejected_reason == "misspelled" and cp.tokens == ()
 
     @given(st.lists(st.sampled_from(["good", "day", "walk", "sun", "xyz", "qq"]), min_size=1, max_size=12))
     def test_iff_subset_property(self, tokens):
-        cp = clean_text("s", " ".join(tokens), self.CONFIG)
+        cp = clean_text(" ".join(tokens), self.CONFIG)
         assert cp.accepted == set(tokens).issubset(self.DICT)
         assert cp.rejected_reason in (None, "misspelled")
 
     def test_gate_reads_the_tokens_before_lemmatization(self):
         lemma_map = {"walked": "walk"}
         inflection_known = CleanConfig(dictionary=frozenset({"walked"}), lemma_map=lemma_map, min_words=0)
-        assert clean_text("s", "walked walked", inflection_known).tokens == ("walk", "walk")
+        assert clean_text("walked walked", inflection_known).tokens == ("walk", "walk")
         lemma_known = CleanConfig(dictionary=frozenset({"walk"}), lemma_map=lemma_map, min_words=0)
-        assert clean_text("s", "walked walked", lemma_known).rejected_reason == "misspelled"
+        assert clean_text("walked walked", lemma_known).rejected_reason == "misspelled"
 
 
 class TestShortPostGate:
@@ -370,11 +378,11 @@ class TestShortPostGate:
                          conjunctions=frozenset({"and", "or"}), min_words=2)
 
     def test_conjunctions_do_not_count_towards_min_words(self):
-        assert clean_text("s", "good and day or", self.CONFIG).rejected_reason == "too_short"
-        assert clean_text("s", "good and day sun", self.CONFIG).accepted
+        assert clean_text("good and day or", self.CONFIG).rejected_reason == "too_short"
+        assert clean_text("good and day sun", self.CONFIG).accepted
 
     def test_short_gate_comes_before_the_spell_gate(self):
-        assert clean_text("s", "xyz qq", self.CONFIG).rejected_reason == "too_short"
+        assert clean_text("xyz qq", self.CONFIG).rejected_reason == "too_short"
 
 
 class TestLemmatizeAndStop:
@@ -386,13 +394,13 @@ class TestLemmatizeAndStop:
     CONFIG = CleanConfig(dictionary=frozenset(VOCAB), lemma_map=LEMMAS, stop_words=STOPS, min_words=0)
 
     def test_inflections_map_to_lemma(self):
-        assert clean_text("s", "walked walks", self.CONFIG).tokens == ("walk", "walk")
+        assert clean_text("walked walks", self.CONFIG).tokens == ("walk", "walk")
 
     def test_lemma_that_is_a_stop_word_is_dropped(self):
-        assert clean_text("s", "an city", self.CONFIG).tokens == ("city",)
+        assert clean_text("an city", self.CONFIG).tokens == ("city",)
 
     def test_empty(self):
-        cp = clean_text("s", "the a an", self.CONFIG)
+        cp = clean_text("the a an", self.CONFIG)
         assert cp.accepted and cp.tokens == ()
 
     def test_matches_map_then_filter_oracle(self):
@@ -400,14 +408,14 @@ class TestLemmatizeAndStop:
         tokens = [rng.choice(self.VOCAB) for _ in range(100)]
         expected = [self.LEMMAS.get(t, t) for t in tokens]
         expected = [t for t in expected if t not in self.STOPS]
-        assert clean_text("s", " ".join(tokens), self.CONFIG).tokens == tuple(expected)
+        assert clean_text(" ".join(tokens), self.CONFIG).tokens == tuple(expected)
 
 
 def test_removed_keys_in_fixed_order():
     """clean.jsonl writes `removed` in its key order, accepted or rejected."""
     keys = ["links", "mentions", "hashtags", "nonword", "emojis_dropped"]
     for text, *_ in HAND_TRACE:
-        assert list(clean_text("id", text, TRACE_CONFIG).removed) == keys
+        assert list(clean_text(text, TRACE_CONFIG).removed) == keys
 
 
 class TestTokenMemo:
@@ -439,15 +447,15 @@ class TestTokenMemo:
     @given(texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join), max_size=12))
     def test_shared_config_cleans_as_a_fresh_one(self, texts):
         shared = CleanConfig(**self.RESOURCES)
-        for i, text in enumerate(texts):
-            assert clean_text(str(i), text, shared) == clean_text(str(i), text, CleanConfig(**self.RESOURCES))
+        for text in texts:
+            assert clean_text(text, shared) == clean_text(text, CleanConfig(**self.RESOURCES))
         self.assert_bound(shared)
 
     def test_a_word_in_accepted_and_rejected_posts(self):
         config = CleanConfig(**self.RESOURCES)
         texts = ["good day ΟΔΟΣ", "good dey ΟΔΟΣ", "good", "Good day walked İstanbul 2019", "good day ΟΔΟΣ"]
-        got = [clean_text("s", text, config) for text in texts]
-        assert got == [clean_text("s", text, CleanConfig(**self.RESOURCES)) for text in texts]
+        got = [clean_text(text, config) for text in texts]
+        assert got == [clean_text(text, CleanConfig(**self.RESOURCES)) for text in texts]
         assert [cp.rejected_reason for cp in got] == [None, "misspelled", "too_short", None, None]
         assert got[0].tokens == ("good", "day", "οδος")
         assert set(config._spellings) == {"good", "day", "οδος", "walked", "i\u0307stanbul"}
@@ -457,7 +465,7 @@ class TestTokenMemo:
         words = [f"{case}{n}{mark}" for n in range(500) for case in ("good", "Good", "GoOd", "GOOD")
                  for mark in ("", "!", ",")] + [f"good{n}x{n}" for n in range(500)] + [f"typo{n}" for n in range(500)]
         for i in range(0, len(words), 4):
-            clean_text(str(i), " ".join(words[i:i + 4]), config)
+            clean_text(" ".join(words[i:i + 4]), config)
         assert set(config._spellings) == {"good"}
         self.assert_bound(config)
 

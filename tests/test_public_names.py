@@ -1,4 +1,4 @@
-"""Every name a `regsent` module exports is used somewhere else in the package."""
+"""Every name a `regsent` module exports, imports or defines as private is read in the package."""
 
 from __future__ import annotations
 
@@ -29,11 +29,12 @@ def _references(node: ast.AST) -> set[str]:
     return names
 
 
-def _defines(statement: ast.stmt, name: str) -> bool:
+def _bound(statement: ast.stmt) -> list[str]:
+    """The names a top-level definition or assignment binds."""
     if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return statement.name == name
+        return [statement.name]
     targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
-    return any(isinstance(target, ast.Name) and target.id == name for target in targets)
+    return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
 def _exported(tree: ast.Module) -> list[str]:
@@ -45,20 +46,29 @@ def _exported(tree: ast.Module) -> list[str]:
     return []
 
 
-def _uncalled() -> set[str]:
-    """Exported names that no top-level statement of the package reads, other than their own definition."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _unread(trees: dict[str, ast.Module], defined: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    """The (module, name) pairs that no top-level statement of the package reads, other than the name's definition."""
     statements = [(module, statement) for module, tree in trees.items() for statement in tree.body]
     return {
-        name
-        for module, tree in trees.items()
-        for name in _exported(tree)
+        (module, name)
+        for module, name in defined
         if not any(
             name in _references(statement)
             for owner, statement in statements
-            if not (owner == module and _defines(statement, name))
+            if not (owner == module and name in _bound(statement))
         )
     }
+
+
+def _uncalled() -> set[str]:
+    """Exported names that no top-level statement of the package reads, other than their own definition."""
+    trees = _trees()
+    return {name for _, name in _unread(trees, {(module, name) for module, tree in trees.items()
+                                                for name in _exported(tree)})}
 
 
 def test_every_exported_name_has_a_caller():
@@ -66,3 +76,28 @@ def test_every_exported_name_has_a_caller():
     assert uncalled - set(UNCALLED_ON_PURPOSE) == set()
     # an entry goes once its name gains a caller or leaves __all__
     assert set(UNCALLED_ON_PURPOSE) <= uncalled
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = set()
+    for module, tree in _trees().items():
+        read = set(_exported(tree)) | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unread |= {(module, name) for alias in node.names
+                           if (name := (alias.asname or alias.name).split(".")[0]) not in read}
+    assert unread == set()
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    trees = _trees()
+    private = {
+        (module, name)
+        for module, tree in trees.items()
+        for statement in tree.body
+        for name in _bound(statement)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert _unread(trees, private) == set()

@@ -251,25 +251,24 @@ class TestShiftRegression:
 
 class TestShiftSummary:
     def test_counts(self):
-        results = [shift_test(25, 25, 25, 25, scope=f"R{i}") for i in range(4)]
-        summary = shift_summary(results, alpha=0.05)
-        assert summary.n_significant == 0 and summary.n_tested == 4
+        per_region = {f"R{i}": shift_test(25, 25, 25, 25) for i in range(4)}
+        summary = shift_summary(per_region, alpha=0.05)
+        assert summary["n_significant"] == 0 and summary["n_tested"] == 4
 
     def test_one_significant(self):
-        quiet = [shift_test(25, 25, 25, 25, scope="R1")]
-        loud = [shift_test(100, 300, 300, 100, scope="R9")]
-        summary = shift_summary(quiet + loud, alpha=0.05)
-        assert summary.n_significant == 1
-        assert summary.significant_regions == ("R9",)
+        per_region = {"R1": shift_test(25, 25, 25, 25), "R9": shift_test(100, 300, 300, 100)}
+        summary = shift_summary(per_region, alpha=0.05)
+        assert summary["n_significant"] == 1
+        assert summary["significant_regions"] == ["R9"]
 
     def test_null_simulation_within_binomial_band(self):
         # no true shift: significants at alpha=0.05 over 126 regions should
         # land inside the central 99% binomial band around 6.3
         rng = np.random.default_rng(606)
-        results = []
+        per_region = {}
         for i in range(126):
             pb = int(rng.binomial(200, 0.5))
             pa = int(rng.binomial(200, 0.5))
-            results.append(shift_test(pb, 200 - pb, pa, 200 - pa, scope=f"R{i}"))
-        summary = shift_summary(results, alpha=0.05)
-        assert 0 <= summary.n_significant <= 13
+            per_region[f"R{i}"] = shift_test(pb, 200 - pb, pa, 200 - pa)
+        summary = shift_summary(per_region, alpha=0.05)
+        assert 0 <= summary["n_significant"] <= 13
