@@ -64,10 +64,6 @@ class RawPost:
     place_name: str | None = None
     language: str | None = None
 
-    def __post_init__(self) -> None:  # one string object per distinct place and language, however many posts
-        object.__setattr__(self, "place_name", self.place_name and sys.intern(self.place_name))
-        object.__setattr__(self, "language", self.language and sys.intern(self.language))
-
 
 @dataclass(frozen=True)
 class GazetteerEntry:
@@ -125,7 +121,8 @@ def parse_timestamp(raw: str) -> datetime:
 def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
     """None when the record fails the ingestion filter: an id that is neither a
     string nor an integer, a text, timestamp, place or language that is not a
-    string (place and language may be null or absent), an empty id or text."""
+    string (place and language may be null or absent), an empty id or text.
+    Place and language are interned: one string object per distinct value, however many posts."""
     post_id, text, ts = record.get("id"), record.get("text"), record.get("timestamp")
     place, lang = record.get("place"), record.get("lang")
     if type(post_id) not in (str, int) or type(text) is not str or type(ts) is not str:
@@ -138,8 +135,8 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
         id=str(post_id),
         text=text,
         timestamp=parse_timestamp(ts),
-        place_name=place or None,
-        language=lang or None,
+        place_name=sys.intern(place) if place else None,
+        language=sys.intern(lang) if lang else None,
     )
 
 
@@ -245,7 +242,6 @@ def load_region_table(path: str | Path) -> list[RegionRecord]:
         region_id = row["region_id"]
         population = int(row["population"])
         outcome = float(row["outcome"])
-        # a row with extra fields holds them under the key None, which float() rejects
         features = {name: float(value) for name, value in row.items() if name not in _REGION_TABLE_FIXED}
         if not (0.0 <= outcome <= 1.0):
             raise ValueError(f"outcome {outcome} outside [0, 1]")

@@ -81,9 +81,10 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
     keyed by the header, which must hold `columns` and name no column twice; a
     CSV fault such as an oversized field ends the file with a DataValidationError
     naming `name`.
-    A JSON-lines record is the line's JSON value, or the exception parsing it
-    raised, so that a caller may skip the line and read on. A `txt` record is
-    a word-list line, stripped; its lines are the ones `str.splitlines` cuts.
+    A CSV record with more or fewer fields than the header is a ValueError naming
+    both counts, and a JSON-lines record is the line's JSON value or the exception
+    parsing it raised, so that a caller may skip the record and read on. A `txt`
+    record is a word-list line, stripped; its lines are the ones `str.splitlines` cuts.
     """
     if fmt == "txt":
         for line, text in enumerate(handle.read().splitlines(), 1):
@@ -108,9 +109,9 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
                 start = number
             yield text
 
-    reader = csv.DictReader(lines())
+    reader = csv.reader(lines())
     try:
-        header = reader.fieldnames or ()
+        header = next(reader, [])
         missing = [column for column in columns if column not in header]
         if missing:
             raise DataValidationError(f"{name}:{start or 1}: missing columns {missing}")
@@ -118,8 +119,10 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
         if repeated:  # a dict record would keep only the last column of each name
             raise DataValidationError(f"{name}:{start or 1}: repeated columns {repeated}")
         start = 0
-        for record in reader:
-            yield start, record
+        for fields in reader:
+            if fields:
+                yield start, dict(zip(header, fields)) if len(fields) == len(header) else ValueError(
+                    f"{len(fields)} fields where the header has {len(header)}")
             start = 0
     except csv.Error as exc:
         raise DataValidationError(f"{name}:{start}: {exc}") from None

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .corpus import (
-    RawPost, filter_located, load_gazetteer, load_posts, load_region_table, parse_date, parse_timestamp,
+    filter_located, load_gazetteer, load_posts, load_region_table, parse_date, parse_timestamp,
     region_counts, resolve_region,
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
@@ -277,25 +277,24 @@ def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any],
     return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name, key=key)
 
 
-def _located_fields(row: dict) -> tuple[str, str, datetime, str | None, str | None, str | None]:
-    """(id, text, timestamp, place, lang, region) of a `located.jsonl` record; an empty place, lang or region is None."""
+def _located_fields(row: dict) -> tuple[str, str, datetime, str | None]:
+    """(id, text, timestamp, region) of a `located.jsonl` record, every field checked; an empty region is None."""
     fields = (row["id"], row["text"], row["timestamp"], row.get("place"), row.get("lang"), row["region"])
     for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):
         nullable = key in ("place", "lang")
         if type(value) is not str and not (nullable and value is None):
             raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
-    post_id, text, timestamp, place, lang, region = fields
-    return post_id, text, parse_timestamp(timestamp), place or None, lang or None, region or None
+    return row["id"], row["text"], parse_timestamp(row["timestamp"]), row["region"] or None
 
 
-def _located_posts(out_dir: Path) -> list[RawPost]:
-    return [RawPost(*fields[:5]) for fields in _read_artifact(out_dir, "located.jsonl", _located_fields)]
+def _located_posts(out_dir: Path) -> list[tuple[str, str]]:
+    return [(post_id, text) for post_id, text, _, _ in _read_artifact(out_dir, "located.jsonl", _located_fields)]
 
 
 def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
     """Each located post's id -> (region or None, timestamp)."""
     rows = _read_artifact(out_dir, "located.jsonl", _located_fields)
-    return {post_id: (region, timestamp) for post_id, _, timestamp, _, _, region in rows}
+    return {post_id: (region, timestamp) for post_id, _, timestamp, region in rows}
 
 
 def _model(out_dir: Path) -> SentimentModel:
@@ -369,12 +368,12 @@ def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConf
 
 def stage_ingest(
     cfg: PipelineConfig, out_dir: Path
-) -> tuple[dict, list[RawPost], dict[str, tuple[str | None, datetime]]]:
+) -> tuple[dict, list[tuple[str, str]], dict[str, tuple[str | None, datetime]]]:
     """Load posts, keep located ones in the configured language, resolve regions.
 
-    Returns the report, the located posts and each one's id -> (region or
-    None, timestamp): the records of `located.jsonl`, as `stage_clean`,
-    `stage_report` and `stage_aggregate` take them.
+    Returns the report, the (id, text) of each located post and each one's id
+    -> (region or None, timestamp): the records of `located.jsonl`, as
+    `stage_clean`, `stage_report` and `stage_aggregate` take them.
     """
     paths = cfg.require_paths("posts", "gazetteer")
     posts, skipped = load_posts(paths["posts"], cfg.posts_format)
@@ -420,33 +419,33 @@ def stage_ingest(
         "regions": len(counts),
     }
     _write_json(out_dir / "ingest_report.json", report)
-    return report, located, where
+    return report, [(post.id, post.text) for post in located], where
 
 
 def stage_clean(
-    cfg: PipelineConfig, out_dir: Path, posts: Sequence[RawPost]
+    cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, str]]
 ) -> tuple[dict, frozenset[str], list[tuple[str, tuple[str, ...]]]]:
-    """Select the emoji whitelist, then run the normalization chain over the located `posts`.
+    """Select the emoji whitelist, then run the normalization chain over the (id, text) of each located post.
 
     Returns the report, the whitelist and the (id, tokens) of each accepted
     post that kept tokens: the records `_classifiable` reads back from
     `clean.jsonl`, as `stage_classify` takes them.
     """
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
-    whitelist = select_emoji_whitelist(posts, polarity, cfg.thresholds.emoji_min_share)
+    whitelist = select_emoji_whitelist((text for _, text in posts), polarity, cfg.thresholds.emoji_min_share)
     settings = _clean_settings(cfg, whitelist)  # every resource read before the first write
     write_records(out_dir / "emoji_whitelist.txt", "txt", sorted(whitelist))
     outcomes: Counter = Counter()  # rejected_reason -> posts
     classifiable: list[tuple[str, tuple[str, ...]]] = []
 
     def clean_records():
-        for post in posts:
-            cp = clean_text(post.text, settings)
+        for post_id, text in posts:
+            cp = clean_text(text, settings)
             outcomes[cp.rejected_reason] += 1
             if cp.accepted and cp.tokens:
-                classifiable.append((post.id, cp.tokens))  # `clean_text` interns every token
+                classifiable.append((post_id, cp.tokens))  # `clean_text` interns every token
             yield {  # json writes the token and emoji tuples as lists
-                "id": post.id,
+                "id": post_id,
                 "tokens": cp.tokens,
                 "kept_emojis": cp.kept_emojis,
                 "removed": cp.removed,
@@ -466,13 +465,14 @@ def stage_clean(
 
 
 def stage_report(
-    cfg: PipelineConfig, out_dir: Path, kind: str, posts: Sequence[RawPost]
+    cfg: PipelineConfig, out_dir: Path, kind: str, posts: Iterable[tuple[str, str]]
 ) -> tuple[FrequencyRow, ...]:
-    """Corpus frequency diagnostics over the located `posts`; returns the rows `<kind>.csv` holds."""
+    """Corpus frequency diagnostics over the texts of the (id, text) located `posts`; returns `<kind>.csv`'s rows."""
+    texts = (text for _, text in posts)
     if kind == "hashtags":
-        rows = hashtag_report(posts)
+        rows = hashtag_report(texts)
     elif kind == "emojis":
-        rows = emoji_report(posts)
+        rows = emoji_report(texts)
     else:
         raise ConfigError(f"unknown report kind {kind!r} (expected hashtags or emojis)")
     write_frequency_csv(rows, out_dir / f"{kind}.csv")

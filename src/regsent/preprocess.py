@@ -16,9 +16,10 @@ words with single spaces gives the tokens of stripping the whole text. Each
 `CleanConfig` memoizes what the later steps make of each dictionary token it
 meets, and of no other token, so the memo holds at most the dictionary.
 
-The frequency reports return their `FrequencyRow`s, sorted. The hashtag report
-matches the NFC text, as `clean_text` does: a combining mark is not a regex
-word character, so a decomposed tag would otherwise be cut at its first one.
+The frequency reports count over plain texts and return their `FrequencyRow`s,
+sorted. The hashtag report matches the NFC text, as `clean_text` does: a
+combining mark is not a regex word character, so a decomposed tag would
+otherwise be cut at its first one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import RawPost
 from .errors import read_records, write_records
 
 __all__ = [
@@ -167,31 +167,31 @@ def _frequency_rows(counts: Counter[str]) -> tuple[FrequencyRow, ...]:
     return tuple(FrequencyRow(item, count, count / total) for item, count in ordered)
 
 
-def hashtag_report(posts: Iterable[RawPost]) -> tuple[FrequencyRow, ...]:
-    """Occurrence counts of `#word` hashtags in the NFC text (lowercased, '#' stripped), as `clean_text` finds them."""
+def hashtag_report(texts: Iterable[str]) -> tuple[FrequencyRow, ...]:
+    """Occurrence counts of `#word` hashtags in the NFC texts (lowercased, '#' stripped), as `clean_text` finds them."""
     return _frequency_rows(Counter(
-        match[1:].lower() for post in posts for match in HASHTAG_RE.findall(unicodedata.normalize("NFC", post.text))
+        match[1:].lower() for text in texts for match in HASHTAG_RE.findall(unicodedata.normalize("NFC", text))
     ))
 
 
-def emoji_report(posts: Iterable[RawPost]) -> tuple[FrequencyRow, ...]:
-    """Occurrence counts of emoji codepoints across the corpus."""
-    return _frequency_rows(Counter(ch for post in posts for ch in EMOJI_RE.findall(post.text)))
+def emoji_report(texts: Iterable[str]) -> tuple[FrequencyRow, ...]:
+    """Occurrence counts of emoji codepoints across the `texts`."""
+    return _frequency_rows(Counter(ch for text in texts for ch in EMOJI_RE.findall(text)))
 
 
 def select_emoji_whitelist(
-    posts: Iterable[RawPost],
+    texts: Iterable[str],
     polarity: Mapping[str, str],
     min_share: float = 0.01,
 ) -> frozenset[str]:
-    """Emojis with unambiguous polarity and at least `min_share` of all emoji.
+    """Emojis with unambiguous polarity and at least `min_share` of all emoji in the `texts`.
 
     Polarity values are "pos", "neg", or "ambiguous"; only pos/neg qualify.
     An emoji-free corpus yields an empty set.
     """
     return frozenset(
         row.item
-        for row in emoji_report(posts)
+        for row in emoji_report(texts)
         if polarity.get(row.item) in ("pos", "neg") and row.share >= min_share
     )
 

@@ -350,9 +350,9 @@ def load_labeled_csv(path: str | Path) -> list[tuple[str, SentimentLabel, str]]:
     """Training data CSV `id,label,text`; labels negative|neutral|positive, each id once."""
 
     def to_row(row: dict[str, str]) -> tuple[str, SentimentLabel, str]:
-        label = SentimentLabel.parse(row["label"] or "")
-        if not row["id"] or row["text"] is None:
-            raise ValueError("missing id or text")
+        label = SentimentLabel.parse(row["label"])
+        if not row["id"]:
+            raise ValueError("missing id")
         return row["id"], label, row["text"]
 
     return read_records(path, "csv", to_row, columns=("id", "label", "text"), key=("id", itemgetter(0)))
@@ -363,7 +363,7 @@ def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:
 
     Unknown label strings and duplicate ids are fatal, with the line number.
     """
-    return dict(read_records(path, "csv", lambda row: (row["id"], SentimentLabel.parse(row["label"] or "")),
+    return dict(read_records(path, "csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])),
                              columns=("id", "label"), key=("id", itemgetter(0))))
 
 

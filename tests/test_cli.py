@@ -15,6 +15,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,15 @@ def fixture_posts(fixture_dir: Path) -> list[dict]:
     """The records of the fixture's posts.jsonl."""
     with (fixture_dir / "posts.jsonl").open(encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
+
+
+def nested_types(value):
+    """The type of `value` and, inside a list, tuple or dict, of every element, key and value, nested alike."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [nested_types(item) for item in value]
+    if isinstance(value, dict):
+        return dict, [(type(key), nested_types(item)) for key, item in value.items()]
+    return type(value)
 
 
 def write_posts_csv(path: Path, records: list[dict]) -> None:
@@ -629,6 +639,46 @@ class TestRecordReader:
         assert code == 2
         assert err == f"regsent: error[data]: {bad}:1: repeated columns [{column!r}]\n"
 
+    @pytest.mark.parametrize("extra", [False, True], ids=["short", "long"])
+    @pytest.mark.parametrize("key", [
+        "posts_csv", "gazetteer", "region_table", "training_data", "external_predictions",
+        "predictions.csv", "region_sentiment.csv",
+    ])
+    def test_record_with_another_field_count_than_its_header(self, fixture_dir, pipeline_out, tmp_path, capsys,
+                                                             caplog, key, extra):
+        """The last record, one field short or one too many: a posts row is skipped and counted, any other fails."""
+        if key == "posts_csv":
+            write_posts_csv(source := tmp_path / "source.csv", fixture_posts(fixture_dir))
+        elif key.endswith(".csv") or key == "external_predictions":
+            source = pipeline_out / ("predictions.csv" if key == "external_predictions" else key)
+        else:
+            source = load_config(fixture_dir / "config.json").paths[key]
+        with source.open(encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        rows[-1] = rows[-1] + ["x"] if extra else rows[-1][:-1]
+        bad = tmp_path / "input.csv"
+        with bad.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+        line = len(bad.read_text(encoding="utf-8").splitlines())
+        reason = f"{len(rows[-1])} fields where the header has {len(header)}"
+        if key.endswith(".csv"):
+            out = tmp_path / "out"
+            out.mkdir()
+            shutil.copyfile(pipeline_out / "located.jsonl", out / "located.jsonl")
+            shutil.copyfile(bad, out / key)
+            code = cli.main(["aggregate" if key == "predictions.csv" else "shift-test",
+                             "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+            err, bad = capsys.readouterr().err, key
+        else:
+            code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
+        if key == "posts_csv":
+            assert code == 0
+            assert json.loads((tmp_path / "out" / "ingest_report.json").read_text())["skipped_records"] == 1
+            assert caplog.messages == [f"skipping malformed post record at {bad}:{line}"]
+        else:
+            assert code == 2
+            assert err == f"regsent: error[data]: {bad}:{line}: {reason}\n"
+
 
 class TestArtifacts:
     def test_located_schema(self, pipeline_out):
@@ -760,8 +810,10 @@ class TestComposition:
         for stage in stages:
             result = run_cli([*stage, "--config", config, "--out", str(out), *overrides])
             assert result.returncode == 0, (stage, result.stderr)
+            assert result.stderr == "", stage  # a successful run warns of nothing on the fixture
         result = run_cli(["pipeline", "--config", config, "--out", str(pipeline_out), *overrides])
         assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
         names = {p.name for p in pipeline_out.iterdir()} - {"summary.md"}
         assert names == {p.name for p in out.iterdir()}
         mismatched = [
@@ -846,6 +898,38 @@ class TestComposition:
         }
         assert {name: parsed.count(name) for name in counts} == counts
         assert loaded == []
+
+    @pytest.mark.parametrize("overrides", [[], ["classifier.binary=false"]], ids=["default", "three-class"])
+    def test_pipeline_hands_each_stage_what_run_stage_reads_back(self, fixture_dir, tmp_path, monkeypatch, overrides):
+        """Each input `run_pipeline` hands a stage equals, type for type, what its `_INPUTS` reader reads from --out.
+
+        The model is compared field by field, its arrays with `np.array_equal`.
+        """
+        handed: dict[str, list[tuple]] = {}
+        for name in (name for name in pipeline.__all__ if name.startswith("stage_")):
+            def recording(*args, stage=getattr(pipeline, name), short=name.removeprefix("stage_")):
+                handed.setdefault(short, []).append(args[3 if short == "report" else 2:])
+                return stage(*args)
+
+            monkeypatch.setattr(pipeline, name, recording)
+        out = tmp_path / "out"
+        pipeline.run_pipeline(load_config(fixture_dir / "config.json", overrides), out)
+        assert sorted(handed) == sorted({"ingest", "train", *pipeline._INPUTS} - {"import_predictions"})
+        assert len(handed["report"]) == 2
+        for name, calls in handed.items():
+            expected = [read(out) for read in pipeline._INPUTS.get(name, ())]
+            for inputs in calls:
+                assert len(inputs) == len(expected), name
+                for got, want in zip(inputs, expected):
+                    if isinstance(want, sentiment.SentimentModel):
+                        assert type(got) is sentiment.SentimentModel
+                        for f in dataclasses.fields(want):
+                            a, b = getattr(got, f.name), getattr(want, f.name)
+                            assert nested_types(a) == nested_types(b), f.name
+                            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+                    else:
+                        assert nested_types(got) == nested_types(want), name
+                        assert got == want, name
 
     def test_classify_chunks_write_the_rows_of_one_batch(self, fixture_dir, tmp_path):
         """Classify scores its posts in chunks; across a chunk boundary its rows are those of one batch."""

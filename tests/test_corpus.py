@@ -355,7 +355,7 @@ class TestIngestGazetteerIndex:
 
 
 class TestPostRepresentation:
-    """Posts are slotted, posts naming one place share its string, and cleaned tokens are interned."""
+    """Posts are slotted, loaded posts naming one place share its string, and cleaned tokens are interned."""
 
     def test_raw_post_has_no_dict(self):
         assert not hasattr(RawPost("p", "text", datetime(2019, 1, 1, tzinfo=timezone.utc)), "__dict__")
@@ -375,16 +375,10 @@ class TestPostRepresentation:
         first, second = load_posts(path, fmt)[0]
         assert first.place_name is second.place_name and first.language is second.language
 
-    def test_located_posts_and_clean_tokens_are_shared(self, tmp_path):
+    def test_clean_tokens_are_shared(self, tmp_path):
         config = load_config(write_corpus_fixture(tmp_path / "fixture", n_posts=60))
         stage_ingest(config, tmp_path / "out")
-        posts = pipeline._located_posts(tmp_path / "out")
-        by_place = {}
-        for post in posts:
-            assert by_place.setdefault(post.place_name, post.place_name) is post.place_name
-            assert post.language is posts[0].language
-        assert len(by_place) < len(posts)
-        _, _, classifiable = stage_clean(config, tmp_path / "out", posts)
+        _, _, classifiable = stage_clean(config, tmp_path / "out", pipeline._located_posts(tmp_path / "out"))
         assert classifiable and all(sys.intern(token) is token for _, tokens in classifiable for token in tokens)
 
 

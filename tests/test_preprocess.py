@@ -14,7 +14,6 @@ import sys
 import tempfile
 import unicodedata
 from collections import Counter
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 
 from conftest import coherent_clean_config, fuzz_post_text
 from regsent import fixtures
-from regsent.corpus import RawPost
 from regsent.errors import DataValidationError
 from regsent.preprocess import (
     _EMOJI_RANGES,
@@ -202,9 +200,8 @@ class TestEmojiScanner:
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(_TEXTS, max_size=6))
     def test_emoji_report_matches_per_character_count(self, texts):
-        posts = [RawPost(str(i), text, datetime(2019, 1, 1, tzinfo=timezone.utc)) for i, text in enumerate(texts)]
         counts = Counter(ch for text in texts for ch in text if is_emoji(ch))
-        report = emoji_report(posts)
+        report = emoji_report(texts)
         assert [(row.item, row.count) for row in report] == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         assert sum(row.count for row in report) == sum(counts.values())
 
@@ -263,8 +260,7 @@ class TestNonWordPass:
 
 class TestHashtagReport:
     def test_single_hashtag_full_share(self):
-        posts = [RawPost("1", "only #one here", datetime(2019, 1, 1, tzinfo=timezone.utc))]
-        report = hashtag_report(posts)
+        report = hashtag_report(["only #one here"])
         assert sum(row.count for row in report) == 1
         assert report[0].item == "one"
         assert report[0].share == 1.0
@@ -272,52 +268,44 @@ class TestHashtagReport:
     def test_decomposed_hashtag_counts_as_its_composed_form(self):
         """`\\w` does not match a combining mark, so the report reads the NFC text, as clean_text does."""
         text = "#PiSświętuje #Łódź #PiSświętuje"
-        ts = datetime(2019, 1, 1, tzinfo=timezone.utc)
-        composed = hashtag_report([RawPost("1", unicodedata.normalize("NFC", text), ts)])
-        assert hashtag_report([RawPost("1", unicodedata.normalize("NFD", text), ts)]) == composed
+        composed = hashtag_report([unicodedata.normalize("NFC", text)])
+        assert hashtag_report([unicodedata.normalize("NFD", text)]) == composed
         assert [(row.item, row.count) for row in composed] == [("pisświętuje", 2), ("łódź", 1)]
 
     def test_counts_match_naive_scan(self):
         rng = random.Random(7)
         tags = [f"tag{i}" for i in range(40)]
-        posts = []
-        for i in range(120):
+        texts = []
+        for _ in range(120):
             body = " ".join(f"#{rng.choice(tags)}" for _ in range(rng.randint(0, 5)))
-            posts.append(RawPost(str(i), f"text {body}", datetime(2019, 1, 1, tzinfo=timezone.utc)))
-        report = hashtag_report(posts)
+            texts.append(f"text {body}")
+        report = hashtag_report(texts)
         oracle = Counter()
-        for post in posts:
-            oracle.update(match.lower() for match in re.findall(r"#(\w+)", post.text))
+        for text in texts:
+            oracle.update(match.lower() for match in re.findall(r"#(\w+)", text))
         assert sum(row.count for row in report) == sum(oracle.values())
         assert {r.item: r.count for r in report} == dict(oracle)
 
     def test_sorted_by_count_then_item(self):
-        posts = [RawPost("1", "#b #a #a #c #b #d", datetime(2019, 1, 1, tzinfo=timezone.utc))]
-        report = hashtag_report(posts)
+        report = hashtag_report(["#b #a #a #c #b #d"])
         assert [r.item for r in report] == ["a", "b", "c", "d"]
 
     def test_shares_sum_to_one_before_truncation(self):
         rng = random.Random(3)
-        posts = [
-            RawPost(str(i), " ".join(f"#t{rng.randint(0, 30)}" for _ in range(4)),
-                    datetime(2019, 1, 1, tzinfo=timezone.utc))
-            for i in range(50)
-        ]
-        report = hashtag_report(posts)
+        texts = [" ".join(f"#t{rng.randint(0, 30)}" for _ in range(4)) for _ in range(50)]
+        report = hashtag_report(texts)
         assert abs(sum(r.share for r in report) - 1.0) < 1e-12
 
 
-def emoji_posts(counts_by_emoji: dict[str, int]) -> list[RawPost]:
-    posts = []
-    i = 0
+def emoji_posts(counts_by_emoji: dict[str, int]) -> list[str]:
+    texts = []
     for emoji, count in counts_by_emoji.items():
         remaining = count
         while remaining > 0:
             chunk = min(remaining, 500)
-            posts.append(RawPost(f"e{i}", emoji * chunk, datetime(2019, 1, 1, tzinfo=timezone.utc)))
+            texts.append(emoji * chunk)
             remaining -= chunk
-            i += 1
-    return posts
+    return texts
 
 
 class TestEmojiWhitelist:
@@ -341,8 +329,7 @@ class TestEmojiWhitelist:
         assert select_emoji_whitelist(posts, polarity, min_share=0.0101) == frozenset()
 
     def test_empty_corpus_empty_set(self):
-        posts = [RawPost("1", "no emoji here", datetime(2019, 1, 1, tzinfo=timezone.utc))]
-        assert select_emoji_whitelist(posts, {GRIN: "pos"}) == frozenset()
+        assert select_emoji_whitelist(["no emoji here"], {GRIN: "pos"}) == frozenset()
 
 
 class TestSpellGate:

@@ -1,4 +1,5 @@
-"""Every name a `regsent` module exports, imports or defines as private is read in the package."""
+"""Every name a `regsent` module exports, imports or defines as private is read in the package, and each
+module imports from the package only what its layer allows."""
 
 from __future__ import annotations
 
@@ -13,6 +14,20 @@ PACKAGE = Path(regsent.__file__).resolve().parent
 UNCALLED_ON_PURPOSE = {
     "stage_import_predictions": "run_stage dispatches by name",
     "shift_regression": "the paper's period-dummy OLS; ROADMAP item 7 wires it into shift-test",
+}
+
+
+# Each module -> what it may import from the package, function-local and TYPE_CHECKING imports included:
+# a module name, or a name the package itself defines, such as its version.
+ALLOWED_IMPORTS = {
+    "errors": set(),
+    **dict.fromkeys(("corpus", "preprocess", "stats", "fixtures"), {"errors"}),
+    "regional": {"errors", "stats"},
+    "sentiment": {"errors", "regional"},
+    "pipeline": {"errors", "corpus", "preprocess", "sentiment", "regional", "stats"},
+    "cli": {"errors", "fixtures", "pipeline", "__version__"},
+    "__init__": set(),
+    "__main__": {"cli"},
 }
 
 
@@ -89,6 +104,30 @@ def test_every_imported_name_is_read_in_its_module():
                 unread |= {(module, name) for alias in node.names
                            if (name := (alias.asname or alias.name).split(".")[0]) not in read}
     assert unread == set()
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules `tree` imports anywhere, and the names it imports from the package itself."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("regsent.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "regsent"):
+            module = (node.module or "") if node.level else node.module.removeprefix("regsent").lstrip(".")
+            if module:
+                imported.add(module.split(".")[0])
+            else:  # `from . import x`: a module, or a name of the package's `__init__`
+                imported |= {alias.name for alias in node.names}
+    return imported
+
+
+def test_each_module_imports_only_from_the_layers_beneath_it():
+    trees = _trees()
+    modules = {Path(name).stem for name in trees}
+    assert set(ALLOWED_IMPORTS) == modules
+    imports = {Path(name).stem: _package_imports(tree) for name, tree in trees.items()}
+    disallowed = {module: names - ALLOWED_IMPORTS[module] for module, names in imports.items()}
+    assert disallowed == dict.fromkeys(modules, set())
 
 
 def test_every_private_module_name_is_read_in_the_package():
