@@ -32,7 +32,7 @@ from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MALFORMED, iter_records, open_input, read_records, unique_key
 
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RawPost:
+class RawPost(NamedTuple):
     """One ingested micro-post."""
 
     id: str
@@ -127,17 +126,12 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
     place, lang = record.get("place"), record.get("lang")
     if type(post_id) not in (str, int) or type(text) is not str or type(ts) is not str:
         return None  # `type`, not isinstance: a JSON true is not the post id 'True'
-    if not all(value is None or type(value) is str for value in (place, lang)):
+    if (place is not None and type(place) is not str) or (lang is not None and type(lang) is not str):
         return None
     if post_id == "" or not text.strip():
         return None
-    return RawPost(
-        id=str(post_id),
-        text=text,
-        timestamp=parse_timestamp(ts),
-        place_name=sys.intern(place) if place else None,
-        language=sys.intern(lang) if lang else None,
-    )
+    return RawPost(str(post_id), text, parse_timestamp(ts), sys.intern(place) if place else None,
+                   sys.intern(lang) if lang else None)
 
 
 def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int]:

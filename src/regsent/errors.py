@@ -6,8 +6,13 @@ or intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
 whose line is the physical line the record starts on. A key used twice in a
 keyed file fails the same way (`unique_key`), as `<name>:<line>: duplicate
 <what> <value!r>, first used at line <n>`. `write_records` writes every CSV,
-JSON-lines and word-list file the toolkit produces, a JSON-lines line through
-one encoder built at import, as `json.dumps` builds one per record.
+JSON-lines and word-list file the toolkit produces.
+
+JSON lines go through one decoder and one encoder, each built at import, where
+`json.loads` and `json.dumps` set one up per record. The decoder is the scanner
+`json.loads` runs, between the same two whitespace skips; a line that is not
+one JSON value goes to `json.loads` itself, so its error is the one
+`json.loads` raises.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -54,6 +59,16 @@ def _line_encoder(make_encoder: Callable | None = json.encoder.c_make_encoder) -
 
 
 _json_line = _line_encoder()
+_scan_value, _skip_space = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
+
+
+def _json_value(text: str) -> Any:
+    """`json.loads(text)` through the decoder built at import."""
+    try:
+        value, end = _scan_value(text, _skip_space(text, 0).end())
+    except StopIteration:  # no value where one starts: json.loads raises its error
+        return json.loads(text)
+    return value if _skip_space(text, end).end() == len(text) else json.loads(text)  # extra data raises there too
 
 
 @contextmanager
@@ -95,7 +110,7 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
         for line, text in enumerate(handle, 1):
             if text.strip():
                 try:
-                    record = json.loads(text)
+                    record = _json_value(text)
                 except MALFORMED as exc:
                     record = exc
                 yield line, record

@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class SentimentModel:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     label: SentimentLabel
     scores: np.ndarray  # aligned with model.classes; sums to 1
     fallback: bool      # True when no token was in the vocabulary
@@ -272,7 +271,7 @@ def predict_batch(model: SentimentModel, docs: Iterable[Iterable[str]]) -> list[
     X = encode(docs, model.vocabulary)
     scores = _softmax(X @ model.feature_weights.T + model.class_log_prior)
     fallback = (X.indptr[1:] == X.indptr[:-1]).tolist()  # the empty rows
-    return [Prediction(label=model.classes[i], scores=row, fallback=flag)
+    return [Prediction(model.classes[i], row, flag)
             for i, row, flag in zip(scores.argmax(axis=1).tolist(), scores, fallback)]
 
 

@@ -30,6 +30,8 @@ from regsent.errors import DataValidationError
 from regsent import pipeline
 from regsent.fixtures import write_corpus_fixture
 from regsent.pipeline import load_config, stage_clean, stage_ingest
+from regsent.preprocess import CleanConfig, clean_text
+from regsent.sentiment import Prediction, SentimentLabel
 from regsent.stats import design_matrix, ols
 
 TS = "2019-10-01T12:00:00+00:00"
@@ -355,10 +357,33 @@ class TestIngestGazetteerIndex:
 
 
 class TestPostRepresentation:
-    """Posts are slotted, loaded posts naming one place share its string, and cleaned tokens are interned."""
+    """Per-post records are immutable and slotted, loaded posts naming one place share its string, and cleaned
+    tokens are interned."""
 
-    def test_raw_post_has_no_dict(self):
-        assert not hasattr(RawPost("p", "text", datetime(2019, 1, 1, tzinfo=timezone.utc)), "__dict__")
+    RECORDS = {
+        "raw": (RawPost("p", "text", datetime(2019, 1, 1, tzinfo=timezone.utc)), "text"),
+        "clean": (clean_text("too short", CleanConfig()), "tokens"),
+        "prediction": (Prediction(SentimentLabel.POSITIVE, np.array([0.25, 0.75]), False), "fallback"),
+    }
+
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_record_is_immutable_and_has_no_dict(self, kind):
+        record, field = self.RECORDS[kind]
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_accepted_and_fallback_read_as_before(self):
+        accepted = clean_text("good day in the park today", CleanConfig(
+            dictionary=frozenset("good day in the park today".split()), min_words=1))
+        rejected = self.RECORDS["clean"][0]
+        assert (accepted.accepted, accepted.rejected_reason) == (True, None)
+        assert (rejected.accepted, rejected.rejected_reason) == (False, "too_short")
+        prediction = self.RECORDS["prediction"][0]
+        assert prediction.fallback is False and prediction.label is SentimentLabel.POSITIVE
+        assert Prediction(SentimentLabel.NEGATIVE, np.array([1.0, 0.0]), True).fallback is True
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_load_posts_shares_place_and_language(self, tmp_path, fmt):

@@ -1,4 +1,5 @@
-"""The record writer: JSON-lines lines are exactly `json.dumps(record, ensure_ascii=False)`."""
+"""The record writer and reader: a JSON-lines line is exactly `json.dumps(record, ensure_ascii=False)`, and a line
+reads back as `json.loads` reads it."""
 
 from __future__ import annotations
 
@@ -45,3 +46,40 @@ def test_write_records_jsonl_is_json_dumps_lines(tmp_path_factory, records):
     write_records(path, "jsonl", records)
     expected = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _loads(decode, text):
+    """What `decode(text)` gives, as a comparable (type, text) pair: its value's repr or its exception's message."""
+    try:
+        value = decode(text)
+    except Exception as exc:  # the point is to compare the exceptions themselves
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+# JSON whitespace and characters JSON does not count as whitespace: form feed, no-break space, line separator
+_SPACES = st.text(st.sampled_from(" \t\r\n\x0c\u00a0\u2028"), max_size=3)
+_JUNK = st.text(st.sampled_from('[]{}",:0123456789.eE+-tfnrulsaINfiy\\ '), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bom=st.sampled_from(["", "\ufeff"]), before=_SPACES, after=_SPACES, cut=st.integers(0, 2),
+       extra=st.sampled_from(["", "1", "x", "{}", "]", '"']), ensure_ascii=st.booleans(),
+       value=_values(_STRINGS), junk=_JUNK, use_junk=st.booleans())
+def test_json_value_is_json_loads(bom, before, after, cut, extra, ensure_ascii, value, junk, use_junk):
+    """Each line decodes to json.loads's value, or raises json.loads's exception with its message."""
+    dumped = junk if use_junk else json.dumps(value, ensure_ascii=ensure_ascii)
+    text = bom + before + dumped[:len(dumped) - cut] + after + extra
+    assert _loads(errors._json_value, text) == _loads(json.loads, text)
+
+
+_EDGES = {
+    "empty": "", "newline": "\n", "nan": "NaN", "infinity": "-Infinity\r\n", "constants": "[Infinity, NaN]",
+    "bom": "\ufeff{}", "two-values": "{} {}", "two-numbers": "1 2", "truncated": '{"a": 1', "surrogate": '"\\ud800"',
+    "deep-list": "[" * 100_000 + "]" * 100_000, "deep-object": '{"a":' * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", _EDGES.values(), ids=_EDGES)
+def test_json_value_is_json_loads_at_the_edges(text):
+    assert _loads(errors._json_value, text) == _loads(json.loads, text)

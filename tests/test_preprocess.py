@@ -25,6 +25,7 @@ from regsent import fixtures
 from regsent.errors import DataValidationError
 from regsent.preprocess import (
     _EMOJI_RANGES,
+    _EMOJI_SPANS,
     EMOJI_RE,
     HASHTAG_RE,
     MENTION_RE,
@@ -188,6 +189,7 @@ class TestEmojiScanner:
     def test_compiled_class_matches_exactly_the_ranges(self):
         matched = [cp for cp in range(0x110000) if EMOJI_RE.fullmatch(chr(cp))]
         assert matched == [cp for lo, hi in sorted(_EMOJI_RANGES) for cp in range(lo, hi + 1)]
+        assert all(_EMOJI_SPANS.fullmatch(chr(cp)) for cp in matched)  # the emoji scanner's prefilter misses none
 
     @settings(max_examples=300, deadline=None)
     @given(text=_TEXTS)
@@ -295,6 +297,49 @@ class TestHashtagReport:
         texts = [" ".join(f"#t{rng.randint(0, 30)}" for _ in range(4)) for _ in range(50)]
         report = hashtag_report(texts)
         assert abs(sum(r.share for r in report) - 1.0) < 1e-12
+
+    def test_fragment_inside_a_link_is_no_hashtag(self):
+        """clean_text removes a link whole, its `#fragment` with it, so the report does not count the fragment."""
+        text = "read http://x.pl/a#intro now #vote"
+        assert clean_text(text, TRACE_CONFIG).removed["hashtags"] == 1
+        assert [(row.item, row.count) for row in hashtag_report([text])] == [("vote", 1)]
+
+
+# pieces the link and emoji gates must not miss: letters that case-fold to ASCII (long s, Kelvin sign,
+# dotted and dotless i), every case of `w`, the pieces of `://` and `www.`, Polish letters, each emoji
+# block's ends and their neighbours, hashtags, mentions and words the dictionary knows
+_GATE_PIECES = st.sampled_from(
+    list("ſKİıWw:/.#@ ąćęłńóśźżĄŁŻ") + ["://", "www.", "WwW.", "HTTPS://", "http", "s", "x", "a.pl", "#tag"]
+    + _RANGE_ENDS + [GRIN, CRY, THINK] + [f" {word} " for word in fixtures.NEUTRAL_WORDS[:8]]
+)
+_GATE_TEXTS = st.lists(_GATE_PIECES, max_size=30).map("".join)
+# non-ASCII characters outside every emoji block: Polish letters and each block's neighbours that no block holds
+_NOT_EMOJI = [ch for ch in "ąćęłńóśźżſİı" + "".join(_RANGE_ENDS) if not is_emoji(ch)]
+
+
+class TestGates:
+    """The link step and the emoji scans run only where they can match; the ungated chain is the reference."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=_GATE_TEXTS)
+    def test_clean_text_matches_ungated_chain(self, text):
+        config = coherent_clean_config()
+        cp = clean_text(text, config)
+        assert (cp.tokens, cp.kept_emojis, dict(cp.removed), cp.rejected_reason) == \
+            reference_clean_text(text, config)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=_GATE_TEXTS)
+    def test_hashtag_report_counts_what_clean_text_removes(self, text):
+        count = sum(row.count for row in hashtag_report([text]))
+        assert count == clean_text(text, coherent_clean_config()).removed["hashtags"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(_GATE_TEXTS | st.text(st.sampled_from(_NOT_EMOJI + ["a", " "]), min_size=1), max_size=6))
+    def test_emoji_report_matches_per_character_count(self, texts):
+        counts = Counter(ch for text in texts for ch in text if is_emoji(ch))
+        assert [(row.item, row.count) for row in emoji_report(texts)] == \
+            sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def emoji_posts(counts_by_emoji: dict[str, int]) -> list[str]:
