@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .errors import ConfigError, DataValidationError, NumericalError
-from .fixtures import write_corpus_fixture
 from .pipeline import load_config
 
 
@@ -78,6 +77,7 @@ def _run(args: argparse.Namespace) -> None:
         if (path.exists() or path.is_symlink()) and not path.is_dir():
             raise ConfigError(f"--out {str(out_dir)!r}: {str(path)!r} is not a directory")
     if args.command == "make-fixture":
+        from .fixtures import write_corpus_fixture  # imported here: no stage subcommand runs it
         config_path = write_corpus_fixture(out_dir, n_posts=args.posts, seed=args.seed)
         print(config_path)
         return

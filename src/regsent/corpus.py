@@ -11,9 +11,10 @@ File formats (all UTF-8):
 Every file is read through `errors.iter_records`, so the line a message names
 is the physical line the record starts on, also after a quoted line break.
 Malformed posts are skipped and counted; a malformed gazetteer or region row
-is fatal: one DataValidationError `<path>:<line>: <reason>`. So is a repeated
-post id, gazetteer (place_name, region_id) or region table region_id, with the
-one message of `errors.unique_key`.
+is fatal: one DataValidationError `<path>:<line>: <reason>`, such as an empty
+gazetteer place_name or region_id, or an empty region table region_id. So is a
+repeated post id, gazetteer (place_name, region_id) or region table region_id,
+with the one message of `errors.unique_key`.
 
 Place matching lives here alone: `load_gazetteer` files each entry under its
 `normalize_place` name, and `resolve_region` looks a place up in that index.
@@ -187,6 +188,10 @@ def load_gazetteer(path: str | Path) -> dict[str, list[GazetteerEntry]]:
         importance = float(row["importance"])
         if not (0.0 <= importance <= 1.0):
             raise ValueError(f"importance {importance} outside [0, 1]")
+        if not row["place_name"].strip():  # no post's place could match it
+            raise ValueError("empty place_name")
+        if not row["region_id"]:
+            raise ValueError("empty region_id")
         return GazetteerEntry(row["place_name"], row["region_id"], row["province"], importance)
 
     index: dict[str, list[GazetteerEntry]] = {}
@@ -234,6 +239,8 @@ def load_region_table(path: str | Path) -> list[RegionRecord]:
 
     def to_record(row: dict[str, str]) -> RegionRecord:
         region_id = row["region_id"]
+        if not region_id:
+            raise ValueError("empty region_id")
         population = int(row["population"])
         outcome = float(row["outcome"])
         features = {name: float(value) for name, value in row.items() if name not in _REGION_TABLE_FIXED}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -59,6 +60,7 @@ def _line_encoder(make_encoder: Callable | None = json.encoder.c_make_encoder) -
 
 
 _json_line = _line_encoder()
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a code point no UTF-8 file can hold
 _scan_value, _skip_space = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
 
 
@@ -98,7 +100,8 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
     naming `name`.
     A CSV record with more or fewer fields than the header is a ValueError naming
     both counts, and a JSON-lines record is the line's JSON value or the exception
-    parsing it raised, so that a caller may skip the record and read on. A `txt`
+    parsing it raised, a ValueError for a value holding a lone surrogate, which
+    no UTF-8 file can, so that a caller may skip the record and read on. A `txt`
     record is a word-list line, stripped; its lines are the ones `str.splitlines` cuts.
     """
     if fmt == "txt":
@@ -111,6 +114,9 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
             if text.strip():
                 try:
                     record = _json_value(text)
+                    # only a \u escape writes a lone surrogate (the decoder joins an escaped pair)
+                    if "\\u" in text and (lone := _SURROGATE.search(_json_line(record))):
+                        raise ValueError(f"lone surrogate {lone.group()!r}")
                 except MALFORMED as exc:
                     record = exc
                 yield line, record

@@ -21,6 +21,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -39,7 +40,7 @@ from .preprocess import (
 if TYPE_CHECKING:
     from . import stats
     from .regional import RegionSentiment, SentimentLabel
-    from .sentiment import LabeledExample, SentimentModel
+    from .sentiment import SentimentModel
 
 __all__ = [
     "ClassifierSettings",
@@ -271,10 +272,13 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
     return path
 
 
-def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any],
+def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any], columns: Sequence[str] = (),
                    key: tuple[str, Callable[[Any], Any]] = ("id", operator.itemgetter(0))) -> list:
-    """`convert` of each record of the intermediate `name`, each `key` once; the default key is the leading post id."""
-    return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name, key=key)
+    """`convert` of each record of the intermediate `name`, each `key` once; the default key is the leading post id.
+
+    A CSV intermediate's header must hold `columns`, as a configured CSV's must.
+    """
+    return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name, columns, key)
 
 
 def _located_fields(row: dict) -> tuple[str, str, datetime, str | None]:
@@ -304,7 +308,8 @@ def _model(out_dir: Path) -> SentimentModel:
 
 def _predictions(out_dir: Path) -> list[tuple[str, SentimentLabel]]:
     from .regional import SentimentLabel
-    return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])))
+    return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])),
+                          ("id", "label"))
 
 
 def _clean_fields(row: dict) -> tuple[str, tuple[str, ...], Any]:
@@ -326,7 +331,7 @@ def _classifiable(out_dir: Path) -> list[tuple[str, tuple[str, ...]]]:
 
 def _read_regions(out_dir: Path) -> list[RegionSentiment]:
     from .regional import RegionSentiment
-    return _read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row,
+    return _read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row, RegionSentiment.COLUMNS,
                           ("region_id", operator.attrgetter("region_id")))
 
 
@@ -442,7 +447,7 @@ def stage_clean(
         for post_id, text in posts:
             cp = clean_text(text, settings)
             outcomes[cp.rejected_reason] += 1
-            if cp.accepted and cp.tokens:
+            if cp.tokens:  # a rejected post keeps none
                 classifiable.append((post_id, cp.tokens))  # `clean_text` interns every token
             yield {  # json writes the token and emoji tuples as lists
                 "id": post_id,
@@ -479,67 +484,39 @@ def stage_report(
     return rows
 
 
-def _training_examples(
-    cfg: PipelineConfig, settings: CleanConfig
-) -> tuple[list[LabeledExample], list[tuple[str, ...]]]:
-    """Training examples cleaned with `settings`, plus the neutral pool (binary mode)."""
-    from .sentiment import LabeledExample, SentimentLabel, load_labeled_csv
-    rows = load_labeled_csv(cfg.require_paths("training_data")["training_data"])
-    labeled: list[LabeledExample] = []
-    neutral_pool: list[tuple[str, ...]] = []
-    for _, label, text in rows:
-        cp = clean_text(text, settings)
-        if not cp.accepted or not cp.tokens:
-            continue
-        if cfg.classifier.binary and label is SentimentLabel.NEUTRAL:
-            neutral_pool.append(cp.tokens)
-        else:
-            labeled.append(LabeledExample(tokens=cp.tokens, label=label))
-    return labeled, neutral_pool
-
-
-def _train_one(cfg: PipelineConfig, data: Sequence[LabeledExample]):
-    from .sentiment import CLASS_ORDER, SentimentLabel, train
-    cs = cfg.classifier
-    classes = (SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE) if cs.binary else CLASS_ORDER
-    return train(
-        data,
-        cs.kind,
-        smoothing=cs.smoothing,
-        learning_rate=cs.learning_rate,
-        epochs=cs.epochs,
-        l2=cs.l2,
-        classes=classes,
-    )
-
-
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, SentimentModel]:
     """Train the classifier (optionally with pseudo-labeling) on the cleaned training text, words only.
 
-    Evaluates it, and returns the report and the model `model.json` holds.
+    Evaluates each fitted model on both splits, and returns the report and the model `model.json` holds.
     """
-    from .sentiment import evaluate, pseudo_label, save_model, train_test_split
+    from .sentiment import (
+        CLASS_ORDER, LabeledExample, SentimentLabel, evaluate, load_labeled_csv, pseudo_label, save_model, train,
+        train_test_split,
+    )
     cs = cfg.classifier
-    labeled, neutral_pool = _training_examples(cfg, _clean_settings(cfg, frozenset()))  # no emoji is a token
+    settings = _clean_settings(cfg, frozenset())  # no emoji is a token
+    labeled: list[LabeledExample] = []
+    neutral_pool: list[tuple[str, ...]] = []  # binary mode: the neutral texts' tokens, for pseudo-labels
+    for _, label, text in load_labeled_csv(cfg.require_paths("training_data")["training_data"]):
+        tokens = clean_text(text, settings).tokens  # a rejected text keeps none
+        if tokens and cs.binary and label is SentimentLabel.NEUTRAL:
+            neutral_pool.append(tokens)
+        elif tokens:
+            labeled.append(LabeledExample(tokens, label))
     if not labeled:
         raise DataValidationError("no usable training examples after cleaning")
     train_part, heldout = train_test_split(labeled, cs.test_fraction, cfg.seed)
-    base_model = _train_one(cfg, train_part)
-    evals: list[tuple[str, str, Any]] = [
-        ("base", "train", evaluate(base_model, train_part)),
-        ("base", "heldout", evaluate(base_model, heldout)),
-    ]
-    final_model = base_model
-    n_pseudo = 0
-    pool_used = 0
+    fit = partial(train, kind=cs.kind, smoothing=cs.smoothing, learning_rate=cs.learning_rate, epochs=cs.epochs,
+                  l2=cs.l2, classes=(SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE) if cs.binary else CLASS_ORDER)
+    models = {"base": fit(train_part)}
+    pseudo: list[LabeledExample] = []
     if cs.pseudo_label and neutral_pool:
-        pool_used = len(neutral_pool)
-        pseudo = pseudo_label(base_model, neutral_pool, min_confidence=cs.min_confidence)
-        n_pseudo = len(pseudo)
-        final_model = _train_one(cfg, list(train_part) + pseudo)
-        evals.append(("final", "train", evaluate(final_model, train_part)))
-        evals.append(("final", "heldout", evaluate(final_model, heldout)))
+        pseudo = pseudo_label(models["base"], neutral_pool, min_confidence=cs.min_confidence)
+        models["final"] = fit(train_part + pseudo)
+    final_model = models.get("final", models["base"])
     save_model(final_model, out_dir / "model.json")
+    evals = [(name, dataset, evaluate(model, data)) for name, model in models.items()
+             for dataset, data in (("train", train_part), ("heldout", heldout))]
 
     write_records(out_dir / "eval.csv", "csv", (
         (model_name, dataset, repr(rep.accuracy), int(rep.confusion.sum())) for model_name, dataset, rep in evals
@@ -547,7 +524,7 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, SentimentMode
     write_records(out_dir / "confusions.csv", "csv", (
         (model_name, dataset, true_label.value, pred_label.value, int(rep.confusion[i, j]))
         for model_name, dataset, rep in evals
-        for i, true_label in enumerate(final_model.classes)  # the classes of both models: `_train_one` fixes them
+        for i, true_label in enumerate(final_model.classes)  # the classes of both models: `fit` fixes them
         for j, pred_label in enumerate(final_model.classes)
     ), ("model", "dataset", "true_label", "predicted_label", "count"))
     report = {
@@ -555,8 +532,8 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, SentimentMode
         "n_train": len(train_part),
         "n_heldout": len(heldout),
         "neutral_pool": len(neutral_pool),
-        "neutral_pool_used": pool_used,
-        "n_pseudo_labels": n_pseudo,
+        "neutral_pool_used": len(neutral_pool) if "final" in models else 0,
+        "n_pseudo_labels": len(pseudo),
         "kind": cs.kind,
         "binary": cs.binary,
         "accuracies": {f"{m}/{d}": rep.accuracy for m, d, rep in evals},

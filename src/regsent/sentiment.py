@@ -63,10 +63,6 @@ class LabeledExample:
     tokens: tuple[str, ...]
     label: SentimentLabel
 
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValueError("labeled example needs at least one token")
-
 
 @dataclass(frozen=True)
 class SentimentModel:
@@ -322,14 +318,12 @@ def pseudo_label(
 ) -> list[LabeledExample]:
     """Predict the unlabeled pool and keep decided positives/negatives.
 
-    Items the model cannot decide (all-unknown-token fallback) are excluded,
+    Items the model cannot decide (all-unknown-token fallback, an empty one too) are excluded,
     as are neutral predictions from a 3-class model. `min_confidence` is an
     optional extra gate on the winning score, off by default.
     """
     out: list[LabeledExample] = []
     for tokens in pool:
-        if not tokens:
-            continue
         pred = predict(model, tokens)
         if pred.fallback:
             continue

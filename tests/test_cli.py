@@ -277,9 +277,6 @@ class TestErrorContract:
     @pytest.mark.parametrize("stage, name, corrupt, reason", [
         ("shift-test", "region_sentiment.csv", lambda _: f"{SENTIMENT_HEADER}\nS0,x,25,25,25,0.5,True\n",
          "invalid literal for int() with base 10: 'x'"),
-        ("shift-test", "region_sentiment.csv",
-         lambda _: f"{SENTIMENT_HEADER.replace(',n_neg_before', '')}\nS0,25,25,25,0.5,True\n",
-         "missing field 'n_neg_before'"),
         ("shift-test", "region_sentiment.csv", lambda sentiment: sentiment + "S0,0,0,0,0,0.5,True\n",
          "region 'S0' has no classified posts"),
         ("regress", "region_sentiment.csv", lambda sentiment: sentiment + "S0,-50,25,25,25,0.5,True\n",
@@ -287,6 +284,9 @@ class TestErrorContract:
         ("stepwise", "region_sentiment.csv", lambda sentiment: sentiment + "S0,25,25,25,25,0.5,yes\n",
          "included must be True or False, got 'yes'"),
         ("clean", "located.jsonl", lambda located: located + '{"id": "p9", "text": \n', "Expecting value"),
+        ("clean", "located.jsonl", lambda located: located + json.dumps(
+            {**json.loads(located.splitlines()[0]), "id": "p9", "text": "good \ud800 day"}) + "\n",
+         "lone surrogate '\\ud800'"),
         ("classify", "clean.jsonl", lambda clean: clean + json.dumps(
             {"id": "p9", "tokens": ["city"], "kept_emojis": [], "removed": {}, "rejected": 5}) + "\n",
          "rejected must be null, 'too_short' or 'misspelled', got 5"),
@@ -301,8 +301,8 @@ class TestErrorContract:
                               ("classify", "clean.jsonl"), ("import-predictions", "clean.jsonl"))],
         ("aggregate", "predictions.csv", lambda predictions: predictions + predictions.splitlines()[1] + "\n",
          "duplicate id 'p000000', first used at line 2\n"),
-    ], ids=["count-not-int", "column-missing", "counts-all-zero", "count-negative", "included-not-bool",
-            "jsonl-line-invalid", "rejected-not-a-reason", "clean-id-not-a-string",
+    ], ids=["count-not-int", "counts-all-zero", "count-negative", "included-not-bool",
+            "jsonl-line-invalid", "jsonl-lone-surrogate", "rejected-not-a-reason", "clean-id-not-a-string",
             "region-repeated-shift-test", "region-repeated-regress", "region-repeated-stepwise",
             "located-id-repeated-clean", "located-id-repeated-aggregate",
             "clean-id-repeated-classify", "clean-id-repeated-import-predictions", "prediction-id-repeated"])
@@ -515,6 +515,19 @@ class TestErrorContract:
             written.append(read_all(tmp_path / name / "out"))
         assert written[0] == written[1]
 
+    def test_post_with_a_lone_surrogate_is_skipped_and_counted(self, fixture_dir, pipeline_out, tmp_path):
+        """Valid JSON decoding to a text no UTF-8 file holds is a malformed post, not an internal error."""
+        record = {**fixture_posts(fixture_dir)[0], "id": "lone", "text": "good \ud800 day"}
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text((fixture_dir / "posts.jsonl").read_text(encoding="utf-8") + json.dumps(record) + "\n",
+                         encoding="utf-8")
+        code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", "posts", posts)
+        assert code == 0, err
+        expected = json.loads((pipeline_out / "ingest_report.json").read_text(encoding="utf-8"))
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text(encoding="utf-8"))
+        assert report == {**expected, "skipped_records": expected["skipped_records"] + 1}
+        assert (tmp_path / "out" / "located.jsonl").read_bytes() == (pipeline_out / "located.jsonl").read_bytes()
+
     def test_config_with_a_byte_order_mark_is_read(self, fixture_dir, pipeline_out, tmp_path, capsys):
         """A config saved with a UTF-8 byte-order mark gives the artifacts of the same config without one."""
         shutil.copytree(fixture_dir, tmp_path / "fixture")  # the config's paths are relative to it
@@ -611,6 +624,22 @@ class TestRecordReader:
         code, err = run_reading_stage(fixture_dir, pipeline_out, tmp_path / "out", key, bad)
         assert code == 2
         assert err.startswith(f"regsent: error[data]: {bad}:1: missing columns [") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("stage, name, content, missing", [
+        ("aggregate", "predictions.csv", "id,lbl\n", ["label"]),
+        ("shift-test", "region_sentiment.csv",
+         f"{SENTIMENT_HEADER.replace(',n_neg_before', '')}\nS0,25,25,25,0.5,True\n", ["n_neg_before"]),
+    ], ids=["predictions", "column-missing"])
+    def test_intermediate_missing_header_columns_exit_two(self, fixture_dir, pipeline_out, tmp_path, capsys,
+                                                          stage, name, content, missing):
+        """A CSV intermediate follows the header rule of a configured CSV: a row-less one fails too."""
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copyfile(pipeline_out / "located.jsonl", out / "located.jsonl")  # aggregate reads it first
+        (out / name).write_text(content, encoding="utf-8")
+        code = cli.main([stage, "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"regsent: error[data]: {name}:1: missing columns {missing}\n"
 
     @pytest.mark.parametrize("key, column", [
         ("posts_csv", "text"), ("gazetteer", "region_id"), ("region_table", "urbanization"),
@@ -991,6 +1020,11 @@ class TestStartWithoutNumpy:
         setup = f"{BLOCK_NUMPY}; import regsent.cli; regsent.cli.load_config(sys.argv[1])"
         result = run_python(["-c", setup, str(fixture_dir / "config.json")])
         assert result.returncode == 0, result.stderr
+
+    def test_setup_does_not_import_the_fixture_writer(self):
+        # only make-fixture runs it, so no other subcommand compiles it
+        result = run_python(["-c", "import sys, regsent.cli; print('regsent.fixtures' in sys.modules)"])
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
     def test_numpy_free_stages_write_the_same_bytes(self, pipeline_out, tmp_path):
         result = run_python(["-c", self.CLI, "make-fixture", "--out", str(tmp_path / "fixture"), "--seed", "13"])

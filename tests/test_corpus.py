@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import random
+import re
 import sys
 import unicodedata
 from datetime import datetime, timezone
@@ -98,6 +99,24 @@ class TestLoadPosts:
         posts, skipped = load_posts(path)
         assert [p.id for p in posts] == ["ok"]
         assert skipped == 3
+
+    def test_lone_surrogate_skipped_and_counted(self, tmp_path, caplog):
+        # valid JSON decoding to a lone surrogate, which no UTF-8 file holds (a truncated post may end in one);
+        # an escaped pair decodes to one code point, and an escaped backslash starts no escape
+        path = tmp_path / "posts.jsonl"
+        path.write_text(
+            '{"id": "lone", "text": "good \\ud800 day", "timestamp": "%s"}\n' % TS
+            + '{"id": "low", "text": "fine", "timestamp": "%s", "place": "\\udfff"}\n' % TS
+            + '{"id": "pair", "text": "good \\ud83d\\ude00 day", "timestamp": "%s"}\n' % TS
+            + '{"id": "escaped", "text": "good \\\\ud800 day", "timestamp": "%s"}\n' % TS,
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
+            posts, skipped = load_posts(path)
+        assert [(p.id, p.text) for p in posts] == [("pair", "good \U0001F600 day"), ("escaped", "good \\ud800 day")]
+        assert skipped == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping malformed post record at {path}:{line}" for line in (1, 2)]
 
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -477,6 +496,18 @@ class TestTableLoaders:
         with pytest.raises(DataValidationError, match="importance"):
             load_gazetteer(path)
 
+    @pytest.mark.parametrize("row, reason", [
+        ("alpha,c,,p,0.5,10", "empty region_id"),
+        ("   ,c,R1,p,0.5,10", "empty place_name"),
+    ], ids=["region-id", "place-name"])
+    def test_gazetteer_empty_key_fatal(self, tmp_path, row, reason):
+        # an empty region_id would count its place's posts unresolved, and a blank place a post's blank place resolved
+        path = tmp_path / "gaz.csv"
+        path.write_text("place_name,commune,region_id,province,importance,population\n"
+                        f"beta,c,R2,p,0.5,10\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(path))}:3: {reason}$"):
+            load_gazetteer(path)
+
     def test_region_table(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(
@@ -491,6 +522,12 @@ class TestTableLoaders:
         path = tmp_path / "regions.csv"
         path.write_text("region_id,population,outcome\nR1,10,1.2\n", encoding="utf-8")
         with pytest.raises(DataValidationError, match="outcome"):
+            load_region_table(path)
+
+    def test_region_table_empty_id_fatal(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text("region_id,population,outcome\nR1,10,0.5\n,11,0.4\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(path))}:3: empty region_id$"):
             load_region_table(path)
 
     def test_region_table_duplicate_id(self, tmp_path):

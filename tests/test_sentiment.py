@@ -54,6 +54,12 @@ class TestNaiveBayes:
         assert abs(float(pred.scores[model.classes.index(POS)]) - 2 / 3) < 1e-12
         assert abs(float(pred.scores[model.classes.index(NEG)]) - 1 / 3) < 1e-12
 
+    def test_empty_document_counts_in_the_class_prior_only(self):
+        model = train(TWO_DOCS + [ex([], POS)], "naive_bayes", smoothing=1.0)
+        # priors 2/3 and 1/3; the word likelihoods are those of TWO_DOCS alone
+        assert np.allclose(np.exp(model.class_log_prior), [1 / 3, 2 / 3])
+        assert np.array_equal(model.feature_weights, train(TWO_DOCS, "naive_bayes", smoothing=1.0).feature_weights)
+
     def test_training_is_deterministic(self):
         data = generative_corpus(80, seed=1)
         a = train(data, "naive_bayes")
@@ -465,6 +471,11 @@ class TestPseudoLabel:
         model = train(TWO_DOCS, "naive_bayes")
         out = pseudo_label(model, [("zzz",), ("good",)])
         assert [e.tokens for e in out] == [("good",)]
+
+    def test_empty_document_is_a_fallback_and_excluded(self):
+        model = train(TWO_DOCS, "naive_bayes")
+        assert predict(model, ()).fallback
+        assert pseudo_label(model, [()]) == []
 
     def test_confidence_gate(self):
         model = train(TWO_DOCS, "naive_bayes")
