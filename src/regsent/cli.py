@@ -89,26 +89,26 @@ def _run(args: argparse.Namespace) -> None:
     pipeline.run_stage(args.command.replace("-", "_"), cfg, out_dir, *([args.kind] if args.command == "report" else []))
 
 
+# (exception type, kind, exit code) of each failure, the first type that matches naming it
+_FAILURES = (
+    (_UsageError, "usage", 1),
+    (ConfigError, "config", 1),
+    (DataValidationError, "data", 2),
+    (NumericalError, "numeric", 3),
+    (Exception, "internal", 4),  # last resort: an unexpected failure, named by its type
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _run(args)
         return 0
-    except _UsageError as exc:
-        print(f"regsent: error[usage]: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"regsent: error[config]: {exc}", file=sys.stderr)
-        return 1
-    except DataValidationError as exc:
-        print(f"regsent: error[data]: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"regsent: error[numeric]: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # last resort: keep the one-line contract for unexpected failures
-        print(f"regsent: error[internal]: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        kind, code = next((kind, code) for failure, kind, code in _FAILURES if isinstance(exc, failure))
+        reason = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
+        print(f"regsent: error[{kind}]: {' '.join(reason.splitlines())}", file=sys.stderr)  # one line, breaks joined
+        return code
 
 
 if __name__ == "__main__":

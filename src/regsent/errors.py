@@ -121,30 +121,22 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
                     record = exc
                 yield line, record
         return
-    start = 0  # first line the reader pulled for the record it is parsing; csv yields [] for a blank one
-
-    def lines() -> Iterator[str]:
-        nonlocal start
-        for number, text in enumerate(handle, 1):
-            if not start and text.strip("\r\n"):
-                start = number
-            yield text
-
-    reader = csv.reader(lines())
+    reader = csv.reader(handle)
+    start = 1  # the line the record being parsed starts on: the one after every line the reader has pulled
     try:
         header = next(reader, [])
         missing = [column for column in columns if column not in header]
         if missing:
-            raise DataValidationError(f"{name}:{start or 1}: missing columns {missing}")
+            raise DataValidationError(f"{name}:{start}: missing columns {missing}")
         repeated = sorted({column for column in header if header.count(column) > 1})
         if repeated:  # a dict record would keep only the last column of each name
-            raise DataValidationError(f"{name}:{start or 1}: repeated columns {repeated}")
-        start = 0
+            raise DataValidationError(f"{name}:{start}: repeated columns {repeated}")
+        start = reader.line_num + 1
         for fields in reader:
-            if fields:
+            if fields:  # csv reads a blank line as []
                 yield start, dict(zip(header, fields)) if len(fields) == len(header) else ValueError(
                     f"{len(fields)} fields where the header has {len(header)}")
-            start = 0
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataValidationError(f"{name}:{start}: {exc}") from None
 

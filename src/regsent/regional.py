@@ -94,6 +94,8 @@ class RegionSentiment:
         `mean_sentiment` is derived, so it is not read.
         """
         region_id = row["region_id"]
+        if not region_id:
+            raise ValueError("empty region_id")
         counts = [int(row[column]) for column in cls.COLUMNS[1:5]]
         for column, count in zip(cls.COLUMNS[1:5], counts):
             if count < 0:

@@ -11,10 +11,11 @@ Third-party model outputs can be imported from CSV instead of training locally.
 
 Training and scoring share one encoding: `encode` turns documents into the
 vocabulary columns of their known tokens (`TokenCounts`, one entry per token,
-repeats kept), and training and `predict_batch`, the one scorer (`predict` is a
-batch of one), multiply it with the weights: time and memory grow with the tokens,
-never documents x vocabulary. The product is class-major, so the softmax reduces
-whole class columns, not a short row per document, adding terms in the same order.
+repeats kept). Naive Bayes counts it per class with one `np.bincount`; logistic
+training and `predict_batch`, the one scorer (`predict` is a batch of one), multiply
+it with the weights: time and memory grow with the tokens, never documents x
+vocabulary. The product is class-major, so the softmax reduces whole class
+columns, not a short row per document, adding terms in the same order.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ class TokenCounts:
     Row i holds one entry per known token of document i, in document order and
     with repeats kept, at the columns `indices[indptr[i]:indptr[i + 1]]`; a
     column listed twice adds twice. Only the two products the classifiers need
-    are defined, `X @ dense` (class-major: F-ordered) and `dense @ X`, each one
-    `np.bincount` per class; numpy ufuncs defer to them (`__array_ufunc__ = None`).
+    are defined, `X @ dense` (class-major: F-ordered), which scores, and
+    `dense @ X`, which only the logistic gradient takes, each one `np.bincount`
+    per class; numpy ufuncs defer to them (`__array_ufunc__ = None`).
     """
 
     __array_ufunc__ = None
@@ -213,46 +215,38 @@ def train(
     if kind == "naive_bayes":
         if smoothing <= 0:
             raise ValueError("smoothing must be positive")
-        membership = np.zeros((K, len(data)))
-        membership[y_idx, np.arange(len(data))] = 1.0
-        word_counts = membership @ X
-        docs = np.bincount(y_idx, minlength=K)
-        class_log_prior = np.log(docs / docs.sum())
-        feature_log_prob = np.log((word_counts + smoothing) / (word_counts.sum(axis=1, keepdims=True) + smoothing * V))
-        return SentimentModel(
-            kind=kind,
-            classes=model_classes,
-            vocabulary=vocabulary,
-            class_log_prior=class_log_prior,
-            feature_weights=feature_log_prob,
-            smoothing=smoothing,
-        )
-
-    weights = np.zeros((K, V))
-    bias = np.zeros(K)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(1, epochs + 1):
-            loss, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2)
-            if epoch == 1:
-                first_loss = loss  # at zero weights: ln K
-            weights -= learning_rate * grad_w
-            bias -= learning_rate * grad_b
-            if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):
-                raise NumericalError(
-                    f"logistic training diverged at epoch {epoch} (loss or weights not finite); "
-                    f"lower classifier.learning_rate (now {learning_rate!r})"
-                )
-    if epochs > 1 and not loss < first_loss:  # finite, but the steps overshoot: the fit got no better
-        raise NumericalError(f"logistic training ended at loss {loss:.4g}, not below its first {first_loss:.4g}; "
-                             f"lower classifier.learning_rate (now {learning_rate!r}) or classifier.l2 (now {l2!r})")
+        word_counts = np.bincount(y_idx[X._rows] * V + X.indices, minlength=K * V).reshape(K, V)  # exact integers
+        bias = np.log(np.bincount(y_idx, minlength=K) / len(data))
+        weights = np.log((word_counts + smoothing) / (word_counts.sum(axis=1, keepdims=True) + smoothing * V))
+        metadata = {}
+    else:
+        weights = np.zeros((K, V))
+        bias = np.zeros(K)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(1, epochs + 1):
+                loss, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y_idx, l2)
+                if epoch == 1:
+                    first_loss = loss  # at zero weights: ln K
+                weights -= learning_rate * grad_w
+                bias -= learning_rate * grad_b
+                if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):
+                    raise NumericalError(
+                        f"logistic training diverged at epoch {epoch} (loss or weights not finite); "
+                        f"lower classifier.learning_rate (now {learning_rate!r})"
+                    )
+        if epochs > 1 and not loss < first_loss:  # finite, but the steps overshoot: the fit got no better
+            raise NumericalError(f"logistic training ended at loss {loss:.4g}, not below its first {first_loss:.4g}; "
+                                 f"lower classifier.learning_rate (now {learning_rate!r}) or classifier.l2 (now {l2!r})")
+        smoothing = 0.0
+        metadata = {"learning_rate": learning_rate, "epochs": epochs, "l2": l2}
     return SentimentModel(
         kind=kind,
         classes=model_classes,
         vocabulary=vocabulary,
         class_log_prior=bias,
         feature_weights=weights,
-        smoothing=0.0,
-        metadata={"learning_rate": learning_rate, "epochs": epochs, "l2": l2},
+        smoothing=smoothing,
+        metadata=metadata,
     )
 
 

@@ -376,32 +376,24 @@ def stepwise(d: DesignMatrix, direction: str = "both", start: str = "full") -> S
     current_fit = ols(subset_design(d, current))
     start_aic = current_fit.aic
     trace: list[tuple[int, str, str, float]] = []
-    step = 0
     while True:
         candidates: list[tuple[float, str, str, set[str]]] = []
-        if direction in ("backward", "both"):
-            for name in d.names:
-                if name in current:
-                    after = current - {name}
-                    candidates.append((screened_aic(after), name, "drop", after))
-        if direction in ("forward", "both"):
-            for name in d.names:
-                if name not in current:
-                    after = current | {name}
-                    candidates.append((screened_aic(after), name, "add", after))
+        for name in d.names:
+            action, move = ("drop", "backward") if name in current else ("add", "forward")
+            if direction in (move, "both"):
+                after = current ^ {name}  # current with `name` dropped or added
+                candidates.append((screened_aic(after), name, action, after))
         if not candidates:
             break
         _, best_name, best_action, best_set = _best_move(candidates)
         best_fit = ols(subset_design(d, best_set))
         if best_fit.aic >= current_fit.aic:
             break
-        step += 1
         current, current_fit = best_set, best_fit
-        trace.append((step, best_action, best_name, best_fit.aic))
+        trace.append((len(trace) + 1, best_action, best_name, best_fit.aic))
 
-    selected = tuple(name for name in d.names if name in current)
     return StepwiseResult(
-        selected=selected,
+        selected=tuple(name for name in d.names if name in current),
         fit=current_fit,
         trace=tuple(trace),
         start_aic=start_aic,

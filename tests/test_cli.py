@@ -121,6 +121,28 @@ class TestErrorContract:
         assert code == 4
         assert err == "regsent: error[internal]: RuntimeError: stage blew up second line\n"
 
+    def test_config_path_with_a_line_break_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "c\nd.json"
+        config.write_text("{", encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"regsent: error[config]: config {tmp_path}{os.sep}c d.json is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_input_path_with_a_line_break_is_one_line(self, fixture_dir, tmp_path, capsys):
+        fixture = tmp_path / "in\nput"
+        shutil.copytree(fixture_dir, fixture)
+        lines = (fixture / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        (fixture / "posts.jsonl").write_text("".join(lines + lines[:1]), encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(fixture / "config.json"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        posts = str(fixture / "posts.jsonl").replace("\n", " ")
+        post_id = json.loads(lines[0])["id"]
+        assert err == (f"regsent: error[data]: {posts}:{len(lines) + 1}: "
+                       f"duplicate post id {post_id!r}, first used at line 1\n")
+
     @pytest.mark.parametrize("command", ["ingest", "pipeline", "make-fixture"])
     @pytest.mark.parametrize("shape, blocker", [("afile", "afile"), ("afile/sub", "afile"), ("dangling", "dangling")])
     def test_out_that_is_not_a_directory_exits_one(self, fixture_dir, tmp_path, capsys, command, shape, blocker):
@@ -295,6 +317,8 @@ class TestErrorContract:
          "id must be a string, got ['p9']"),
         *[(stage, "region_sentiment.csv", lambda sentiment: sentiment + sentiment.splitlines()[1] + "\n",
            "duplicate region_id 'R01', first used at line 2\n") for stage in ("shift-test", "regress", "stepwise")],
+        *[(stage, "region_sentiment.csv", lambda sentiment: sentiment + ",30,30,30,30,0.5,True\n",
+           "empty region_id\n") for stage in ("shift-test", "regress", "stepwise")],
         *[(stage, name, lambda records: records + records.splitlines()[0] + "\n",
            "duplicate id 'p000000', first used at line 1\n")
           for stage, name in (("clean", "located.jsonl"), ("aggregate", "located.jsonl"),
@@ -304,6 +328,7 @@ class TestErrorContract:
     ], ids=["count-not-int", "counts-all-zero", "count-negative", "included-not-bool",
             "jsonl-line-invalid", "jsonl-lone-surrogate", "rejected-not-a-reason", "clean-id-not-a-string",
             "region-repeated-shift-test", "region-repeated-regress", "region-repeated-stepwise",
+            "region-empty-shift-test", "region-empty-regress", "region-empty-stepwise",
             "located-id-repeated-clean", "located-id-repeated-aggregate",
             "clean-id-repeated-classify", "clean-id-repeated-import-predictions", "prediction-id-repeated"])
     def test_malformed_intermediate_exits_two_naming_line(self, fixture_dir, pipeline_out, tmp_path, capsys,

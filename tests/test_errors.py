@@ -3,15 +3,18 @@ reads back as `json.loads` reads it."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import json.encoder
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsent import errors
-from regsent.errors import write_records
+from regsent.errors import iter_records, write_records
 
 # characters an encoder must escape or keep as is: quote, backslash, controls, NUL, a line
 # separator JSON leaves raw, non-ASCII letters and an emoji
@@ -89,3 +92,27 @@ _EDGES = {
 @pytest.mark.parametrize("text", _EDGES.values(), ids=_EDGES)
 def test_json_value_is_json_loads_at_the_edges(text):
     assert _loads(errors._json_value, text) == _loads(json.loads, text)
+
+
+# CSV fields holding the delimiter, quotes and every line break the reader splits on, so that some are quoted
+_CSV_FIELDS = st.lists(st.lists(st.sampled_from(["a", "é", " ", ",", '"', "\n", "\r", "\r\n"]), max_size=6).map("".join),
+                       min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_CSV_FIELDS, st.sampled_from(["\n", "\r\n"]), st.integers(0, 2),
+                               st.sampled_from(["\n", "\r\n"])), max_size=8),
+       header_end=st.sampled_from(["\n", "\r\n"]))
+def test_csv_record_lines_are_the_lines_they_start_on(rows, header_end):
+    """Each CSV record is numbered with the physical line it starts on, after quoted line breaks and blank lines."""
+    text, expected = "a,b,c" + header_end, []
+    for fields, end, blanks, blank in rows:
+        expected.append((len(re.findall(r"\r\n|\r|\n", text)) + 1, fields))
+        line = io.StringIO(newline="")
+        csv.writer(line, lineterminator="\r\n").writerow(fields)  # "\r\n", so that a field holding either is quoted
+        text += line.getvalue()[:-2] + end + blank * blanks
+    records = list(iter_records(io.StringIO(text, newline=""), "csv", "t.csv"))
+    assert [line for line, _ in records] == [line for line, _ in expected]
+    for (_, record), (_, fields) in zip(records, expected):
+        if len(fields) == 3:
+            assert record == dict(zip("abc", fields))

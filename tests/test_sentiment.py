@@ -245,20 +245,25 @@ class TestSparseEquivalence:
         assert np.abs(sparse_out[1] - dense_out[1]).max() <= 1e-12
         assert np.abs(sparse_out[2] - dense_out[2]).max() <= 1e-12
 
-    @settings(max_examples=100, deadline=None)
-    @given(docs=_DOCS, labels=st.data())
-    def test_naive_bayes_equals_dense_counts_exactly(self, docs, labels):
-        docs = [d for d in docs if d] or [["w0"]]
-        data = [ex(d, labels.draw(st.sampled_from([NEG, POS]))) for d in docs]
-        data += [ex(["w1"], NEG), ex(["w2"], POS)]
-        model = train(data, "naive_bayes", smoothing=0.5)
-        X = _dense_counts([e.tokens for e in data], model.vocabulary)
+    @settings(max_examples=150, deadline=None)
+    @given(docs=st.lists(st.lists(st.sampled_from(_KNOWN_WORDS[:6]), max_size=8), min_size=1, max_size=25),
+           data=st.data())
+    def test_naive_bayes_equals_dense_counts_exactly(self, docs, data):
+        """Three classes, repeated tokens, empty documents and words one class alone uses, against np.add.at."""
+        labels = data.draw(st.lists(st.sampled_from([NEG, NEU, POS]), min_size=len(docs), max_size=len(docs)))
+        examples = [ex(d, label) for d, label in zip(docs, labels)]
+        examples += [ex([], NEU), ex(["only_neg", "only_neg"], NEG), ex(["w0", "w0", "only_pos"], POS), ex([], POS)]
+        smoothing = data.draw(st.sampled_from([0.5, 1.0, 2]))
+        model = train(examples, "naive_bayes", smoothing=smoothing)
+        assert model.classes == (NEG, NEU, POS)
+        cells = [(model.classes.index(e.label), model.vocabulary[t]) for e in examples for t in e.tokens]
         counts = np.zeros(model.feature_weights.shape)
-        for row, e in zip(X, data):
-            counts[model.classes.index(e.label)] += row
+        np.add.at(counts, tuple(np.array(cells).T), 1.0)
         V = len(model.vocabulary)
-        expected = np.log((counts + 0.5) / (counts.sum(axis=1, keepdims=True) + 0.5 * V))
+        expected = np.log((counts + smoothing) / (counts.sum(axis=1, keepdims=True) + smoothing * V))
         assert np.array_equal(model.feature_weights, expected)
+        docs_per_class = np.array([sum(e.label is c for e in examples) for c in model.classes])
+        assert np.array_equal(model.class_log_prior, np.log(docs_per_class / docs_per_class.sum()))
 
     def test_gradient_on_encoding_matches_finite_differences(self):
         rng = np.random.default_rng(5)
