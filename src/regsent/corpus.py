@@ -23,21 +23,17 @@ Place matching lives here alone: `load_gazetteer` files each entry under its
 
 from __future__ import annotations
 
-import logging
 import re
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MALFORMED, iter_records, open_input, read_records, unique_key
-
-logger = logging.getLogger(__name__)
+from .errors import MALFORMED, iter_records, open_input, read_records, unique_key, warn
 
 __all__ = [
     "GazetteerEntry",
@@ -47,6 +43,7 @@ __all__ = [
     "load_gazetteer",
     "load_posts",
     "load_region_table",
+    "match_timestamp",
     "normalize_place",
     "parse_date",
     "parse_timestamp",
@@ -65,8 +62,7 @@ class RawPost(NamedTuple):
     language: str | None = None
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
+class GazetteerEntry(NamedTuple):
     """Place name -> administrative region, with a disambiguation score."""
 
     place_name: str
@@ -75,8 +71,7 @@ class GazetteerEntry:
     importance: float
 
 
-@dataclass(frozen=True)
-class RegionRecord:
+class RegionRecord(NamedTuple):
     """One region row: outcome share plus named socio-economic features."""
 
     region_id: str
@@ -107,11 +102,16 @@ def _utc_offset(sign: str, hours: str, minutes: str) -> timezone:
     return timezone(-offset if sign == "-" else offset)
 
 
-def parse_timestamp(raw: str) -> datetime:
-    """A `_TIMESTAMP` in UTC: a time with no offset and a bare date are read as UTC, a fraction is cut to microseconds."""
+def match_timestamp(raw: str) -> re.Match[str]:
+    """The `_TIMESTAMP` match of `raw`, ValueError if there is none; it builds no datetime, so Feb 30 matches."""
     if not (match := _TIMESTAMP.fullmatch(raw)):
         raise ValueError(f"not an RFC 3339 timestamp: {raw!r}")
-    year, month, day, hour, minute, second, fraction, sign, offset_hour, offset_minute = match.groups()
+    return match
+
+
+def parse_timestamp(raw: str) -> datetime:
+    """A `_TIMESTAMP` in UTC: a time with no offset and a bare date are read as UTC, a fraction is cut to microseconds."""
+    year, month, day, hour, minute, second, fraction, sign, offset_hour, offset_minute = match_timestamp(raw).groups()
     ts = datetime(int(year), int(month), int(day), int(hour or 0), int(minute or 0), int(second or 0),
                   int(fraction[:6].ljust(6, "0")) if fraction else 0,
                   _utc_offset(sign, offset_hour, offset_minute) if sign else timezone.utc)
@@ -157,7 +157,7 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int
                 post = None
             if post is None:
                 skipped += 1
-                logger.warning("skipping malformed post record at %s:%d", path, line_no)
+                warn(__name__, "skipping malformed post record at %s:%d", path, line_no)
             else:
                 check(line_no, post)
                 posts.append(post)
@@ -213,7 +213,7 @@ def resolve_region(place_name: str, gazetteer: Mapping[str, Sequence[GazetteerEn
     top = max(entry.importance for entry in candidates)
     regions = sorted({entry.region_id for entry in candidates if entry.importance == top})
     if len(regions) > 1:
-        logger.warning("importance tie for place %r resolved to region %s", place_name, regions[0])
+        warn(__name__, "importance tie for place %r resolved to region %s", place_name, regions[0])
     return regions[0]
 
 

@@ -6,7 +6,8 @@ or intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
 whose line is the physical line the record starts on. A key used twice in a
 keyed file fails the same way (`unique_key`), as `<name>:<line>: duplicate
 <what> <value!r>, first used at line <n>`. `write_records` writes every CSV,
-JSON-lines and word-list file the toolkit produces.
+JSON-lines and word-list file the toolkit produces, and `warn` issues every
+warning.
 
 JSON lines go through one decoder and one encoder, each built at import, where
 `json.loads` and `json.dumps` set one up per record. The decoder is the scanner
@@ -25,6 +26,7 @@ import json
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 
@@ -181,6 +183,12 @@ def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name
     return out
 
 
+def warn(logger: str, message: str, *args: Any) -> None:
+    """`logging.getLogger(logger).warning(message, *args)`; logging is imported only when a warning is issued."""
+    import logging
+    logging.getLogger(logger).warning(message, *args, stacklevel=2)
+
+
 def write_records(path: str | Path, fmt: str, records: Iterable[Any], header: Sequence[str] = ()) -> None:
     """Write `records` to `path` as UTF-8, one per line ending in a line feed, consuming them as it goes.
 
@@ -189,7 +197,8 @@ def write_records(path: str | Path, fmt: str, records: Iterable[Any], header: Se
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
+            # csv quotes the line terminator's characters: rows end in "\r\n", so that a lone "\r" is quoted, then in "\n"
+            writer = csv.writer(SimpleNamespace(write=lambda row: handle.write(row[:-2] + "\n")), lineterminator="\r\n")
             writer.writerow(header)
             writer.writerows(records)
             return

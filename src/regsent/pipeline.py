@@ -19,15 +19,16 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    TYPE_CHECKING, Annotated, Any, Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints,
+)
 
 from .corpus import (
-    filter_located, load_gazetteer, load_posts, load_region_table, parse_date, parse_timestamp,
-    region_counts, resolve_region,
+    filter_located, load_gazetteer, load_posts, load_region_table, match_timestamp, parse_date,
+    parse_timestamp, region_counts, resolve_region,
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
@@ -63,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _PathSettings:
+class _PathSettings(NamedTuple):
     """Input files, relative to the config file's directory unless absolute."""
 
     posts: str | None = None
@@ -79,53 +79,49 @@ class _PathSettings:
     external_predictions: str | None = None
 
 
-@dataclass(frozen=True)
-class ThresholdSettings:
-    min_region_posts: int = field(default=100, metadata={"min": 0})
-    emoji_min_share: float = field(default=0.01, metadata={"min": 0.0, "max": 1.0})
+class ThresholdSettings(NamedTuple):
+    min_region_posts: Annotated[int, {"min": 0}] = 100
+    emoji_min_share: Annotated[float, {"min": 0.0, "max": 1.0}] = 0.01
 
 
-@dataclass(frozen=True)
-class ClassifierSettings:
-    kind: str = field(default="naive_bayes", metadata={"choices": ("naive_bayes", "logistic")})
+class ClassifierSettings(NamedTuple):
+    kind: Annotated[str, {"choices": ("naive_bayes", "logistic")}] = "naive_bayes"
     binary: bool = True
-    smoothing: float = field(default=1.0, metadata={"gt": 0.0})
-    learning_rate: float = field(default=0.1, metadata={"gt": 0.0})
-    epochs: int = field(default=300, metadata={"min": 1})
-    l2: float = field(default=1e-4, metadata={"min": 0.0})
+    smoothing: Annotated[float, {"gt": 0.0}] = 1.0
+    learning_rate: Annotated[float, {"gt": 0.0}] = 0.1
+    epochs: Annotated[int, {"min": 1}] = 300
+    l2: Annotated[float, {"min": 0.0}] = 1e-4
     pseudo_label: bool = False
-    min_confidence: float | None = field(default=None, metadata={"min": 0.0, "max": 1.0})
-    test_fraction: float = field(default=0.2, metadata={"gt": 0.0, "lt": 1.0})
+    min_confidence: Annotated[float | None, {"min": 0.0, "max": 1.0}] = None
+    test_fraction: Annotated[float, {"gt": 0.0, "lt": 1.0}] = 0.2
 
 
-@dataclass(frozen=True)
-class RegressionSettings:
+class RegressionSettings(NamedTuple):
     standardize: bool = True
     features: tuple[str, ...] | None = None  # None -> every table feature column
-    direction: str = field(default="both", metadata={"choices": ("backward", "forward", "both")})
-    start: str = field(default="full", metadata={"choices": ("full", "empty")})
+    direction: Annotated[str, {"choices": ("backward", "forward", "both")}] = "both"
+    start: Annotated[str, {"choices": ("full", "empty")}] = "full"
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """The config schema; each section of the JSON document is a frozen dataclass.
+class PipelineConfig(NamedTuple):
+    """The config schema; each section of the JSON document is a NamedTuple, defaulting to one shared instance.
 
-    A field's annotation is its key's type, its default the key's default, and its
-    metadata its `choices`, closed `min`/`max` or open `gt`/`lt` bounds. `load_config`
-    fills in the resolved `paths`.
+    A field's annotation is its key's type, and `Annotated[T, {...}]` adds the
+    key's `choices`, closed `min`/`max` or open `gt`/`lt` bounds; its default
+    is the key's default. `load_config` fills in the resolved `paths`.
     """
 
     paths: Mapping[str, Path | None]
     language: str = "pl"
     event_date: date = date(2019, 10, 13)
-    posts_format: str = field(default="jsonl", metadata={"choices": ("jsonl", "csv")})
-    thresholds: ThresholdSettings = field(default_factory=ThresholdSettings)
-    alpha: float = field(default=0.05, metadata={"gt": 0.0, "lt": 1.0})
+    posts_format: Annotated[str, {"choices": ("jsonl", "csv")}] = "jsonl"
+    thresholds: ThresholdSettings = ThresholdSettings()
+    alpha: Annotated[float, {"gt": 0.0, "lt": 1.0}] = 0.05
     # which period posts dated on the event join
-    event_day: str = field(default="before", metadata={"choices": ("before", "after")})
-    cleaning: CleanConfig = field(default_factory=CleanConfig)
-    classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
-    regression: RegressionSettings = field(default_factory=RegressionSettings)
+    event_day: Annotated[str, {"choices": ("before", "after")}] = "before"
+    cleaning: CleanConfig = CleanConfig()
+    classifier: ClassifierSettings = ClassifierSettings()
+    regression: RegressionSettings = RegressionSettings()
     seed: int = 0
 
     def require_paths(self, *keys: str) -> dict[str, Path]:
@@ -173,7 +169,7 @@ def _read(hint, meta: Mapping[str, Any], value: Any, key: str) -> Any:
     optional, kind = type(None) in get_args(hint), _kind(hint)
     if value is None and optional:
         return None
-    if is_dataclass(kind):
+    if hasattr(kind, "_fields"):  # a section
         return _build(kind, value, key + ".")
     try:
         value = _convert(kind, value)
@@ -192,15 +188,16 @@ def _build(cls, raw: Any, prefix: str, **given: Any):
     """`cls` from the document object `raw`; `given` supplies fields that are not keys."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config {prefix.rstrip('.')} must be a JSON object, got {raw!r}")
-    hints = get_type_hints(cls)
-    keys = {
-        f.name: f.metadata for f in fields(cls)
-        if (kind := _kind(hints[f.name])) in _EXPECTED or is_dataclass(kind)
-    }
+    hints = get_type_hints(cls, include_extras=True)
+    keys = {}  # key -> (type, bounds and choices)
+    for name in cls._fields:
+        hint, meta = get_args(hints[name]) if get_origin(hints[name]) is Annotated else (hints[name], {})
+        if (kind := _kind(hint)) in _EXPECTED or hasattr(kind, "_fields"):
+            keys[name] = hint, meta
     unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(repr(prefix + key) for key in unknown))
-    return cls(**given, **{key: _read(hints[key], keys[key], value, prefix + key) for key, value in raw.items()})
+    return cls(**given, **{key: _read(*keys[key], value, prefix + key) for key, value in raw.items()})
 
 
 def _apply_override(doc: dict, dotted: str, value: str) -> None:
@@ -239,7 +236,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
         doc["seed"] = seed
     paths: dict[str, Path | None] = {}
     missing: list[str] = []
-    for key, value in vars(_build(_PathSettings, doc.pop("paths", {}), "paths.")).items():
+    for key, value in _build(_PathSettings, doc.pop("paths", {}), "paths.")._asdict().items():
         paths[key] = None
         if value is None:
             continue
@@ -281,23 +278,25 @@ def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any], colu
     return read_records(_require_artifact(out_dir, name), Path(name).suffix[1:], convert, name, columns, key)
 
 
-def _located_fields(row: dict) -> tuple[str, str, datetime, str | None]:
-    """(id, text, timestamp, region) of a `located.jsonl` record, every field checked; an empty region is None."""
+def _located_fields(row: dict, read_time: Callable[[str], Any]) -> tuple[str, str, Any, str | None]:
+    """(id, text, `read_time` of its timestamp, region or None for "") of a `located.jsonl` record, every field checked."""
     fields = (row["id"], row["text"], row["timestamp"], row.get("place"), row.get("lang"), row["region"])
     for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):
         nullable = key in ("place", "lang")
         if type(value) is not str and not (nullable and value is None):
             raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
-    return row["id"], row["text"], parse_timestamp(row["timestamp"]), row["region"] or None
+    return row["id"], row["text"], read_time(row["timestamp"]), row["region"] or None
 
 
 def _located_posts(out_dir: Path) -> list[tuple[str, str]]:
-    return [(post_id, text) for post_id, text, _, _ in _read_artifact(out_dir, "located.jsonl", _located_fields)]
+    """Each located post's (id, text); its timestamp is matched against the grammar but not parsed, as none is read."""
+    rows = _read_artifact(out_dir, "located.jsonl", partial(_located_fields, read_time=match_timestamp))
+    return [(post_id, text) for post_id, text, _, _ in rows]
 
 
 def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
     """Each located post's id -> (region or None, timestamp)."""
-    rows = _read_artifact(out_dir, "located.jsonl", _located_fields)
+    rows = _read_artifact(out_dir, "located.jsonl", partial(_located_fields, read_time=parse_timestamp))
     return {post_id: (region, timestamp) for post_id, _, timestamp, region in rows}
 
 
@@ -357,13 +356,13 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: Path, *args: Any) -> Any:
 def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConfig:
     """The configured short-post threshold plus the loaded resources."""
     paths = cfg.require_paths("dictionary", "lemmas", "stop_words", "conjunctions")
-    return replace(
-        cfg.cleaning,
+    return cfg.cleaning._replace(
         dictionary=load_word_list(paths["dictionary"]),
         lemma_map=load_lemma_map(paths["lemmas"]),
         stop_words=load_word_list(paths["stop_words"]),
         conjunctions=load_word_list(paths["conjunctions"]),
         emoji_whitelist=whitelist,
+        spellings={},  # this config's own memo
     )
 
 

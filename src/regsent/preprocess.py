@@ -19,9 +19,10 @@ Non-word stripping works a whitespace-split word at a time: a word that is all
 letters (most of them) is kept whole, and only the others are tested a
 character at a time, each non-letter becoming a space and counted. Whitespace
 never takes part in the lowercasing context of a final sigma, so rejoining the
-words with single spaces gives the tokens of stripping the whole text. Each
-`CleanConfig` memoizes what the later steps make of each dictionary token it
-meets, and of no other token, so the memo holds at most the dictionary.
+words with single spaces gives the tokens of stripping the whole text. A
+`CleanConfig`'s `spellings` dict memoizes what the later steps make of each
+dictionary token it meets, and of no other token, so the memo holds at most
+the dictionary.
 
 The frequency reports count over plain texts and return their `FrequencyRow`s,
 sorted. The hashtag report matches the NFC text with its links dropped, as
@@ -36,11 +37,10 @@ import re
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Annotated, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import read_records, write_records
 
@@ -82,8 +82,7 @@ def _emojis(text: str) -> Sequence[str]:
     return () if text.isascii() or not _EMOJI_SPANS.search(text) else EMOJI_RE.findall(text)
 
 
-@dataclass(frozen=True)
-class CleanConfig:
+class CleanConfig(NamedTuple):
     """Normalization resources plus the short-post threshold.
 
     `min_words` is the config's `cleaning` section; the resources are not
@@ -94,15 +93,13 @@ class CleanConfig:
     """
 
     dictionary: frozenset[str] = frozenset()
-    lemma_map: Mapping[str, str] = field(default_factory=dict)
+    lemma_map: Mapping[str, str] = MappingProxyType({})
     stop_words: frozenset[str] = frozenset()
     conjunctions: frozenset[str] = frozenset()
     emoji_whitelist: frozenset[str] = frozenset()
-    min_words: int = field(default=3, metadata={"min": 0})  # reject posts with <= min_words non-conjunction tokens
-
-    @cached_property
-    def _spellings(self) -> dict[str, tuple[str, ...]]:  # clean_text's memo: a dictionary token -> what it leaves
-        return {}
+    min_words: Annotated[int, {"min": 0}] = 3  # reject posts with <= min_words non-conjunction tokens
+    # clean_text's memo, a dictionary token -> what it leaves: one dict per config; None memoizes within a call only
+    spellings: dict[str, tuple[str, ...]] | None = None
 
 
 class CleanPost(NamedTuple):
@@ -142,7 +139,8 @@ def clean_text(raw_text: str, config: CleanConfig) -> CleanPost:
         if not word.isalpha():
             words[i] = "".join([ch if ch.isalpha() else " " for ch in word])
             removed["nonword"] += words[i].count(" ")  # a word holds no whitespace, so every space is a replacement
-    memo, content, spelled, tokens = config._spellings, 0, True, []
+    memo = {} if config.spellings is None else config.spellings
+    content, spelled, tokens = 0, True, []
     for token in " ".join(words).lower().split():
         content += token not in config.conjunctions
         if (kept := memo.get(token)) is None:
@@ -164,8 +162,7 @@ def clean_text(raw_text: str, config: CleanConfig) -> CleanPost:
 # Frequency reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrequencyRow:
+class FrequencyRow(NamedTuple):
     item: str
     count: int
     share: float

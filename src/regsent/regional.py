@@ -9,19 +9,15 @@ and `write_shift_csv` take them.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DataValidationError, write_records
+from .errors import DataValidationError, warn, write_records
 
 if TYPE_CHECKING:  # stats loads numpy, so the shift test and regression import it when they run
     from . import stats
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "RegionSentiment",
@@ -50,11 +46,10 @@ class SentimentLabel(Enum):
             raise DataValidationError(f"unknown sentiment label {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class RegionSentiment:
+class RegionSentiment(NamedTuple):
     """A region's period counts: one record of `region_sentiment.csv`, whose columns are COLUMNS."""
 
-    COLUMNS: ClassVar[tuple[str, ...]] = (
+    COLUMNS = (  # not annotated: a class attribute, not a field
         "region_id", "n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after", "mean_sentiment", "included",
     )
 
@@ -146,8 +141,7 @@ def aggregate(
     return regions, neutral, no_region
 
 
-@dataclass(frozen=True)
-class ShiftTestResult:
+class ShiftTestResult(NamedTuple):
     """Chi-squared test of equal positive share before vs after (df = 1)."""
 
     chi2: float
@@ -209,7 +203,7 @@ def shift_regression(regions: Sequence[RegionSentiment]) -> stats.OlsFit:
     usable: list[RegionSentiment] = []
     for r in rows:
         if (r.n_pos_before + r.n_neg_before) == 0 or (r.n_pos_after + r.n_neg_after) == 0:
-            logger.warning("region %s lacks posts in one period; skipped in shift regression", r.region_id)
+            warn(__name__, "region %s lacks posts in one period; skipped in shift regression", r.region_id)
             continue
         usable.append(r)
     if len(usable) < 2:

@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import io
 import json
+import logging
 import os
 import shutil
 import tempfile
@@ -43,6 +44,11 @@ def pipeline_out(fixture_dir, tmp_path_factory) -> Path:
     return out
 
 
+# the README stage sequence, each subcommand as its argv
+STAGES = [
+    ["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"],
+    ["train"], ["classify"], ["aggregate"], ["shift-test"], ["regress"], ["stepwise"],
+]
 SENTIMENT_HEADER = "region_id,n_pos_before,n_neg_before,n_pos_after,n_neg_after,mean_sentiment,included"
 
 
@@ -857,11 +863,7 @@ class TestComposition:
     def test_pipeline_equals_stage_sequence(self, fixture_dir, tmp_path_factory, overrides):
         pipeline_out, out = tmp_path_factory.mktemp("pipeline"), tmp_path_factory.mktemp("stage_seq")
         config = str(fixture_dir / "config.json")
-        stages = [
-            ["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"],
-            ["train"], ["classify"], ["aggregate"], ["shift-test"], ["regress"], ["stepwise"],
-        ]
-        for stage in stages:
+        for stage in STAGES:
             result = run_cli([*stage, "--config", config, "--out", str(out), *overrides])
             assert result.returncode == 0, (stage, result.stderr)
             assert result.stderr == "", stage  # a successful run warns of nothing on the fixture
@@ -875,6 +877,37 @@ class TestComposition:
             if (pipeline_out / name).read_bytes() != (out / name).read_bytes()
         ]
         assert mismatched == []
+
+    def test_id_with_a_lone_carriage_return_reads_back(self, fixture_dir, tmp_path):
+        """A post id holding a lone "\\r" is quoted in predictions.csv, so aggregate reads it back as one record
+        and the stage sequence writes the bytes of `pipeline`."""
+        fixture, stages_out, pipeline_out = tmp_path / "fixture", tmp_path / "stages", tmp_path / "pipeline"
+        shutil.copytree(fixture_dir, fixture)
+        posts = fixture_posts(fixture_dir)
+        for record in posts[::7]:
+            record["id"] += "\rx"
+        (fixture / "posts.jsonl").write_text("".join(json.dumps(record) + "\n" for record in posts), encoding="utf-8")
+        config = str(fixture / "config.json")
+        for stage in STAGES:
+            assert cli.main([*stage, "--config", config, "--out", str(stages_out)]) == 0, stage
+        assert cli.main(["pipeline", "--config", config, "--out", str(pipeline_out)]) == 0
+        assert b'\rx",' in (stages_out / "predictions.csv").read_bytes()
+        written = read_all(pipeline_out)
+        del written["summary.md"]
+        assert read_all(stages_out) == written
+
+    def test_stage_sequence_parses_located_times_in_aggregate_only(self, fixture_dir, tmp_path, monkeypatch):
+        """clean and the reports check each located.jsonl time's form and build no datetime; aggregate, which reads
+        the times, parses each once."""
+        parse, calls = pipeline.parse_timestamp, []
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        for stage in STAGES:
+            monkeypatch.setattr(pipeline, "parse_timestamp",
+                                lambda raw, name=" ".join(stage): calls.append(name) or parse(raw))
+            assert cli.main([*stage, "--config", config, "--out", str(out)]) == 0, stage
+        located = (out / "located.jsonl").read_text(encoding="utf-8").count("\n")
+        assert located > 0
+        assert calls == ["aggregate"] * located
 
     def test_located_time_falls_on_its_utc_day_as_ingest_files_it(self, fixture_dir, tmp_path, capsys):
         """A hand-written located.jsonl time with an offset is read in UTC, as ingest reads a post's time.
@@ -1050,6 +1083,40 @@ class TestStartWithoutNumpy:
         # only make-fixture runs it, so no other subcommand compiles it
         result = run_python(["-c", "import sys, regsent.cli; print('regsent.fixtures' in sys.modules)"])
         assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+    def test_setup_and_numpy_free_stages_import_no_dataclasses_inspect_or_logging(self, fixture_dir, pipeline_out,
+                                                                                  tmp_path):
+        """Set-up, and each numpy-free stage on the fixture, which warns of nothing, import none of `dataclasses`,
+        `inspect` (which it imports) and `logging` (which only a warning imports)."""
+        # what the process imported past interpreter start-up, printed before it exits
+        imported = "print(sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - started)))"
+        start = "import sys; started = set(sys.modules)"
+        setup = f"{start}; import regsent.cli; regsent.cli.load_config(sys.argv[1]); {imported}"
+        run = f"{start}; from regsent.cli import main; code = main(sys.argv[1:]); {imported}; sys.exit(code)"
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        result = run_python(["-c", setup, config])
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+        for stage in (["ingest"], ["clean"], ["report", "hashtags"], ["report", "emojis"], ["aggregate"]):
+            if stage == ["aggregate"]:  # the predictions of the stages that compute with numpy
+                shutil.copyfile(pipeline_out / "predictions.csv", out / "predictions.csv")
+            result = run_python(["-c", run, *stage, "--config", config, "--out", str(out)])
+            assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), stage
+
+    def test_importance_tie_warns_on_stderr_and_on_the_regsent_logger(self, fixture_dir, tmp_path, monkeypatch):
+        """An importance tie at ingest prints its one warning line on stderr and reaches a handler on `regsent`."""
+        shutil.copytree(fixture_dir, tmp_path / "fixture")
+        with (tmp_path / "fixture" / "gazetteer.csv").open("a", encoding="utf-8") as handle:
+            handle.write("northgate,northgate commune,R99,province west,0.9,1000\n")  # ties the R01 entry
+        config = str(tmp_path / "fixture" / "config.json")
+        result = run_cli(["ingest", "--config", config, "--out", str(tmp_path / "out")])
+        message = "importance tie for place 'northgate' resolved to region R01"
+        assert (result.returncode, result.stderr) == (0, message + "\n")
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        monkeypatch.setattr(logging.getLogger("regsent"), "handlers", [handler])
+        assert cli.main(["ingest", "--config", config, "--out", str(tmp_path / "again")]) == 0
+        assert [(record.name, record.getMessage()) for record in records] == [("regsent.corpus", message)]
 
     def test_numpy_free_stages_write_the_same_bytes(self, pipeline_out, tmp_path):
         result = run_python(["-c", self.CLI, "make-fixture", "--out", str(tmp_path / "fixture"), "--seed", "13"])
@@ -1265,10 +1332,10 @@ class TestConfigValidation:
 
 def _schema_keys(cls, prefix=""):
     """Every schema field as a dotted key, including fields that are not config keys (these must fail too)."""
-    for f in dataclasses.fields(cls):
-        yield prefix + f.name
-        if dataclasses.is_dataclass(f.default_factory):
-            yield from _schema_keys(f.default_factory, f"{prefix}{f.name}.")
+    for name in cls._fields:
+        yield prefix + name
+        if hasattr(section := cls._field_defaults.get(name), "_fields"):  # a section defaults to its NamedTuple
+            yield from _schema_keys(type(section), f"{prefix}{name}.")
 
 
 _JSON_VALUES = st.recursive(

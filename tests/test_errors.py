@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsent import errors
-from regsent.errors import iter_records, write_records
+from regsent.errors import iter_records, read_records, write_records
 
 # characters an encoder must escape or keep as is: quote, backslash, controls, NUL, a line
 # separator JSON leaves raw, non-ASCII letters and an emoji
@@ -95,8 +95,17 @@ def test_json_value_is_json_loads_at_the_edges(text):
 
 
 # CSV fields holding the delimiter, quotes and every line break the reader splits on, so that some are quoted
-_CSV_FIELDS = st.lists(st.lists(st.sampled_from(["a", "é", " ", ",", '"', "\n", "\r", "\r\n"]), max_size=6).map("".join),
-                       min_size=1, max_size=4)
+_CSV_FIELD = st.lists(st.sampled_from(["a", "é", " ", ",", '"', "\n", "\r", "\r\n"]), max_size=6).map("".join)
+_CSV_FIELDS = st.lists(_CSV_FIELD, min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_CSV_FIELD, min_size=3, max_size=3), max_size=8))
+def test_csv_records_read_back_as_written(tmp_path_factory, rows):
+    """Each CSV record `write_records` writes reads back as its fields, whatever line breaks, quotes and commas they hold."""
+    path = tmp_path_factory.getbasetemp() / "records.csv"
+    write_records(path, "csv", rows, ("a", "b", "c"))
+    assert read_records(path, "csv", lambda record: [record["a"], record["b"], record["c"]]) == rows
 
 
 @settings(max_examples=300, deadline=None)

@@ -469,7 +469,7 @@ class TestTokenMemo:
 
     def assert_bound(self, config):
         """Every memo key is a dictionary token, mapped to what lemmas and stop words leave of it, interned."""
-        for token, kept in config._spellings.items():
+        for token, kept in config.spellings.items():
             assert token in config.dictionary, token
             lemma = config.lemma_map.get(token, token)
             assert kept == (() if lemma in config.stop_words else (lemma,))
@@ -478,27 +478,27 @@ class TestTokenMemo:
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join), max_size=12))
     def test_shared_config_cleans_as_a_fresh_one(self, texts):
-        shared = CleanConfig(**self.RESOURCES)
+        shared = CleanConfig(**self.RESOURCES, spellings={})
         for text in texts:
             assert clean_text(text, shared) == clean_text(text, CleanConfig(**self.RESOURCES))
         self.assert_bound(shared)
 
     def test_a_word_in_accepted_and_rejected_posts(self):
-        config = CleanConfig(**self.RESOURCES)
+        config = CleanConfig(**self.RESOURCES, spellings={})
         texts = ["good day ΟΔΟΣ", "good dey ΟΔΟΣ", "good", "Good day walked İstanbul 2019", "good day ΟΔΟΣ"]
         got = [clean_text(text, config) for text in texts]
         assert got == [clean_text(text, CleanConfig(**self.RESOURCES)) for text in texts]
         assert [cp.rejected_reason for cp in got] == [None, "misspelled", "too_short", None, None]
         assert got[0].tokens == ("good", "day", "οδος")
-        assert set(config._spellings) == {"good", "day", "οδος", "walked", "i\u0307stanbul"}
+        assert set(config.spellings) == {"good", "day", "οδος", "walked", "i\u0307stanbul"}
 
     def test_memo_grows_with_the_dictionary_not_the_corpus(self):
-        config = CleanConfig(**self.RESOURCES)
+        config = CleanConfig(**self.RESOURCES, spellings={})
         words = [f"{case}{n}{mark}" for n in range(500) for case in ("good", "Good", "GoOd", "GOOD")
                  for mark in ("", "!", ",")] + [f"good{n}x{n}" for n in range(500)] + [f"typo{n}" for n in range(500)]
         for i in range(0, len(words), 4):
             clean_text(" ".join(words[i:i + 4]), config)
-        assert set(config._spellings) == {"good"}
+        assert set(config.spellings) == {"good"}
         self.assert_bound(config)
 
 
