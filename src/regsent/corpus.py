@@ -14,7 +14,9 @@ Malformed posts are skipped and counted; a malformed gazetteer or region row
 is fatal: one DataValidationError `<path>:<line>: <reason>`, such as an empty
 gazetteer place_name or region_id, or an empty region table region_id. So is a
 repeated post id, gazetteer (place_name, region_id) or region table region_id,
-with the one message of `errors.unique_key`.
+with the one message of `errors.unique_key`. `load_posts` reads the posts file
+as its posts are iterated and `filter_located` filters them as they come, so a
+caller holds only the posts it keeps.
 
 Place matching lives here alone: `load_gazetteer` files each entry under its
 `normalize_place` name, and `resolve_region` looks a place up in that index.
@@ -31,7 +33,7 @@ from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MALFORMED, iter_records, open_input, read_records, unique_key, warn
 
@@ -135,45 +137,47 @@ def _post_from_record(record: Mapping[str, object]) -> RawPost | None:
                    sys.intern(lang) if lang else None)
 
 
-def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[list[RawPost], int]:
-    """Load posts from JSONL or CSV; returns (posts, skipped_count).
+def load_posts(path: str | Path, fmt: str = "jsonl") -> tuple[Iterator[RawPost], dict[str, int]]:
+    """Posts from JSONL or CSV, read as they are iterated, and the counts of the records read so far.
 
-    Records with a missing id, empty text, or unparsable fields are skipped
-    and counted; input order is preserved. An unreadable file raises, and so
-    do a CSV header without an id, text or timestamp column and a post id
-    used twice (DataValidationError naming both lines).
+    The counts are `loaded` posts and `skipped` records, final once the posts
+    are exhausted. Records with a missing id, empty text, or unparsable fields
+    are skipped and counted; input order is preserved. An unreadable file
+    raises, and so do a CSV header without an id, text or timestamp column and
+    a post id used twice (DataValidationError naming both lines), each when
+    iteration reaches it: the posts before it have been yielded.
     """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown posts format {fmt!r}")
-    posts: list[RawPost] = []
-    check = unique_key(str(path), "post id", attrgetter("id"))
-    skipped = 0
-    with open_input(path) as handle:
-        for line_no, record in iter_records(handle, fmt, str(path), columns=("id", "text", "timestamp")):
-            try:
-                post = _post_from_record(record) if isinstance(record, dict) else None
-            except MALFORMED:
-                post = None
-            if post is None:
-                skipped += 1
-                warn(__name__, "skipping malformed post record at %s:%d", path, line_no)
-            else:
-                check(line_no, post)
-                posts.append(post)
-    return posts, skipped
+    counts = {"loaded": 0, "skipped": 0}
+
+    def posts() -> Iterator[RawPost]:
+        check = unique_key(str(path), "post id", attrgetter("id"))
+        with open_input(path) as handle:
+            for line_no, record in iter_records(handle, fmt, str(path), columns=("id", "text", "timestamp")):
+                try:
+                    post = _post_from_record(record) if isinstance(record, dict) else None
+                except MALFORMED:
+                    post = None
+                if post is None:
+                    counts["skipped"] += 1
+                    warn(__name__, "skipping malformed post record at %s:%d", path, line_no)
+                else:
+                    check(line_no, post)
+                    counts["loaded"] += 1
+                    yield post
+
+    return posts(), counts
 
 
-def filter_located(posts: Iterable[RawPost], language: str) -> list[RawPost]:
-    """Posts that declare a place and carry the requested language tag.
+def filter_located(posts: Iterable[RawPost], language: str) -> Iterator[RawPost]:
+    """The posts that declare a place and carry the requested language tag, as `posts` is iterated.
 
     Idempotent; tag comparison is case-insensitive (IETF convention).
     """
     lang = language.lower()
-    return [
-        p for p in posts
-        if p.place_name and p.language is not None and p.language.lower() == lang
-    ]
+    return (p for p in posts if p.place_name and p.language is not None and p.language.lower() == lang)
 
 
 def normalize_place(name: str) -> str:

@@ -6,8 +6,11 @@ is given and from the configured paths, and writes deterministic artifacts
 an artifact another stage wrote. `run_pipeline` is the stages composed in
 order, each handed what the stages before it returned. `run_stage` runs one
 stage for the CLI: it reads the stage's inputs back from `out_dir` through
-`_INPUTS`, as the records their artifacts hold, so a pipeline run and the
-equivalent sequence of subcommands produce identical bytes. Only `stage_ingest`
+`_INPUTS`, in the shapes `run_pipeline` hands on, so a pipeline run and the
+equivalent sequence of subcommands produce identical bytes. Posts cross a stage
+boundary as parallel sequences, (ids, texts), (ids, tokens) or (ids, labels),
+and the located map holds one shared (region, UTC day) tuple per distinct
+pair, so no hand-off keeps a tuple or a timestamp per post. Only `stage_ingest`
 creates the output directory; a missing intermediate or `out_dir` is a
 ConfigError, a malformed intermediate a DataValidationError naming its line.
 """
@@ -288,16 +291,47 @@ def _located_fields(row: dict, read_time: Callable[[str], Any]) -> tuple[str, st
     return row["id"], row["text"], read_time(row["timestamp"]), row["region"] or None
 
 
-def _located_posts(out_dir: Path) -> list[tuple[str, str]]:
-    """Each located post's (id, text); its timestamp is matched against the grammar but not parsed, as none is read."""
-    rows = _read_artifact(out_dir, "located.jsonl", partial(_located_fields, read_time=match_timestamp))
-    return [(post_id, text) for post_id, text, _, _ in rows]
+def _read_pairs(out_dir: Path, name: str, convert: Callable[[Any], tuple[str, Any]],
+                columns: Sequence[str] = ()) -> tuple[list[str], list]:
+    """The records of the intermediate `name` as parallel (ids, values) lists, each id once.
+
+    `convert` gives a record's (id, value); a None value leaves the record out, but its id still counts as used.
+    A CSV intermediate's header must hold `columns`.
+    """
+    ids: list[str] = []
+    values: list = []
+
+    def collect(row: Any) -> str:
+        post_id, value = convert(row)
+        if value is not None:
+            ids.append(post_id)
+            values.append(value)
+        return post_id
+
+    _read_artifact(out_dir, name, collect, columns, key=("id", lambda post_id: post_id))
+    return ids, values
 
 
-def _located_where(out_dir: Path) -> dict[str, tuple[str | None, datetime]]:
-    """Each located post's id -> (region or None, timestamp)."""
-    rows = _read_artifact(out_dir, "located.jsonl", partial(_located_fields, read_time=parse_timestamp))
-    return {post_id: (region, timestamp) for post_id, _, timestamp, region in rows}
+def _region_day(region: str | None, timestamp: datetime, pairs: dict) -> tuple[str | None, date]:
+    """(region, the UTC day of `timestamp`), as the one tuple `pairs` holds for that pair; the day is taken here alone."""
+    pair = (region, timestamp.date())
+    return pairs.setdefault(pair, pair)
+
+
+def _located_posts(out_dir: Path) -> tuple[list[str], list[str]]:
+    """The located posts as (ids, texts); each timestamp is matched against the grammar but not parsed, as none is read."""
+    return _read_pairs(out_dir, "located.jsonl", lambda row: _located_fields(row, match_timestamp)[:2])
+
+
+def _located_where(out_dir: Path) -> dict[str, tuple[str | None, date]]:
+    """Each located post's id -> its (region or None, UTC day), one `_region_day` tuple per distinct pair."""
+    pairs: dict = {}
+
+    def where(row: dict) -> tuple[str, tuple[str | None, date]]:
+        post_id, _, timestamp, region = _located_fields(row, parse_timestamp)
+        return post_id, _region_day(region, timestamp, pairs)
+
+    return dict(_read_artifact(out_dir, "located.jsonl", where))
 
 
 def _model(out_dir: Path) -> SentimentModel:
@@ -305,10 +339,11 @@ def _model(out_dir: Path) -> SentimentModel:
     return load_model(_require_artifact(out_dir, "model.json"))
 
 
-def _predictions(out_dir: Path) -> list[tuple[str, SentimentLabel]]:
+def _predictions(out_dir: Path) -> tuple[list[str], list[SentimentLabel]]:
+    """The predicted posts as (ids, labels)."""
     from .regional import SentimentLabel
-    return _read_artifact(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])),
-                          ("id", "label"))
+    return _read_pairs(out_dir, "predictions.csv", lambda row: (row["id"], SentimentLabel.parse(row["label"])),
+                       ("id", "label"))
 
 
 def _clean_fields(row: dict) -> tuple[str, tuple[str, ...], Any]:
@@ -322,10 +357,14 @@ def _clean_fields(row: dict) -> tuple[str, tuple[str, ...], Any]:
     return post_id, tuple(map(sys.intern, tokens)), rejected  # one str object per distinct token
 
 
-def _classifiable(out_dir: Path) -> list[tuple[str, tuple[str, ...]]]:
-    """(id, tokens) of each cleaned post that was accepted and kept tokens."""
-    rows = _read_artifact(out_dir, "clean.jsonl", _clean_fields)
-    return [(post_id, tokens) for post_id, tokens, rejected in rows if rejected is None and tokens]
+def _classifiable(out_dir: Path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The cleaned posts that were accepted and kept tokens, as (ids, tokens)."""
+
+    def tokens_of(row: dict) -> tuple[str, tuple[str, ...] | None]:
+        post_id, tokens, rejected = _clean_fields(row)
+        return post_id, tokens if rejected is None and tokens else None
+
+    return _read_pairs(out_dir, "clean.jsonl", tokens_of)
 
 
 def _read_regions(out_dir: Path) -> list[RegionSentiment]:
@@ -372,41 +411,40 @@ def _clean_settings(cfg: PipelineConfig, whitelist: frozenset[str]) -> CleanConf
 
 def stage_ingest(
     cfg: PipelineConfig, out_dir: Path
-) -> tuple[dict, list[tuple[str, str]], dict[str, tuple[str | None, datetime]]]:
-    """Load posts, keep located ones in the configured language, resolve regions.
+) -> tuple[dict, tuple[list[str], list[str]], dict[str, tuple[str | None, date]]]:
+    """Stream the posts, keep located ones in the configured language, then read the gazetteer and resolve regions.
 
-    Returns the report, the (id, text) of each located post and each one's id
-    -> (region or None, timestamp): the records of `located.jsonl`, as
-    `stage_clean`, `stage_report` and `stage_aggregate` take them.
+    Of each located post only the fields `located.jsonl` holds are kept, one
+    list each, and nothing is written until the posts, the gazetteer and the
+    region table have all been read. Returns the report, the located posts as
+    (ids, texts) and each one's id -> (region or None, UTC day), one shared
+    tuple per distinct pair: what `_located_posts` and `_located_where` read
+    back from `located.jsonl`, as `stage_clean`, `stage_report` and
+    `stage_aggregate` take them.
     """
     paths = cfg.require_paths("posts", "gazetteer")
-    posts, skipped = load_posts(paths["posts"], cfg.posts_format)
-    located = filter_located(posts, cfg.language)
+    posts, read = load_posts(paths["posts"], cfg.posts_format)
+    located: tuple[list, ...] = ([], [], [], [], [])  # id, text, timestamp, place and language, one list each
+    for post in filter_located(posts, cfg.language):
+        for column, field in zip(located, post):
+            column.append(field)
+    ids, texts, times, places, _ = located
     gazetteer = load_gazetteer(paths["gazetteer"])
     populations: dict[str, int] = {}
     if cfg.paths.get("region_table"):
         populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
     out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out; every input is read
-    cache: dict[str, str | None] = {}
-    where: dict[str, tuple[str | None, datetime]] = {}
-
-    def located_records():
-        for post in located:
-            if post.place_name not in cache:
-                # an empty region id is no region, as `located.jsonl` reads back
-                cache[post.place_name] = resolve_region(post.place_name, gazetteer) or None
-            region = cache[post.place_name]
-            where[post.id] = (region, post.timestamp)
-            yield {
-                "id": post.id,
-                "text": post.text,
-                "timestamp": post.timestamp.isoformat(),
-                "place": post.place_name,
-                "lang": post.language,
-                "region": region or "",
-            }
-
-    write_records(out_dir / "located.jsonl", "jsonl", located_records())
+    # one lookup per distinct place, in the order the posts name them; an empty region id is no region, as
+    # `located.jsonl` reads back
+    regions = {place: resolve_region(place, gazetteer) or None for place in dict.fromkeys(places)}
+    pairs: dict = {}
+    where = {post_id: _region_day(regions[place], timestamp, pairs)
+             for post_id, timestamp, place in zip(ids, times, places)}
+    write_records(out_dir / "located.jsonl", "jsonl", (
+        {"id": post_id, "text": text, "timestamp": timestamp.isoformat(), "place": place, "lang": lang,
+         "region": regions[place] or ""}
+        for post_id, text, timestamp, place, lang in zip(*located)
+    ))
     counts = region_counts((region for region, _ in where.values() if region), populations)
     write_records(out_dir / "region_counts.csv", "csv", (
         (region_id, count, "" if per_capita is None else repr(per_capita))
@@ -415,39 +453,42 @@ def stage_ingest(
 
     resolved = sum(count for count, _ in counts.values())
     report = {
-        "loaded": len(posts),
-        "skipped_records": skipped,
-        "located": len(located),
+        "loaded": read["loaded"],
+        "skipped_records": read["skipped"],
+        "located": len(ids),
         "resolved": resolved,
-        "unresolved": len(located) - resolved,
+        "unresolved": len(ids) - resolved,
         "regions": len(counts),
     }
     _write_json(out_dir / "ingest_report.json", report)
-    return report, [(post.id, post.text) for post in located], where
+    return report, (ids, texts), where
 
 
 def stage_clean(
-    cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, str]]
-) -> tuple[dict, frozenset[str], list[tuple[str, tuple[str, ...]]]]:
-    """Select the emoji whitelist, then run the normalization chain over the (id, text) of each located post.
+    cfg: PipelineConfig, out_dir: Path, posts: tuple[Sequence[str], Sequence[str]]
+) -> tuple[dict, frozenset[str], tuple[list[str], list[tuple[str, ...]]]]:
+    """Select the emoji whitelist, then run the normalization chain over the located (ids, texts) `posts`.
 
-    Returns the report, the whitelist and the (id, tokens) of each accepted
-    post that kept tokens: the records `_classifiable` reads back from
-    `clean.jsonl`, as `stage_classify` takes them.
+    Returns the report, the whitelist and the accepted posts that kept tokens
+    as (ids, tokens): what `_classifiable` reads back from `clean.jsonl`, as
+    `stage_classify` takes them.
     """
+    ids, texts = posts
     polarity = load_emoji_polarity(cfg.require_paths("emoji_polarity")["emoji_polarity"])
-    whitelist = select_emoji_whitelist((text for _, text in posts), polarity, cfg.thresholds.emoji_min_share)
+    whitelist = select_emoji_whitelist(texts, polarity, cfg.thresholds.emoji_min_share)
     settings = _clean_settings(cfg, whitelist)  # every resource read before the first write
     write_records(out_dir / "emoji_whitelist.txt", "txt", sorted(whitelist))
     outcomes: Counter = Counter()  # rejected_reason -> posts
-    classifiable: list[tuple[str, tuple[str, ...]]] = []
+    kept_ids: list[str] = []
+    kept_tokens: list[tuple[str, ...]] = []
 
     def clean_records():
-        for post_id, text in posts:
+        for post_id, text in zip(ids, texts):
             cp = clean_text(text, settings)
             outcomes[cp.rejected_reason] += 1
             if cp.tokens:  # a rejected post keeps none
-                classifiable.append((post_id, cp.tokens))  # `clean_text` interns every token
+                kept_ids.append(post_id)
+                kept_tokens.append(cp.tokens)  # `clean_text` interns every token
             yield {  # json writes the token and emoji tuples as lists
                 "id": post_id,
                 "tokens": cp.tokens,
@@ -458,21 +499,21 @@ def stage_clean(
 
     write_records(out_dir / "clean.jsonl", "jsonl", clean_records())
     report = {
-        "input": len(posts),
+        "input": len(ids),
         "accepted": outcomes[None],
         "rejected_too_short": outcomes["too_short"],
         "rejected_misspelled": outcomes["misspelled"],
         "emoji_whitelist_size": len(whitelist),
     }
     _write_json(out_dir / "clean_report.json", report)
-    return report, whitelist, classifiable
+    return report, whitelist, (kept_ids, kept_tokens)
 
 
 def stage_report(
-    cfg: PipelineConfig, out_dir: Path, kind: str, posts: Iterable[tuple[str, str]]
+    cfg: PipelineConfig, out_dir: Path, kind: str, posts: tuple[Sequence[str], Sequence[str]]
 ) -> tuple[FrequencyRow, ...]:
-    """Corpus frequency diagnostics over the texts of the (id, text) located `posts`; returns `<kind>.csv`'s rows."""
-    texts = (text for _, text in posts)
+    """Corpus frequency diagnostics over the texts of the located (ids, texts) `posts`; returns `<kind>.csv`'s rows."""
+    _, texts = posts
     if kind == "hashtags":
         rows = hashtag_report(texts)
     elif kind == "emojis":
@@ -547,44 +588,49 @@ _CLASSIFY_CHUNK = 4096
 
 
 def stage_classify(
-    cfg: PipelineConfig, out_dir: Path, model: SentimentModel, posts: Sequence[tuple[str, Sequence[str]]]
-) -> tuple[dict, list[tuple[str, SentimentLabel]]]:
-    """Predict each classifiable (id, tokens) post with the trained `model`, `_CLASSIFY_CHUNK` posts per batch.
+    cfg: PipelineConfig, out_dir: Path, model: SentimentModel, posts: tuple[Sequence[str], Sequence[Sequence[str]]]
+) -> tuple[dict, tuple[Sequence[str], list[SentimentLabel]]]:
+    """Predict the classifiable (ids, tokens) `posts` with the trained `model`, `_CLASSIFY_CHUNK` posts per batch.
 
-    Returns the report and the (id, label) records of `predictions.csv`, as
-    `stage_aggregate` takes them.
+    Returns the report and the predicted posts as (ids, labels), the ids being
+    the ones `posts` holds: what `_predictions` reads back from
+    `predictions.csv`, as `stage_aggregate` takes them.
     """
     from .sentiment import SentimentLabel, predict_batch
     positive = model.classes.index(SentimentLabel.POSITIVE) if SentimentLabel.POSITIVE in model.classes else None
     counts = {label.value: 0 for label in model.classes}
     n_fallback = 0
-    labels: list[tuple[str, SentimentLabel]] = []
+    labels: list[SentimentLabel] = []
+    ids, tokens = posts
 
-    def prediction_rows():  # rows are formatted as they are written; only (id, label) is kept
+    def prediction_rows():  # rows are formatted as they are written; only the label is kept
         nonlocal n_fallback
-        for start in range(0, len(posts), _CLASSIFY_CHUNK):
-            chunk = posts[start:start + _CLASSIFY_CHUNK]
-            for (post_id, _), pred in zip(chunk, predict_batch(model, [tokens for _, tokens in chunk])):
+        for start in range(0, len(ids), _CLASSIFY_CHUNK):
+            end = start + _CLASSIFY_CHUNK
+            for post_id, pred in zip(ids[start:end], predict_batch(model, tokens[start:end])):
                 label = pred.label.value
                 counts[label] += 1
                 n_fallback += pred.fallback
-                labels.append((post_id, pred.label))
+                labels.append(pred.label)
                 p_pos = "" if positive is None else repr(float(pred.scores[positive]))
                 yield post_id, label, pred.fallback, p_pos
 
     write_records(out_dir / "predictions.csv", "csv", prediction_rows(), _PREDICTIONS_HEADER)
-    report = {"classified": len(posts), "fallback": n_fallback, "predicted": counts}
+    report = {"classified": len(ids), "fallback": n_fallback, "predicted": counts}
     _write_json(out_dir / "classify_report.json", report)
-    return report, labels
+    return report, (ids, labels)
 
 
-def stage_import_predictions(cfg: PipelineConfig, out_dir: Path, posts: Sequence[tuple[str, Sequence[str]]]) -> dict:
-    """Use third-party model predictions for the classifiable (id, tokens) `posts` in place of the local classifier."""
+def stage_import_predictions(
+    cfg: PipelineConfig, out_dir: Path, posts: tuple[Sequence[str], Sequence[Sequence[str]]]
+) -> dict:
+    """Use third-party model predictions for the classifiable (ids, tokens) `posts` in place of the local classifier."""
     from .sentiment import import_external_predictions
     imported = import_external_predictions(cfg.require_paths("external_predictions")["external_predictions"])
-    matched = len(imported.keys() & {post_id for post_id, _ in posts})  # ids not among the posts are counted
+    ids, _ = posts
+    matched = len(imported.keys() & set(ids))  # ids not among the posts are counted
     write_records(out_dir / "predictions.csv", "csv", (
-        (post_id, imported[post_id].value, False, "") for post_id, _ in posts if post_id in imported
+        (post_id, imported[post_id].value, False, "") for post_id in ids if post_id in imported
     ), _PREDICTIONS_HEADER)
     report = {"imported": len(imported), "matched": matched, "unknown_ids": len(imported) - matched}
     _write_json(out_dir / "import_report.json", report)
@@ -592,10 +638,10 @@ def stage_import_predictions(cfg: PipelineConfig, out_dir: Path, posts: Sequence
 
 
 def stage_aggregate(
-    cfg: PipelineConfig, out_dir: Path, located: Mapping[str, tuple[str | None, datetime]],
-    predictions: Iterable[tuple[str, SentimentLabel]],
+    cfg: PipelineConfig, out_dir: Path, located: Mapping[str, tuple[str | None, date]],
+    predictions: tuple[Sequence[str], Sequence[SentimentLabel]],
 ) -> tuple[dict, list[RegionSentiment]]:
-    """Fold the (id, label) `predictions` of the `located` posts into `region_sentiment.csv`.
+    """Fold the (ids, labels) `predictions` of the `located` posts into `region_sentiment.csv`.
 
     `regional.aggregate` does the whole fold: see it for what `located` holds
     and what is skipped. Returns the report and the regions of
@@ -603,7 +649,8 @@ def stage_aggregate(
     """
     from .regional import RegionSentiment, aggregate
     threshold = cfg.thresholds.min_region_posts
-    regions, neutral, no_region = aggregate(located, predictions, cfg.event_date, threshold, cfg.event_day)
+    ids, labels = predictions
+    regions, neutral, no_region = aggregate(located, zip(ids, labels), cfg.event_date, threshold, cfg.event_day)
     write_records(out_dir / "region_sentiment.csv", "csv", map(RegionSentiment.row, regions), RegionSentiment.COLUMNS)
     report = {
         "observations": sum(r.total for r in regions) + no_region,
@@ -820,8 +867,9 @@ def _summary_markdown(
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """ingest -> clean -> reports -> train -> classify -> aggregate -> shift -> regress -> stepwise.
 
-    Each stage takes what the stages before it returned: the located posts,
-    the classifiable tokens, the model, the predictions and the regions go on
+    Each stage takes what the stages before it returned: the located posts as
+    (ids, texts), their (region, UTC day) map, the classifiable posts as (ids,
+    tokens), the model, the predictions as (ids, labels) and the regions go on
     in memory, and no artifact is read back for them or for summary.md, which
     is rendered from the stage returns. Writes every artifact the stage
     sequence writes, plus summary.md.
@@ -835,7 +883,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     del posts  # freed before train: the post texts are not needed past the reports
     reports["train"], model = stage_train(cfg, out_dir)
     reports["classify"], predictions = stage_classify(cfg, out_dir, model, classifiable)
-    del classifiable  # freed once classified: only the labels go on
+    del classifiable  # its tokens freed once classified: only the ids and labels go on
     reports["aggregate"], regions = stage_aggregate(cfg, out_dir, located, predictions)
     del located, predictions  # freed before regress and stepwise allocate their designs
     reports["shift"] = stage_shift_test(cfg, out_dir, regions)

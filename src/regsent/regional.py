@@ -9,7 +9,7 @@ and `write_shift_csv` take them.
 
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
@@ -103,7 +103,7 @@ class RegionSentiment(NamedTuple):
 
 
 def aggregate(
-    located: Mapping[str, tuple[str | None, datetime]],
+    located: Mapping[str, tuple[str | None, date]],
     predictions: Iterable[tuple[str, SentimentLabel]],
     event_date: date,
     threshold: int,
@@ -111,7 +111,8 @@ def aggregate(
 ) -> tuple[list[RegionSentiment], int, int]:
     """Fold (id, label) `predictions` into per-region period counts, in one pass.
 
-    `located` maps a post id to its (region or None, timestamp). Every label
+    `located` maps a post id to its (region or None, UTC day), the one part of
+    a post's time it reads; `pipeline` shares each distinct pair. Every label
     needs its id in `located` (DataValidationError otherwise); neutral labels
     are then skipped and counted, and a post without a region is excluded
     and counted. Posts dated exactly on the event count as "before" when
@@ -129,11 +130,10 @@ def aggregate(
         if label is SentimentLabel.NEUTRAL:
             neutral += 1
             continue
-        region_id, timestamp = located[post_id]
+        region_id, day = located[post_id]
         if not region_id:
             no_region += 1
             continue
-        day = timestamp.date()
         before = day <= event_date if event_day == "before" else day < event_date
         slot = (0 if before else 2) + (label is not SentimentLabel.POSITIVE)
         counts.setdefault(region_id, [0, 0, 0, 0])[slot] += 1

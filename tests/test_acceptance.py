@@ -352,7 +352,7 @@ def test_criterion_09_preprocessing_anchors():
             labels = (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE)
             return [(f"{region}{i}", region, base + timedelta(minutes=i), labels[i % 2]) for i in range(n)]
         posts = obs("at", 100) + obs("above", 101)
-        located = {post_id: (region, ts) for post_id, region, ts, _ in posts}
+        located = {post_id: (region, ts.date()) for post_id, region, ts, _ in posts}
         regions, _, _ = aggregate(located, [(post_id, label) for post_id, *_, label in posts], event, 100, "before")
         by_id = {r.region_id: r for r in regions}
         assert not by_id["at"].included

@@ -14,6 +14,7 @@ import logging
 import os
 import shutil
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -497,24 +498,44 @@ class TestErrorContract:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out", "earlier-out"])
-    def test_ingest_failing_on_an_input_writes_nothing(self, fixture_dir, tmp_path, capsys, monkeypatch, fresh):
-        """Every input is read before --out is made or written, and the region table once."""
+    @pytest.mark.parametrize("problem", ["table-is-a-directory", "last-post-repeats-an-id", "last-post-not-utf-8"])
+    def test_ingest_failing_on_an_input_writes_nothing(self, fixture_dir, tmp_path, capsys, monkeypatch, fresh,
+                                                       problem):
+        """Every input is read before --out is made or written: the posts first, then the region table, once.
+
+        Ingest streams the posts file, so a file failing on its last record has
+        been read almost whole by then; it still leaves no --out, or the earlier
+        one as it was, and reads no region table.
+        """
         out = tmp_path / "out"
         if not fresh:
             out.mkdir()
             (out / "located.jsonl").write_text("from an earlier run\n", encoding="utf-8")
         before = None if fresh else read_all(out)
-        table = tmp_path / "table"
-        table.mkdir()
+        posts, table = fixture_dir / "posts.jsonl", load_config(fixture_dir / "config.json").paths["region_table"]
+        lines = posts.read_bytes().splitlines(keepends=True)
+        if problem == "table-is-a-directory":
+            table = tmp_path / "table"
+            table.mkdir()
+            expected = f"cannot read {table}: "
+        else:
+            posts = tmp_path / "posts.jsonl"
+            if problem == "last-post-repeats-an-id":
+                posts.write_bytes(b"".join([*lines, lines[0]]))
+                first_id = json.loads(lines[0])["id"]
+                expected = f"{posts}:{len(lines) + 1}: duplicate post id {first_id!r}, first used at line 1\n"
+            else:
+                posts.write_bytes(b"".join(lines[:-1]) + b"\xff" + lines[-1])
+                expected = f"{posts} is not UTF-8: "
         calls: list[Path] = []
         load_region_table = pipeline.load_region_table
         monkeypatch.setattr(pipeline, "load_region_table", lambda path: calls.append(path) or load_region_table(path))
         code = cli.main(["ingest", "--config", str(fixture_dir / "config.json"), "--out", str(out),
-                         "--set", f"paths.region_table={table}"])
+                         "--set", f"paths.posts={posts}", "--set", f"paths.region_table={table}"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"regsent: error[data]: cannot read {table}: ") and err.count("\n") == 1
-        assert calls == [table]
+        assert err.startswith(f"regsent: error[data]: {expected}") and err.count("\n") == 1
+        assert calls == ([table] if problem == "table-is-a-directory" else [])
         assert not out.exists() if fresh else read_all(out) == before
 
     def test_clean_failing_on_a_resource_writes_nothing(self, fixture_dir, pipeline_out, tmp_path):
@@ -929,6 +950,65 @@ class TestComposition:
         counts = [region[column] for column in ("n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after")]
         assert counts == ["1", "1", "0", "1"]
 
+    @pytest.mark.parametrize("event_day", ["before", "after"])
+    def test_offset_times_join_the_period_of_their_utc_day(self, fixture_dir, pipeline_out, tmp_path, capsys,
+                                                           event_day):
+        """Posts whose offsets carry them across UTC midnight join the period their UTC day gives, in `pipeline`
+        and in the stage sequence.
+
+        The event day is 2019-10-13: 23:30 at -02:00 on the 13th is the 14th in UTC, after the event, and
+        00:30 at +02:00 on the 14th is the 13th, the event day, which joins `event_day`'s period. Each added
+        post copies a classified fixture post of another region, so a day taken before the offset is applied
+        would move a count between periods.
+        """
+        labels = {row["id"]: row["label"] for row in read_csv(pipeline_out / "predictions.csv")}
+        sources: dict[str, dict] = {}  # region -> the first classified post located there
+        for line in (pipeline_out / "located.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            if row["region"] and row["id"] in labels:
+                sources.setdefault(row["region"], row)
+        added = zip(("utc-14", "utc-13"), sources.values(), ("2019-10-13T23:30:00-02:00", "2019-10-14T00:30:00+02:00"),
+                    ("after", event_day))
+        fixture = tmp_path / "fixture"
+        shutil.copytree(fixture_dir, fixture)
+        expected: dict[tuple[str, str], int] = {}  # (region, count column) -> posts added there
+        with (fixture / "posts.jsonl").open("a", encoding="utf-8") as handle:
+            for post_id, source, timestamp, period in added:
+                handle.write(json.dumps({"id": post_id, "text": source["text"], "timestamp": timestamp,
+                                         "place": source["place"], "lang": source["lang"]}) + "\n")
+                column = f"n_{labels[source['id']][:3]}_{period}"  # the copy's text gets the source's label
+                expected[source["region"], column] = expected.get((source["region"], column), 0) + 1
+
+        def counts(out: Path) -> dict[tuple[str, str], int]:
+            return {(row["region_id"], column): int(row[column]) for row in read_csv(out / "region_sentiment.csv")
+                    for column in ("n_pos_before", "n_neg_before", "n_pos_after", "n_neg_after")}
+
+        setting = ["--set", f"event_day={event_day}"]
+        runs = {name: tmp_path / name for name in ("without", "pipeline", "stages")}
+        assert cli.main(["pipeline", "--config", str(fixture_dir / "config.json"), "--out", str(runs["without"]),
+                         *setting]) == 0, capsys.readouterr().err
+        assert cli.main(["pipeline", "--config", str(fixture / "config.json"), "--out", str(runs["pipeline"]),
+                         *setting]) == 0, capsys.readouterr().err
+        for stage in STAGES:
+            assert cli.main([*stage, "--config", str(fixture / "config.json"), "--out", str(runs["stages"]),
+                             *setting]) == 0, (stage, capsys.readouterr().err)
+        baseline = counts(runs["without"])
+        assert len({region for region, _ in expected}) == 2 and sum(expected.values()) == 2
+        for name in ("pipeline", "stages"):
+            got = counts(runs[name])
+            added_counts = {key: got[key] - baseline[key] for key in got if got[key] != baseline[key]}
+            assert added_counts == expected, name
+
+    def test_located_map_holds_one_tuple_per_region_and_day(self, fixture_dir, tmp_path):
+        """ingest's located map is what `_located_where` reads from the located.jsonl it wrote: each post id ->
+        (region or None, UTC day), each distinct pair one shared tuple, not one per post."""
+        _, _, where = pipeline.stage_ingest(load_config(fixture_dir / "config.json"), tmp_path)
+        read = pipeline._located_where(tmp_path)
+        assert where == read
+        for located in (where, read):
+            assert all(type(day) is date for _, day in located.values())
+            assert len({id(v) for v in located.values()}) == len(set(located.values())) < len(located)
+
     def test_train_needs_no_intermediate(self, fixture_dir, pipeline_out, tmp_path, capsys):
         """`train` in an empty --out writes the pipeline's training files."""
         out = tmp_path / "out"
@@ -1024,7 +1104,8 @@ class TestComposition:
         n = pipeline._CLASSIFY_CHUNK + 905
         posts = [(f"p{i}", [*example.tokens, "unseen"] if i % 97 else ["unseen"])  # every 97th post a fallback
                  for i, example in enumerate(generative_corpus(n, seed=9))]
-        report, labels = pipeline.stage_classify(load_config(fixture_dir / "config.json"), tmp_path, model, posts)
+        report, labels = pipeline.stage_classify(load_config(fixture_dir / "config.json"), tmp_path, model,
+                                                 tuple(map(list, zip(*posts))))  # as (ids, tokens)
         positive = model.classes.index(sentiment.SentimentLabel.POSITIVE)
         batch = sentiment.predict_batch(model, [tokens for _, tokens in posts])
         assert read_csv(tmp_path / "predictions.csv") == [
@@ -1032,7 +1113,7 @@ class TestComposition:
              "p_positive": repr(float(pred.scores[positive]))}
             for (post_id, _), pred in zip(posts, batch)
         ]
-        assert labels == [(post_id, pred.label) for (post_id, _), pred in zip(posts, batch)]
+        assert labels == ([post_id for post_id, _ in posts], [pred.label for pred in batch])
         assert report["classified"] == n and report["fallback"] == sum(pred.fallback for pred in batch) > 0
 
     def test_imported_predictions_reproduce_the_regional_results(self, fixture_dir, pipeline_out, tmp_path, capsys):

@@ -54,6 +54,14 @@ def write_posts(path, records, fmt):
         writer.writerows(records)
 
 
+def read_posts(path, fmt="jsonl"):
+    """(posts, skipped) of the posts file at `path`: `load_posts` iterated to the end."""
+    posts, counts = load_posts(path, fmt)
+    posts = list(posts)
+    assert counts["loaded"] == len(posts)
+    return posts, counts["skipped"]
+
+
 def make_post(i, place="northgate", lang="pl", text="hello world"):
     return RawPost(
         id=f"p{i}",
@@ -72,7 +80,7 @@ class TestLoadPosts:
             {"id": "b", "text": "two", "timestamp": TS, "place": "y", "lang": "pl"},
             {"id": "c", "text": "three", "timestamp": TS, "place": None, "lang": None},
         ])
-        posts, skipped = load_posts(path)
+        posts, skipped = read_posts(path)
         assert len(posts) == 3 and skipped == 0
         assert posts[2].place_name is None and posts[2].language is None
 
@@ -83,7 +91,7 @@ class TestLoadPosts:
             {"id": "b", "text": "", "timestamp": TS},
             {"id": "c", "text": "three", "timestamp": TS},
         ])
-        posts, skipped = load_posts(path)
+        posts, skipped = read_posts(path)
         assert [p.id for p in posts] == ["a", "c"]
         assert skipped == 1
 
@@ -96,7 +104,7 @@ class TestLoadPosts:
             + json.dumps({"id": "ok", "text": "fine", "timestamp": TS}) + "\n",
             encoding="utf-8",
         )
-        posts, skipped = load_posts(path)
+        posts, skipped = read_posts(path)
         assert [p.id for p in posts] == ["ok"]
         assert skipped == 3
 
@@ -112,7 +120,7 @@ class TestLoadPosts:
             encoding="utf-8",
         )
         with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
-            posts, skipped = load_posts(path)
+            posts, skipped = read_posts(path)
         assert [(p.id, p.text) for p in posts] == [("pair", "good \U0001F600 day"), ("escaped", "good \\ud800 day")]
         assert skipped == 2
         assert [r.getMessage() for r in caplog.records] == [
@@ -120,7 +128,7 @@ class TestLoadPosts:
 
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
-            load_posts(tmp_path / "missing.jsonl")
+            read_posts(tmp_path / "missing.jsonl")
 
     def test_fifty_record_roundtrip_against_reference_parser(self, tmp_path):
         rng = random.Random(50)
@@ -135,7 +143,7 @@ class TestLoadPosts:
             })
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, records)
-        posts, skipped = load_posts(path)
+        posts, skipped = read_posts(path)
         assert skipped == 0 and len(posts) == 50
         # reference parse: independent of the loader under test
         for post, record in zip(posts, records):
@@ -148,6 +156,8 @@ class TestLoadPosts:
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_duplicate_id_fatal_naming_both_lines(self, tmp_path, fmt):
+        """The posts are read as they are iterated, through `filter_located` too: a third record repeating the
+        first id raises only after the two posts before it have been yielded and counted."""
         records = [
             {"id": "a", "text": "one", "timestamp": TS, "place": "x", "lang": "pl"},
             {"id": "b", "text": "two", "timestamp": TS, "place": "y", "lang": "pl"},
@@ -156,8 +166,12 @@ class TestLoadPosts:
         path = tmp_path / f"posts.{fmt}"
         write_posts(path, records, fmt)
         first, again = (1, 3) if fmt == "jsonl" else (2, 4)  # a CSV's first record is on line 2
+        posts, counts = load_posts(path, fmt)
+        located = filter_located(posts, "pl")
+        assert [next(located).id, next(located).id] == ["a", "b"]
+        assert counts == {"loaded": 2, "skipped": 0}
         with pytest.raises(DataValidationError, match=f":{again}: duplicate post id 'a', first used at line {first}$"):
-            load_posts(path, fmt=fmt)
+            next(located)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_timestamp_past_datetime_range_skipped_and_counted(self, tmp_path, caplog, fmt):
@@ -170,7 +184,7 @@ class TestLoadPosts:
         path = tmp_path / f"posts.{fmt}"
         write_posts(path, records, fmt)
         with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
-            posts, skipped = load_posts(path, fmt=fmt)
+            posts, skipped = read_posts(path, fmt=fmt)
         assert [p.id for p in posts] == ["a", "c"] and skipped == 1
         line = 2 if fmt == "jsonl" else 3
         assert [r.getMessage() for r in caplog.records] == [f"skipping malformed post record at {path}:{line}"]
@@ -189,7 +203,7 @@ class TestLoadPosts:
             {"id": "b", "text": "two", "timestamp": TS, "place": "y", "lang": "pl", field: value},
         ])
         with caplog.at_level(logging.WARNING, logger="regsent.corpus"):
-            posts, skipped = load_posts(path)
+            posts, skipped = read_posts(path)
         assert [p.id for p in posts] == ["a"] and skipped == 1
         assert [r.getMessage() for r in caplog.records] == [f"skipping malformed post record at {path}:2"]
 
@@ -199,7 +213,7 @@ class TestLoadPosts:
             {"id": 7, "text": "one", "timestamp": TS, "place": None, "lang": None},
             {"id": "b", "text": "two", "timestamp": TS},
         ])
-        posts, skipped = load_posts(path)
+        posts, skipped = read_posts(path)
         assert skipped == 0
         assert [(p.id, p.place_name, p.language) for p in posts] == [("7", None, None), ("b", None, None)]
 
@@ -213,7 +227,7 @@ class TestLoadPosts:
         write_posts(path, records, "csv")
         # header on line 1, "a" on lines 2-3, so the first "b" starts on line 4 and the second on 5
         with pytest.raises(DataValidationError, match=r":5: duplicate post id 'b', first used at line 4$"):
-            load_posts(path, fmt="csv")
+            read_posts(path, fmt="csv")
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "posts.csv"
@@ -222,7 +236,7 @@ class TestLoadPosts:
             writer.writerow(["id", "text", "timestamp", "place", "lang"])
             writer.writerow(["a", "hello there", TS, "northgate", "pl"])
             writer.writerow(["", "orphan", TS, "", ""])
-        posts, skipped = load_posts(path, fmt="csv")
+        posts, skipped = read_posts(path, fmt="csv")
         assert [p.id for p in posts] == ["a"] and skipped == 1
         assert posts[0].place_name == "northgate"
 
@@ -230,11 +244,11 @@ class TestLoadPosts:
 class TestFilterLocated:
     def test_identity_when_all_match(self):
         posts = [make_post(i) for i in range(4)]
-        assert filter_located(posts, "pl") == posts
+        assert list(filter_located(posts, "pl")) == posts
 
     def test_counts(self):
         posts = [make_post(i) for i in range(7)] + [make_post(i + 10, place=None) for i in range(3)]
-        assert len(filter_located(posts, "pl")) == 7
+        assert len(list(filter_located(posts, "pl"))) == 7
 
     def test_mixed_language_predicate_recheck(self):
         rng = random.Random(4)
@@ -242,7 +256,7 @@ class TestFilterLocated:
             make_post(i, place=rng.choice(["a", None]), lang=rng.choice(["pl", "en", "PL", None]))
             for i in range(60)
         ]
-        kept = filter_located(posts, "pl")
+        kept = list(filter_located(posts, "pl"))
         for post in posts:
             expected = bool(post.place_name) and post.language is not None and post.language.lower() == "pl"
             assert (post in kept) == expected
@@ -253,8 +267,8 @@ class TestFilterLocated:
             make_post(i, place="town" if has_place else None, lang=lang)
             for i, (has_place, lang) in enumerate(flags)
         ]
-        once = filter_located(posts, "pl")
-        assert filter_located(once, "pl") == once
+        once = list(filter_located(posts, "pl"))
+        assert list(filter_located(once, "pl")) == once
 
 
 def entry(name, region, importance):
@@ -422,8 +436,8 @@ class TestPostRepresentation:
     def test_clean_tokens_are_shared(self, tmp_path):
         config = load_config(write_corpus_fixture(tmp_path / "fixture", n_posts=60))
         stage_ingest(config, tmp_path / "out")
-        _, _, classifiable = stage_clean(config, tmp_path / "out", pipeline._located_posts(tmp_path / "out"))
-        assert classifiable and all(sys.intern(token) is token for _, tokens in classifiable for token in tokens)
+        _, _, (_, token_lists) = stage_clean(config, tmp_path / "out", pipeline._located_posts(tmp_path / "out"))
+        assert token_lists and all(sys.intern(token) is token for tokens in token_lists for token in tokens)
 
 
 class TestRegionCounts:

@@ -34,7 +34,7 @@ def obs(region, day_offset, positive):
 
 def fold(observations, threshold, event_day="before"):
     """`aggregate` over `obs` posts, each under its own id: (regions, n_neutral, n_without_region)."""
-    located = {f"p{i}": (region, ts) for i, (region, ts, _) in enumerate(observations)}
+    located = {f"p{i}": (region, ts.date()) for i, (region, ts, _) in enumerate(observations)}
     predictions = [(f"p{i}", label) for i, (_, _, label) in enumerate(observations)]
     return aggregate(located, predictions, EVENT, threshold, event_day)
 
@@ -85,7 +85,7 @@ class TestAggregate:
 
     @pytest.mark.parametrize("label", list(SentimentLabel))
     def test_every_label_needs_a_located_id(self, label):
-        located = {"p": ("R", datetime(2019, 10, 1, tzinfo=timezone.utc))}
+        located = {"p": ("R", date(2019, 10, 1))}
         regions, neutral, _ = aggregate(located, [("p", SentimentLabel.NEUTRAL)], EVENT, 0, "before")
         assert neutral == 1 and regions == []
         with pytest.raises(DataValidationError, match="^prediction for unknown post id 'ghost'$"):
@@ -124,7 +124,7 @@ class TestAggregate:
     @settings(max_examples=200)
     def test_matches_brute_force_count(self, posts, threshold, event_day):
         located = {
-            f"p{i}": (region, datetime(2019, 10, 13 + offset, hour, tzinfo=timezone.utc))
+            f"p{i}": (region, datetime(2019, 10, 13 + offset, hour, tzinfo=timezone.utc).date())
             for i, (region, offset, hour, _, _) in enumerate(posts)
         }
         predictions = [(f"p{i}", label) for i, (*_, label, predicted) in enumerate(posts) if predicted]
@@ -137,8 +137,8 @@ class TestAggregate:
         def count(region, positive, before):
             return sum(
                 r == region and (label is SentimentLabel.POSITIVE) == positive
-                and (ts.date() < EVENT or (ts.date() == EVENT and event_day == "before")) == before
-                for r, ts, label in polar
+                and (day < EVENT or (day == EVENT and event_day == "before")) == before
+                for r, day, label in polar
             )
 
         expected = {
