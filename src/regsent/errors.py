@@ -11,9 +11,9 @@ warning.
 
 JSON lines go through one decoder and one encoder, each built at import, where
 `json.loads` and `json.dumps` set one up per record. The decoder is the scanner
-`json.loads` runs, between the same two whitespace skips; a line that is not
-one JSON value goes to `json.loads` itself, so its error is the one
-`json.loads` raises.
+`json.loads` runs, called at column 0 and done when a line feed ends the value;
+other lines take `json.loads`'s whitespace skips, and its error if not one value.
+Ingest and clean build each `located.jsonl` and `clean.jsonl` line themselves.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -68,6 +68,12 @@ _scan_value, _skip_space = json.JSONDecoder().scan_once, json.decoder.WHITESPACE
 
 def _json_value(text: str) -> Any:
     """`json.loads(text)` through the decoder built at import."""
+    try:  # at a first character that is no space this is json.loads's call, so any other error is its error too
+        value, end = _scan_value(text, 0)
+        if text[end:] == "\n":  # most lines: one value from column 0, then the line feed
+            return value
+    except StopIteration:  # a leading space or byte-order mark, or no value: the general path below
+        pass
     try:
         value, end = _scan_value(text, _skip_space(text, 0).end())
     except StopIteration:  # no value where one starts: json.loads raises its error
@@ -94,7 +100,7 @@ def open_input(path: str | Path, name: str | None = None) -> Iterator[TextIO]:
 
 
 def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = ()) -> Iterator[tuple[int, Any]]:
-    """(line, record) for each record of a `csv`, `jsonl` or `txt` file; blank lines are skipped.
+    """(line, record) for each record of a `csv`, `jsonl` or `txt` file (another `fmt` is a ValueError), blanks skipped.
 
     `line` is the physical line the record starts on. A CSV record is a dict
     keyed by the header, which must hold `columns` and name no column twice; a
@@ -106,6 +112,8 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
     no UTF-8 file can, so that a caller may skip the record and read on. A `txt`
     record is a word-list line, stripped; its lines are the ones `str.splitlines` cuts.
     """
+    if fmt not in ("csv", "jsonl", "txt"):
+        raise ValueError(f"unknown record format {fmt!r}")
     if fmt == "txt":
         for line, text in enumerate(handle.read().splitlines(), 1):
             if text.strip():
@@ -113,7 +121,7 @@ def iter_records(handle: TextIO, fmt: str, name: str, columns: Sequence[str] = (
         return
     if fmt == "jsonl":
         for line, text in enumerate(handle, 1):
-            if text.strip():
+            if not text.isspace():  # a line read from a file is never empty
                 try:
                     record = _json_value(text)
                     # only a \u escape writes a lone surrogate (the decoder joins an escaped pair)
@@ -193,8 +201,11 @@ def write_records(path: str | Path, fmt: str, records: Iterable[Any], header: Se
     """Write `records` to `path` as UTF-8, one per line ending in a line feed, consuming them as it goes.
 
     A `csv` record is a row of fields under the `header` row, a `jsonl` record
-    any JSON value (non-ASCII kept as is) and a `txt` record one word-list line.
+    any JSON value (non-ASCII kept as is) and a `txt` record one line: a word-list
+    line, or a JSON line its stage built. Another `fmt` is a ValueError.
     """
+    if fmt not in ("csv", "jsonl", "txt"):
+        raise ValueError(f"unknown record format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if fmt == "csv":
             # csv quotes the line terminator's characters: rows end in "\r\n", so that a lone "\r" is quoted, then in "\n"

@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataValidationError, read_records, write_records
 from .preprocess import (
-    CleanConfig, FrequencyRow, clean_text, emoji_report, hashtag_report, load_emoji_polarity,
+    CleanConfig, CleanPost, FrequencyRow, clean_text, emoji_report, hashtag_report, load_emoji_polarity,
     load_lemma_map, load_word_list, select_emoji_whitelist, write_frequency_csv,
 )
 
@@ -259,6 +259,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = (), seed: int | Non
 # ---------------------------------------------------------------------------
 
 _PREDICTIONS_HEADER = ("id", "label", "fallback", "p_positive")
+_string = json.encoder.encode_basestring  # what `json.dumps(..., ensure_ascii=False)` writes of a str
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -284,11 +285,20 @@ def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any], colu
 def _located_fields(row: dict, read_time: Callable[[str], Any]) -> tuple[str, str, Any, str | None]:
     """(id, text, `read_time` of its timestamp, region or None for "") of a `located.jsonl` record, every field checked."""
     fields = (row["id"], row["text"], row["timestamp"], row.get("place"), row.get("lang"), row["region"])
-    for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):
-        nullable = key in ("place", "lang")
-        if type(value) is not str and not (nullable and value is None):
-            raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
-    return row["id"], row["text"], read_time(row["timestamp"]), row["region"] or None
+    post_id, text, timestamp, place, lang, region = fields
+    if not (type(post_id) is type(text) is type(timestamp) is type(region) is str
+            and (type(place) is str or place is None) and (type(lang) is str or lang is None)):
+        for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):  # name the first bad one
+            nullable = key in ("place", "lang")
+            if type(value) is not str and not (nullable and value is None):
+                raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
+    return post_id, text, read_time(timestamp), region or None
+
+
+def _located_line(post_id: str, text: str, timestamp: datetime, place: str, lang: str, region: str | None) -> str:
+    """The `located.jsonl` line of a post: `json.dumps` of its record (non-ASCII kept), read by `_located_fields`."""
+    return (f'{{"id": {_string(post_id)}, "text": {_string(text)}, "timestamp": "{timestamp.isoformat()}", '
+            f'"place": {_string(place)}, "lang": {_string(lang)}, "region": {_string(region or "")}}}')
 
 
 def _read_pairs(out_dir: Path, name: str, convert: Callable[[Any], tuple[str, Any]],
@@ -348,13 +358,27 @@ def _predictions(out_dir: Path) -> tuple[list[str], list[SentimentLabel]]:
 
 def _clean_fields(row: dict) -> tuple[str, tuple[str, ...], Any]:
     post_id, tokens, rejected = row["id"], row["tokens"], row["rejected"]
+    try:  # one str object per distinct token; a token that is not a string raises TypeError
+        interned = tuple(map(sys.intern, tokens)) if type(tokens) is list else None
+    except TypeError:
+        interned = None
     if type(post_id) is not str:
         raise TypeError(f"id must be a string, got {post_id!r}")
-    if type(tokens) is not list or not all(type(token) is str for token in tokens):
+    if interned is None:
         raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
     if rejected not in (None, "too_short", "misspelled"):  # what clean_text gives
         raise ValueError(f"rejected must be null, 'too_short' or 'misspelled', got {rejected!r}")
-    return post_id, tuple(map(sys.intern, tokens)), rejected  # one str object per distinct token
+    return post_id, interned, rejected
+
+
+def _clean_line(post_id: str, post: CleanPost) -> str:
+    """The `clean.jsonl` line of a post: `json.dumps` of its record (non-ASCII kept), read by `_clean_fields`."""
+    tokens, emojis, removed, rejected = post  # `removed` holds the five counts of `clean_text`, in its order
+    return (f'{{"id": {_string(post_id)}, "tokens": [{", ".join(map(_string, tokens))}], '
+            f'"kept_emojis": [{", ".join(map(_string, emojis))}], "removed": {{"links": {removed["links"]}, '
+            f'"mentions": {removed["mentions"]}, "hashtags": {removed["hashtags"]}, "nonword": {removed["nonword"]}, '
+            f'"emojis_dropped": {removed["emojis_dropped"]}}}, '
+            f'"rejected": {"null" if rejected is None else _string(rejected)}}}')
 
 
 def _classifiable(out_dir: Path) -> tuple[list[str], list[tuple[str, ...]]]:
@@ -440,11 +464,7 @@ def stage_ingest(
     pairs: dict = {}
     where = {post_id: _region_day(regions[place], timestamp, pairs)
              for post_id, timestamp, place in zip(ids, times, places)}
-    write_records(out_dir / "located.jsonl", "jsonl", (
-        {"id": post_id, "text": text, "timestamp": timestamp.isoformat(), "place": place, "lang": lang,
-         "region": regions[place] or ""}
-        for post_id, text, timestamp, place, lang in zip(*located)
-    ))
+    write_records(out_dir / "located.jsonl", "txt", map(_located_line, *located, map(regions.__getitem__, places)))
     counts = region_counts((region for region, _ in where.values() if region), populations)
     write_records(out_dir / "region_counts.csv", "csv", (
         (region_id, count, "" if per_capita is None else repr(per_capita))
@@ -482,22 +502,16 @@ def stage_clean(
     kept_ids: list[str] = []
     kept_tokens: list[tuple[str, ...]] = []
 
-    def clean_records():
+    def clean_lines():
         for post_id, text in zip(ids, texts):
             cp = clean_text(text, settings)
             outcomes[cp.rejected_reason] += 1
             if cp.tokens:  # a rejected post keeps none
                 kept_ids.append(post_id)
                 kept_tokens.append(cp.tokens)  # `clean_text` interns every token
-            yield {  # json writes the token and emoji tuples as lists
-                "id": post_id,
-                "tokens": cp.tokens,
-                "kept_emojis": cp.kept_emojis,
-                "removed": cp.removed,
-                "rejected": cp.rejected_reason,
-            }
+            yield _clean_line(post_id, cp)
 
-    write_records(out_dir / "clean.jsonl", "jsonl", clean_records())
+    write_records(out_dir / "clean.jsonl", "txt", clean_lines())
     report = {
         "input": len(ids),
         "accepted": outcomes[None],

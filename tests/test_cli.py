@@ -398,6 +398,8 @@ class TestErrorContract:
         ("clean", "text", 5), ("clean", "id", ["x"]), ("clean", "place", 5), ("clean", "lang", ["pl"]),
         ("report hashtags", "text", ["a"]),
         ("aggregate", "region", 5), ("aggregate", "region", True), ("aggregate", "id", ["x"]),
+        ("clean", "timestamp", 5), ("clean", "timestamp", None),
+        ("aggregate", "timestamp", 5), ("aggregate", "timestamp", None),
     ])
     def test_located_field_of_the_wrong_type_exits_two(self, fixture_dir, pipeline_out, tmp_path, capsys,
                                                        stage, key, value):
@@ -412,6 +414,27 @@ class TestErrorContract:
         assert code == 2
         kind = "a string or null" if key in ("place", "lang") else "a string"
         assert err == f"regsent: error[data]: located.jsonl:{len(lines)}: {key} must be {kind}, got {value!r}\n"
+
+    @pytest.mark.parametrize("stage, name, fields, reason", [
+        ("clean", "located.jsonl", {"text": 5, "region": 5}, "text must be a string, got 5"),
+        ("aggregate", "located.jsonl", {"timestamp": None, "lang": 5}, "timestamp must be a string, got None"),
+        ("classify", "clean.jsonl", {"tokens": ["a", 1], "rejected": 5},
+         "tokens must be a list of strings, got ['a', 1]"),
+        ("classify", "clean.jsonl", {"id": 5, "tokens": "ab"}, "id must be a string, got 5"),
+    ])
+    def test_record_wrong_in_two_fields_names_the_first(self, fixture_dir, pipeline_out, tmp_path, capsys,
+                                                         stage, name, fields, reason):
+        out = tmp_path / "out"
+        out.mkdir()
+        # classify reads model.json before clean.jsonl, and aggregate located.jsonl before predictions.csv
+        for intermediate in ("model.json", "predictions.csv"):
+            shutil.copyfile(pipeline_out / intermediate, out / intermediate)
+        lines = (pipeline_out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = json.dumps({**json.loads(lines[-1]), **fields}) + "\n"
+        (out / name).write_text("".join(lines), encoding="utf-8")
+        code = cli.main([stage, "--config", str(fixture_dir / "config.json"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"regsent: error[data]: {name}:{len(lines)}: {reason}\n"
 
     @pytest.mark.parametrize("form, is_timestamp, is_date", [
         ("2019-10-13T01:30:00+02:00", True, False),

@@ -8,13 +8,15 @@ import io
 import json
 import json.encoder
 import re
+from datetime import timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsent import errors
+from regsent import errors, pipeline
 from regsent.errors import iter_records, read_records, write_records
+from regsent.preprocess import CleanConfig, CleanPost, clean_text
 
 # characters an encoder must escape or keep as is: quote, backslash, controls, NUL, a line
 # separator JSON leaves raw, non-ASCII letters and an emoji
@@ -55,6 +57,50 @@ def test_write_records_jsonl_is_json_dumps_lines(tmp_path_factory, records):
         return
     write_records(path, "jsonl", records)
     assert path.read_bytes() == expected_bytes
+
+
+# what ingest can write: no lone surrogate reaches its output, as the posts file is UTF-8
+_WRITTEN = st.text(_SPECIAL | st.characters(exclude_categories=("Cs",)))
+_TIMESTAMPS = st.datetimes(timezones=st.none() | st.builds(
+    timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(post_id=_WRITTEN, text=_WRITTEN, timestamp=_TIMESTAMPS, place=_WRITTEN, lang=_WRITTEN,
+       region=st.none() | _WRITTEN)
+def test_located_line_is_json_dumps(post_id, text, timestamp, place, lang, region):
+    record = {"id": post_id, "text": text, "timestamp": timestamp.isoformat(), "place": place, "lang": lang,
+              "region": region or ""}
+    assert pipeline._located_line(post_id, text, timestamp, place, lang, region) == json.dumps(
+        record, ensure_ascii=False)
+
+
+_REMOVED_KEYS = list(clean_text("a", CleanConfig()).removed)  # the counts clean_text makes, in its order
+
+
+@settings(max_examples=300, deadline=None)
+@given(post_id=_WRITTEN, tokens=st.lists(_WRITTEN, max_size=4).map(tuple),
+       emojis=st.lists(_WRITTEN, max_size=3).map(tuple),
+       counts=st.lists(st.integers(min_value=0), min_size=len(_REMOVED_KEYS), max_size=len(_REMOVED_KEYS)),
+       rejected=st.sampled_from([None, "too_short", "misspelled"]))
+def test_clean_line_is_json_dumps(post_id, tokens, emojis, counts, rejected):
+    removed = dict(zip(_REMOVED_KEYS, counts))
+    record = {"id": post_id, "tokens": tokens, "kept_emojis": emojis, "removed": removed, "rejected": rejected}
+    assert pipeline._clean_line(post_id, CleanPost(tokens, emojis, removed, rejected)) == json.dumps(
+        record, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("fmt", ["json", "JSONL", "tsv", ""])
+def test_iter_records_rejects_an_unknown_format(fmt):
+    with pytest.raises(ValueError, match=re.escape(f"unknown record format {fmt!r}")):
+        next(iter_records(io.StringIO("a,b\n1,2\n"), fmt, "t"))
+
+
+@pytest.mark.parametrize("fmt", ["json", "JSONL", "tsv", ""])
+def test_write_records_rejects_an_unknown_format(tmp_path, fmt):
+    with pytest.raises(ValueError, match=re.escape(f"unknown record format {fmt!r}")):
+        write_records(tmp_path / "records", fmt, [{"a": 1}])
+    assert not (tmp_path / "records").exists()
 
 
 def _loads(decode, text):
