@@ -11,8 +11,9 @@ warning.
 
 JSON lines go through one decoder and one encoder, each built at import, where
 `json.loads` and `json.dumps` set one up per record. The decoder is the scanner
-`json.loads` runs, called at column 0 and done when a line feed ends the value;
-other lines take `json.loads`'s whitespace skips, and its error if not one value.
+`json.loads` runs, called once per line where `json.loads` calls it: past the
+leading whitespace, at column 0 on nearly every line; a line that is not one
+JSON value goes to `json.loads` itself, so its error is the one it raises.
 Ingest and clean build each `located.jsonl` and `clean.jsonl` line themselves.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
@@ -67,18 +68,15 @@ _scan_value, _skip_space = json.JSONDecoder().scan_once, json.decoder.WHITESPACE
 
 
 def _json_value(text: str) -> Any:
-    """`json.loads(text)` through the decoder built at import."""
-    try:  # at a first character that is no space this is json.loads's call, so any other error is its error too
-        value, end = _scan_value(text, 0)
-        if text[end:] == "\n":  # most lines: one value from column 0, then the line feed
-            return value
-    except StopIteration:  # a leading space or byte-order mark, or no value: the general path below
-        pass
+    """`json.loads(text)` through the decoder built at import, one scan of the line."""
+    start = _skip_space(text, 0).end() if text[:1] in " \t\n\r" else 0  # JSON's whitespace, which json.loads skips
     try:
-        value, end = _scan_value(text, _skip_space(text, 0).end())
+        value, end = _scan_value(text, start)
     except StopIteration:  # no value where one starts: json.loads raises its error
         return json.loads(text)
-    return value if _skip_space(text, end).end() == len(text) else json.loads(text)  # extra data raises there too
+    if text[end:] == "\n" or _skip_space(text, end).end() == len(text):  # most lines end in one line feed
+        return value
+    return json.loads(text)  # extra data: json.loads raises its error
 
 
 @contextmanager

@@ -285,14 +285,11 @@ def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any], colu
 def _located_fields(row: dict, read_time: Callable[[str], Any]) -> tuple[str, str, Any, str | None]:
     """(id, text, `read_time` of its timestamp, region or None for "") of a `located.jsonl` record, every field checked."""
     fields = (row["id"], row["text"], row["timestamp"], row.get("place"), row.get("lang"), row["region"])
-    post_id, text, timestamp, place, lang, region = fields
-    if not (type(post_id) is type(text) is type(timestamp) is type(region) is str
-            and (type(place) is str or place is None) and (type(lang) is str or lang is None)):
-        for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):  # name the first bad one
-            nullable = key in ("place", "lang")
-            if type(value) is not str and not (nullable and value is None):
-                raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
-    return post_id, text, read_time(timestamp), region or None
+    for key, value in zip(("id", "text", "timestamp", "place", "lang", "region"), fields):
+        nullable = key in ("place", "lang")
+        if type(value) is not str and not (nullable and value is None):
+            raise TypeError(f"{key} must be a string{' or null' if nullable else ''}, got {value!r}")
+    return row["id"], row["text"], read_time(row["timestamp"]), row["region"] or None
 
 
 def _located_line(post_id: str, text: str, timestamp: datetime, place: str, lang: str, region: str | None) -> str:
@@ -373,11 +370,10 @@ def _clean_fields(row: dict) -> tuple[str, tuple[str, ...], Any]:
 
 def _clean_line(post_id: str, post: CleanPost) -> str:
     """The `clean.jsonl` line of a post: `json.dumps` of its record (non-ASCII kept), read by `_clean_fields`."""
-    tokens, emojis, removed, rejected = post  # `removed` holds the five counts of `clean_text`, in its order
+    tokens, emojis, removed, rejected = post
     return (f'{{"id": {_string(post_id)}, "tokens": [{", ".join(map(_string, tokens))}], '
-            f'"kept_emojis": [{", ".join(map(_string, emojis))}], "removed": {{"links": {removed["links"]}, '
-            f'"mentions": {removed["mentions"]}, "hashtags": {removed["hashtags"]}, "nonword": {removed["nonword"]}, '
-            f'"emojis_dropped": {removed["emojis_dropped"]}}}, '
+            f'"kept_emojis": [{", ".join(map(_string, emojis))}], '
+            f'"removed": {{{", ".join(f"{_string(key)}: {count}" for key, count in removed.items())}}}, '
             f'"rejected": {"null" if rejected is None else _string(rejected)}}}')
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from regsent import errors, pipeline
 from regsent.errors import iter_records, read_records, write_records
-from regsent.preprocess import CleanConfig, CleanPost, clean_text
+from regsent.preprocess import CleanPost
 
 # characters an encoder must escape or keep as is: quote, backslash, controls, NUL, a line
 # separator JSON leaves raw, non-ASCII letters and an emoji
@@ -75,16 +75,12 @@ def test_located_line_is_json_dumps(post_id, text, timestamp, place, lang, regio
         record, ensure_ascii=False)
 
 
-_REMOVED_KEYS = list(clean_text("a", CleanConfig()).removed)  # the counts clean_text makes, in its order
-
-
 @settings(max_examples=300, deadline=None)
 @given(post_id=_WRITTEN, tokens=st.lists(_WRITTEN, max_size=4).map(tuple),
        emojis=st.lists(_WRITTEN, max_size=3).map(tuple),
-       counts=st.lists(st.integers(min_value=0), min_size=len(_REMOVED_KEYS), max_size=len(_REMOVED_KEYS)),
+       removed=st.dictionaries(_WRITTEN, st.integers(min_value=0), max_size=5),
        rejected=st.sampled_from([None, "too_short", "misspelled"]))
-def test_clean_line_is_json_dumps(post_id, tokens, emojis, counts, rejected):
-    removed = dict(zip(_REMOVED_KEYS, counts))
+def test_clean_line_is_json_dumps(post_id, tokens, emojis, removed, rejected):
     record = {"id": post_id, "tokens": tokens, "kept_emojis": emojis, "removed": removed, "rejected": rejected}
     assert pipeline._clean_line(post_id, CleanPost(tokens, emojis, removed, rejected)) == json.dumps(
         record, ensure_ascii=False)
@@ -132,6 +128,9 @@ _EDGES = {
     "empty": "", "newline": "\n", "nan": "NaN", "infinity": "-Infinity\r\n", "constants": "[Infinity, NaN]",
     "bom": "\ufeff{}", "two-values": "{} {}", "two-numbers": "1 2", "truncated": '{"a": 1', "surrogate": '"\\ud800"',
     "deep-list": "[" * 100_000 + "]" * 100_000, "deep-object": '{"a":' * 100_000,
+    # a value is returned at once only when one line feed is all that follows it
+    "line-feed-then-junk": "1\nx", "two-lines": "{}\n{}", "two-line-feeds": '"a"\n\n', "line-feed-then-space": "[]\n ",
+    "crlf": "{}\r\n", "indented": "  {}\n", "tab-indented": "\t[]\n", "blank-first-line": "\n{}\n",
 }
 
 
