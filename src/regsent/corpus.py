@@ -254,4 +254,5 @@ def load_region_table(path: str | Path) -> list[RegionRecord]:
             raise ValueError("population must be positive")
         return RegionRecord(region_id=region_id, population=population, outcome=outcome, features=features)
 
-    return read_records(path, "csv", to_record, columns=_REGION_TABLE_FIXED, key=("region_id", attrgetter("region_id")))
+    return list(read_records(path, "csv", to_record, columns=_REGION_TABLE_FIXED,
+                             key=("region_id", attrgetter("region_id"))))

@@ -2,12 +2,12 @@
 
 `open_input` maps an unreadable file onto the taxonomy; `iter_records` and
 `read_records` read every CSV, JSON-lines and word-list file, configured input
-or intermediate, so a bad record fails as one `<name>:<line>: <reason>` line
-whose line is the physical line the record starts on. A key used twice in a
-keyed file fails the same way (`unique_key`), as `<name>:<line>: duplicate
-<what> <value!r>, first used at line <n>`. `write_records` writes every CSV,
-JSON-lines and word-list file the toolkit produces, and `warn` issues every
-warning.
+or intermediate, as they are iterated, so a bad record fails as one
+`<name>:<line>: <reason>` line whose line is the physical line the record
+starts on. A key used twice in a keyed file fails the same way (`unique_key`),
+as `<name>:<line>: duplicate <what> <value!r>, first used at line <n>`, before
+the repeat is yielded. `write_records` writes every CSV, JSON-lines and
+word-list file the toolkit produces, and `warn` issues every warning.
 
 JSON lines go through one decoder and one encoder, each built at import, where
 `json.loads` and `json.dumps` set one up per record. The decoder is the scanner
@@ -166,27 +166,27 @@ def unique_key(name: str, what: str, key: Callable[[Any], Any]) -> Callable[[int
 
 
 def read_records(path: str | Path, fmt: str, convert: Callable[[Any], Any], name: str | None = None,
-                 columns: Sequence[str] = (), key: tuple[str, Callable[[Any], Any]] | None = None) -> list:
-    """`convert` of each record of the record file at `path` (see `iter_records`).
+                 columns: Sequence[str] = (), key: tuple[str, Callable[[Any], Any]] | None = None) -> Iterator:
+    """`convert` of each record of the record file at `path` (see `iter_records`), read as it is iterated.
 
     A record that does not parse, or that `convert` rejects with one of
-    MALFORMED, raises DataValidationError `<name>:<line>: <reason>`; `name` is
-    the path by default. A (what, getter) `key` is `unique_key` of each result.
+    MALFORMED, raises DataValidationError `<name>:<line>: <reason>` when the
+    iteration reaches it; `name` is the path by default. A (what, getter) `key`
+    is `unique_key` of each result, checked before the result is yielded.
     """
     name = name or str(path)
     check = unique_key(name, *key) if key else lambda line, record: None
-    out = []
     with open_input(path, name) as handle:
         for line, record in iter_records(handle, fmt, name, columns):
             try:
                 if isinstance(record, Exception):
                     raise record
-                out.append(convert(record))
+                value = convert(record)
             except MALFORMED as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise DataValidationError(f"{name}:{line}: {reason}") from None
-            check(line, out[-1])
-    return out
+            check(line, value)
+            yield value
 
 
 def warn(logger: str, message: str, *args: Any) -> None:

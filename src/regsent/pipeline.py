@@ -274,7 +274,7 @@ def _require_artifact(out_dir: Path, name: str) -> Path:
 
 
 def _read_artifact(out_dir: Path, name: str, convert: Callable[[Any], Any], columns: Sequence[str] = (),
-                   key: tuple[str, Callable[[Any], Any]] = ("id", operator.itemgetter(0))) -> list:
+                   key: tuple[str, Callable[[Any], Any]] = ("id", operator.itemgetter(0))) -> Iterable:
     """`convert` of each record of the intermediate `name`, each `key` once; the default key is the leading post id.
 
     A CSV intermediate's header must hold `columns`, as a configured CSV's must.
@@ -307,15 +307,10 @@ def _read_pairs(out_dir: Path, name: str, convert: Callable[[Any], tuple[str, An
     """
     ids: list[str] = []
     values: list = []
-
-    def collect(row: Any) -> str:
-        post_id, value = convert(row)
+    for post_id, value in _read_artifact(out_dir, name, convert, columns):
         if value is not None:
             ids.append(post_id)
             values.append(value)
-        return post_id
-
-    _read_artifact(out_dir, name, collect, columns, key=("id", lambda post_id: post_id))
     return ids, values
 
 
@@ -389,8 +384,8 @@ def _classifiable(out_dir: Path) -> tuple[list[str], list[tuple[str, ...]]]:
 
 def _read_regions(out_dir: Path) -> list[RegionSentiment]:
     from .regional import RegionSentiment
-    return _read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row, RegionSentiment.COLUMNS,
-                          ("region_id", operator.attrgetter("region_id")))
+    return list(_read_artifact(out_dir, "region_sentiment.csv", RegionSentiment.from_row, RegionSentiment.COLUMNS,
+                               ("region_id", operator.attrgetter("region_id"))))
 
 
 # The readers of each stage's inputs, in argument order: how `run_stage` gets from `out_dir` what

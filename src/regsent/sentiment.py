@@ -342,7 +342,7 @@ def load_labeled_csv(path: str | Path) -> list[tuple[str, SentimentLabel, str]]:
             raise ValueError("missing id")
         return row["id"], label, row["text"]
 
-    return read_records(path, "csv", to_row, columns=("id", "label", "text"), key=("id", itemgetter(0)))
+    return list(read_records(path, "csv", to_row, columns=("id", "label", "text"), key=("id", itemgetter(0))))
 
 
 def import_external_predictions(path: str | Path) -> dict[str, SentimentLabel]:

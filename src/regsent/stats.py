@@ -168,8 +168,6 @@ def design_matrix(names: "list[str] | tuple[str, ...]", columns, y) -> DesignMat
     names = tuple(names)
     y = np.asarray(y, dtype=float)
     cols = np.asarray(columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols.reshape(-1, 1) if len(names) == 1 else cols.reshape(len(y), -1)
     if cols.shape != (len(y), len(names)):
         raise ValueError(f"columns shape {cols.shape} does not match {len(y)} rows x {len(names)} names")
     if len(set(names)) != len(names):

@@ -330,6 +330,10 @@ class TestErrorContract:
            "duplicate id 'p000000', first used at line 1\n")
           for stage, name in (("clean", "located.jsonl"), ("aggregate", "located.jsonl"),
                               ("classify", "clean.jsonl"), ("import-predictions", "clean.jsonl"))],
+        # a rejected record is left out of what classify reads, but its id still counts
+        *[(stage, "clean.jsonl", lambda clean: clean + json.dumps(
+            {**json.loads(clean.splitlines()[0]), "tokens": [], "rejected": "too_short"}) + "\n",
+           "duplicate id 'p000000', first used at line 1\n") for stage in ("classify", "import-predictions")],
         ("aggregate", "predictions.csv", lambda predictions: predictions + predictions.splitlines()[1] + "\n",
          "duplicate id 'p000000', first used at line 2\n"),
     ], ids=["count-not-int", "counts-all-zero", "count-negative", "included-not-bool",
@@ -337,7 +341,9 @@ class TestErrorContract:
             "region-repeated-shift-test", "region-repeated-regress", "region-repeated-stepwise",
             "region-empty-shift-test", "region-empty-regress", "region-empty-stepwise",
             "located-id-repeated-clean", "located-id-repeated-aggregate",
-            "clean-id-repeated-classify", "clean-id-repeated-import-predictions", "prediction-id-repeated"])
+            "clean-id-repeated-classify", "clean-id-repeated-import-predictions",
+            "rejected-clean-id-repeated-classify", "rejected-clean-id-repeated-import-predictions",
+            "prediction-id-repeated"])
     def test_malformed_intermediate_exits_two_naming_line(self, fixture_dir, pipeline_out, tmp_path, capsys,
                                                           stage, name, corrupt, reason):
         out = tmp_path / "out"

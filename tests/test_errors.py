@@ -9,13 +9,14 @@ import json
 import json.encoder
 import re
 from datetime import timedelta, timezone
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsent import errors, pipeline
-from regsent.errors import iter_records, read_records, write_records
+from regsent.errors import DataValidationError, iter_records, read_records, write_records
 from regsent.preprocess import CleanPost
 
 # characters an encoder must escape or keep as is: quote, backslash, controls, NUL, a line
@@ -150,7 +151,7 @@ def test_csv_records_read_back_as_written(tmp_path_factory, rows):
     """Each CSV record `write_records` writes reads back as its fields, whatever line breaks, quotes and commas they hold."""
     path = tmp_path_factory.getbasetemp() / "records.csv"
     write_records(path, "csv", rows, ("a", "b", "c"))
-    assert read_records(path, "csv", lambda record: [record["a"], record["b"], record["c"]]) == rows
+    assert list(read_records(path, "csv", lambda record: [record["a"], record["b"], record["c"]])) == rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,3 +171,27 @@ def test_csv_record_lines_are_the_lines_they_start_on(rows, header_end):
     for (_, record), (_, fields) in zip(records, expected):
         if len(fields) == 3:
             assert record == dict(zip("abc", fields))
+
+
+def test_read_records_yields_each_record_before_reading_the_next(tmp_path):
+    """A record `convert` rejects raises when the iteration reaches it, after the records before it were yielded."""
+    path = tmp_path / "counts.csv"
+    path.write_text("id,n\na,1\nb,2\nc,x\nd,4\n", encoding="utf-8")
+    records = read_records(path, "csv", lambda row: (row["id"], int(row["n"])), "counts.csv")
+    assert next(records) == ("a", 1)
+    assert next(records) == ("b", 2)
+    with pytest.raises(DataValidationError, match=r"^counts\.csv:4: invalid literal for int\(\) with base 10: 'x'$"):
+        next(records)
+
+
+def test_read_records_checks_a_key_before_yielding_its_record(tmp_path):
+    """A repeated key raises before its record is yielded, after the records before it were."""
+    path = tmp_path / "posts.jsonl"
+    records = (("a", 1), ("b", 2), ("a", 3))
+    path.write_text("".join(json.dumps({"id": post_id, "n": n}) + "\n" for post_id, n in records), encoding="utf-8")
+    yielded = []
+    with pytest.raises(DataValidationError, match=r"^posts\.jsonl:3: duplicate id 'a', first used at line 1$"):
+        for record in read_records(path, "jsonl", lambda row: (row["id"], row["n"]), "posts.jsonl",
+                                   key=("id", itemgetter(0))):
+            yielded.append(record)
+    assert yielded == [("a", 1), ("b", 2)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ class TestOls:
     def test_constant_column_rejected_at_build(self):
         with pytest.raises(ValueError, match="constant"):
             design_matrix(["flat"], np.ones((10, 1)), np.arange(10.0))
+
+    @pytest.mark.parametrize("shape, names", [((10,), ["x"]), ((10, 2), ["x"]), ((9, 1), ["x"]), ((10, 1), [])])
+    def test_columns_not_n_by_k_rejected_at_build(self, shape, names):
+        # `columns` is (n, k): a 1-D array is not read as one column
+        columns = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        message = f"columns shape {shape} does not match 10 rows x {len(names)} names"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            design_matrix(names, columns, np.arange(10.0))
 
     def test_zero_noise_recovery_across_condition_numbers(self):
         rng = np.random.default_rng(5)
