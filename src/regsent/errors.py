@@ -9,12 +9,14 @@ as `<name>:<line>: duplicate <what> <value!r>, first used at line <n>`, before
 the repeat is yielded. `write_records` writes every CSV, JSON-lines and
 word-list file the toolkit produces, and `warn` issues every warning.
 
-JSON lines go through one decoder and one encoder, each built at import, where
-`json.loads` and `json.dumps` set one up per record. The decoder is the scanner
-`json.loads` runs, called once per line where `json.loads` calls it: past the
-leading whitespace, at column 0 on nearly every line; a line that is not one
-JSON value goes to `json.loads` itself, so its error is the one it raises.
-Ingest and clean build each `located.jsonl` and `clean.jsonl` line themselves.
+JSON lines are read through one decoder built at import, where `json.loads`
+sets one up per record: the scanner `json.loads` runs, called once per line where
+`json.loads` calls it, past the leading whitespace, at column 0 on nearly every
+line; a line that is not one JSON value goes to `json.loads` itself, so its error
+is the one it raises. Ingest and clean build each `located.jsonl` and
+`clean.jsonl` line themselves. Any other JSON line is encoded by the stdlib
+encoder's `encode`, the call `json.dumps(value, ensure_ascii=False)` makes, and
+so is the value read from a line holding a `\\u` escape, to find a lone surrogate.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataValidationError -> 2,
 NumericalError -> 3, and any other exception -> 4 (`error[internal]`).
@@ -51,18 +53,7 @@ class RankDeficiencyError(NumericalError):
 MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 
-def _line_encoder(make_encoder: Callable | None = json.encoder.c_make_encoder) -> Callable[[Any], str]:
-    """`json.dumps(value, ensure_ascii=False)` through one encoder, `make_encoder` building it once if given."""
-    encoder = json.JSONEncoder(ensure_ascii=False, check_circular=False)
-    if make_encoder is None:  # a Python without the `_json` accelerator
-        return encoder.encode
-    # private to `json.encoder`, but the only way to keep the C encoder that `encode` builds anew for every value
-    chunks = make_encoder(None, encoder.default, json.encoder.encode_basestring, None, encoder.key_separator,
-                          encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
-    return lambda value: "".join(chunks(value, 0))
-
-
-_json_line = _line_encoder()
+_json_line = json.JSONEncoder(ensure_ascii=False).encode  # what `json.dumps(value, ensure_ascii=False)` calls
 _SURROGATE = re.compile(r"[\ud800-\udfff]")  # a code point no UTF-8 file can hold
 _scan_value, _skip_space = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
 

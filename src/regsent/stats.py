@@ -180,7 +180,7 @@ def design_matrix(names: "list[str] | tuple[str, ...]", columns, y) -> DesignMat
     for j, name in enumerate(names):
         if cols[:, j].max() == cols[:, j].min():
             raise ValueError(f"predictor '{name}' is constant")
-    X = np.column_stack([np.ones(n), cols]) if names else np.ones((n, 1))
+    X = np.column_stack([np.ones(n), cols])
     return DesignMatrix(names=names, X=X, y=y)
 
 
@@ -200,8 +200,6 @@ def standardize(d: DesignMatrix) -> DesignMatrix:
 
     The intercept column is untouched.
     """
-    if d.k == 0:
-        return d
     cols = d.X[:, 1:]
     means = cols.mean(axis=0)
     sds = cols.std(axis=0, ddof=1)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import json.encoder
 import re
 from datetime import timedelta, timezone
 from operator import itemgetter
@@ -23,6 +22,8 @@ from regsent.preprocess import CleanPost
 # separator JSON leaves raw, non-ASCII letters and an emoji
 _SPECIAL = st.sampled_from(['"', "\\", "\x00", "\x01", "\x1f", "\x7f", "\n", "\t", " ", "\u2028", "ą", "Σ", "👍", "a"])
 _STRINGS = st.text(_SPECIAL | st.characters())
+# also surrogates, lone or the two halves of a pair, which st.characters() draws about once in 2 000
+_SURROGATES = st.text(_SPECIAL | st.characters() | st.sampled_from(["\ud83d", "\ude00", "\ud800", "\udfff"]))
 _FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
 _KEYS = _STRINGS | st.integers() | _FLOATS | st.booleans() | st.none()  # json writes a non-string key as its text
 
@@ -35,18 +36,8 @@ def _values(strings):
     ), max_leaves=12)
 
 
-@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
-@settings(max_examples=300, deadline=None)
-@given(value=_values(st.text(_SPECIAL | st.characters() | st.sampled_from(["\ud800", "\udfff"]))))  # lone surrogates
-def test_json_line_is_json_dumps(encoder, value):
-    make_encoder = json.encoder.c_make_encoder if encoder == "c-encoder" else None
-    if encoder == "c-encoder" and make_encoder is None:
-        pytest.skip("this Python has no _json accelerator")
-    assert errors._line_encoder(make_encoder)(value) == json.dumps(value, ensure_ascii=False)
-
-
 @settings(max_examples=100, deadline=None)
-@given(records=st.lists(_values(_STRINGS), max_size=5))
+@given(records=st.lists(_values(_SURROGATES), max_size=5))
 def test_write_records_jsonl_is_json_dumps_lines(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "records.jsonl"
     expected = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
@@ -123,6 +114,28 @@ def test_json_value_is_json_loads(bom, before, after, cut, extra, ensure_ascii, 
     dumped = junk if use_junk else json.dumps(value, ensure_ascii=ensure_ascii)
     text = bom + before + dumped[:len(dumped) - cut] + after + extra
     assert _loads(errors._json_value, text) == _loads(json.loads, text)
+
+
+def _read_back(text):
+    """What the reader gives of a JSON line: json.loads's value, or the lone-surrogate ValueError if UTF-8 cannot hold it."""
+    value = json.loads(text)
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return ValueError, f"lone surrogate {exc.object[exc.start]!r}"
+    return type(value), repr(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_values(_SURROGATES), min_size=1, max_size=3))
+def test_iter_records_checks_escaped_lines_for_lone_surrogates(values):
+    """Each json.dumps line, non-ASCII escaped so that every such line takes the lone-surrogate check, reads as
+    json.loads reads it, or as a lone-surrogate ValueError where its value holds one (an escaped pair does not)."""
+    lines = [json.dumps(value) + "\n" for value in values]
+    records = list(iter_records(io.StringIO("".join(lines)), "jsonl", "t.jsonl"))
+    assert [line for line, _ in records] == list(range(1, len(lines) + 1))
+    assert [(type(record), str(record)) if isinstance(record, Exception) else (type(record), repr(record))
+            for _, record in records] == [_read_back(text) for text in lines]
 
 
 _EDGES = {

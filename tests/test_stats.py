@@ -225,6 +225,15 @@ class TestStandardize:
         assert abs(raw.aic - std.aic) < 1e-9 * abs(raw.aic)
         assert np.allclose(raw.t[1:], std.t[1:], rtol=1e-9)
 
+    def test_design_without_predictors_is_the_intercept(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(12)
+        d = design_matrix((), np.empty((12, 0)), y)
+        assert d.k == 0 and np.array_equal(d.X, np.ones((12, 1)))
+        z = standardize(d)
+        assert z.names == () and np.array_equal(z.X, d.X) and np.array_equal(z.y, y)
+        assert np.allclose(ols(z).beta, [y.mean()], rtol=1e-14, atol=1e-15)
+
     def test_zero_variance_fatal(self):
         d = DesignMatrix(names=("x",), X=np.column_stack([np.ones(5), np.ones(5)]), y=np.arange(5.0))
         with pytest.raises(ValueError, match="zero variance"):
