@@ -449,9 +449,8 @@ def stage_ingest(
     if cfg.paths.get("region_table"):
         populations = {rec.region_id: rec.population for rec in load_region_table(cfg.paths["region_table"])}
     out_dir.mkdir(parents=True, exist_ok=True)  # the only stage that may start from an empty --out; every input is read
-    # one lookup per distinct place, in the order the posts name them; an empty region id is no region, as
-    # `located.jsonl` reads back
-    regions = {place: resolve_region(place, gazetteer) or None for place in dict.fromkeys(places)}
+    # one lookup per distinct place, in the order the posts name them
+    regions = {place: resolve_region(place, gazetteer) for place in dict.fromkeys(places)}
     pairs: dict = {}
     where = {post_id: _region_day(regions[place], timestamp, pairs)
              for post_id, timestamp, place in zip(ids, times, places)}

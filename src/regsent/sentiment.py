@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,14 +59,12 @@ __all__ = [
 CLASS_ORDER = (SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE)
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     tokens: tuple[str, ...]
     label: SentimentLabel
 
 
-@dataclass(frozen=True)
-class SentimentModel:
+class SentimentModel(NamedTuple):
     """Vocabulary plus per-class parameters of a bag-of-words classifier.
 
     For kind "naive_bayes", feature_weights holds log P(word | class) rows
@@ -80,7 +78,7 @@ class SentimentModel:
     class_log_prior: np.ndarray   # shape (K,)
     feature_weights: np.ndarray   # shape (K, V)
     smoothing: float
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping[str, Any] = MappingProxyType({})
 
 
 class Prediction(NamedTuple):
@@ -89,8 +87,7 @@ class Prediction(NamedTuple):
     fallback: bool      # True when no token was in the vocabulary
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Accuracy plus a K x K confusion matrix over model.classes (rows true, columns predicted)."""
 
     accuracy: float
@@ -371,7 +368,7 @@ def save_model(model: SentimentModel, path: str | Path) -> None:
         "class_log_prior": [float(v) for v in model.class_log_prior],
         "feature_weights": [[float(v) for v in row] for row in model.feature_weights],
         "smoothing": model.smoothing,
-        "metadata": model.metadata,
+        "metadata": dict(model.metadata),
     }
     Path(path).write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True), encoding="utf-8")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,7 @@ def f_sf(f: float, df1: int, df2: int) -> float:
 # Design matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(NamedTuple):
     """Regression design: leading intercept column plus named predictors."""
 
     names: tuple[str, ...]
@@ -214,8 +213,7 @@ def standardize(d: DesignMatrix) -> DesignMatrix:
 # Ordinary least squares
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
     """OLS estimates with the usual inference battery."""
 
     names: tuple[str, ...]          # predictor names; beta[0] is the intercept
@@ -322,8 +320,7 @@ def ols(d: DesignMatrix) -> OlsFit:
 # Stepwise selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepwiseResult:
+class StepwiseResult(NamedTuple):
     """Greedy AIC search outcome: selected set, final fit, and the move trace."""
 
     selected: tuple[str, ...]

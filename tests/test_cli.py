@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import inspect
 import io
@@ -1119,10 +1118,10 @@ class TestComposition:
                 for got, want in zip(inputs, expected):
                     if isinstance(want, sentiment.SentimentModel):
                         assert type(got) is sentiment.SentimentModel
-                        for f in dataclasses.fields(want):
-                            a, b = getattr(got, f.name), getattr(want, f.name)
-                            assert nested_types(a) == nested_types(b), f.name
-                            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+                        for f in want._fields:
+                            a, b = getattr(got, f), getattr(want, f)
+                            assert nested_types(a) == nested_types(b), f
+                            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f
                     else:
                         assert nested_types(got) == nested_types(want), name
                         assert got == want, name
@@ -1211,6 +1210,17 @@ class TestStartWithoutNumpy:
                 shutil.copyfile(pipeline_out / "predictions.csv", out / "predictions.csv")
             result = run_python(["-c", run, *stage, "--config", config, "--out", str(out)])
             assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), stage
+
+    def test_pipeline_and_numpy_stages_import_no_dataclasses_beyond_numpy(self, fixture_dir, tmp_path):
+        """`pipeline`, and each stage that computes with numpy, on the fixture import no `dataclasses` that
+        `import numpy` alone does not: every regsent record is a NamedTuple."""
+        run = ("import sys, numpy; started = set(sys.modules); from regsent.cli import main; code = main(sys.argv[1:]); "
+               "print('dataclasses' in set(sys.modules) - started); sys.exit(code)")
+        config, out = str(fixture_dir / "config.json"), str(tmp_path / "out")
+        # `pipeline` writes the later stages' inputs, and prints the summary's path before the last line
+        for stage in ("pipeline", "train", "classify", "shift-test", "regress", "stepwise"):
+            result = run_python(["-c", run, stage, "--config", config, "--out", out])
+            assert (result.returncode, result.stdout.splitlines()[-1:], result.stderr) == (0, ["False"], ""), stage
 
     def test_importance_tie_warns_on_stderr_and_on_the_regsent_logger(self, fixture_dir, tmp_path, monkeypatch):
         """An importance tie at ingest prints its one warning line on stderr and reaches a handler on `regsent`."""

@@ -4,7 +4,6 @@ interfaces."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import random
@@ -341,7 +340,7 @@ class TestClassMajorBitIdentity:
     @given(model=_random_model(), docs=_DOCS)
     def test_predict_batch_scores_equal_row_major(self, model, docs):
         # ties: a document with no known token against equal biases, and repeats of one document
-        model = dataclasses.replace(model, class_log_prior=np.round(model.class_log_prior))
+        model = model._replace(class_log_prior=np.round(model.class_log_prior))
         docs = [*docs, [], docs[0], docs[0]]
         X = encode(docs, model.vocabulary)
         expected = _dense_softmax(_row_major_product(X, model.feature_weights) + model.class_log_prior)
@@ -557,6 +556,18 @@ class TestPersistence:
         assert np.array_equal(loaded.feature_weights, model.feature_weights)
         tokens = generative_corpus(1, seed=34)[0].tokens
         assert predict(loaded, tokens).label is predict(model, tokens).label
+
+    def test_model_without_metadata_round_trips_an_empty_object(self, tmp_path):
+        """A model built without `metadata` has the shared read-only default, which saves as `{}`."""
+        model = SentimentModel(
+            kind="logistic", classes=(NEG, POS), vocabulary={"a": 0},
+            class_log_prior=np.zeros(2), feature_weights=np.array([[0.5], [-0.5]]), smoothing=0.0,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["metadata"] == {}
+        loaded = load_model(path)
+        assert loaded.metadata == {} and type(loaded.metadata) is dict
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
